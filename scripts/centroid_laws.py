@@ -33,7 +33,7 @@ def sweep(preset_name: str, points: int) -> None:
         slopes = []
         for engine in (detector_field_numeric, detector_field_analytic):
             ys = [centroid(engine(scenario, TiltSet.single(mirror, a))) for a in alphas]
-            slope = np.polyfit(alphas, ys, 1)[0] / scenario.mirror_distance(mirror)
+            slope = np.polyfit(alphas, ys, 1)[0] / scenario.distances[mirror]
             slopes.append(slope)
         print(f"  {mirror.value:8s} {slopes[0]:>+10.4f} {slopes[1]:>+10.4f}")
 

@@ -14,6 +14,7 @@ from pathlib import Path
 from nested_mzi_lab import (
     DoveConfig,
     Mirror,
+    MirrorTable,
     default_protocol,
     default_scenario,
     photon_dither_experiment,
@@ -41,7 +42,7 @@ def main() -> None:
     if args.quick:
         protocol = replace(
             protocol,
-            freq_a=100.0, freq_b=128.0, freq_c=160.0, freq_e=264.0, freq_f=440.0,
+            frequencies=MirrorTable((100.0, 128.0, 160.0, 264.0, 440.0)),
             sample_rate=4000.0, duration=0.25,
         )
 

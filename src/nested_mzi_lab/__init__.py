@@ -6,6 +6,8 @@ the split-detector dither spectroscopy that defines a mirror's weak trace,
 with and without Dove prisms in the interferometer legs.
 """
 
+__version__ = "0.1.0"
+
 from .detection import (
     DitherProtocol,
     PhotonSample,
@@ -21,11 +23,17 @@ from .elements import (
     DoveConfig,
     DovePlacement,
     Mirror,
+    MirrorTable,
+    OutputPort,
     Path,
+    PathState,
     TiltSet,
+    TwoStateVector,
     apply_dove_x,
     apply_tilt,
-    path_amplitude,
+    paper_two_state_vector,
+    port_amplitudes,
+    two_state_vector_for_port,
 )
 from .errors import (
     AliasingError,
@@ -53,7 +61,6 @@ from .fields import (
     propagate,
 )
 from .interferometer import (
-    OutputPort,
     PathField,
     Preset,
     PRESET_NAMES,
@@ -68,19 +75,12 @@ from .interferometer import (
     field_before_F,
     load_preset,
     path_fields,
-    port_amplitudes,
 )
 from .weak_values import (
-    PathState,
-    TwoStateVector,
     WeakValueReport,
     alpha_step,
     effective_weak_value,
-    paper_two_state_vector,
     path_projector,
-    two_state_vector_for_port,
     weak_value,
     weak_value_report,
 )
-
-__version__ = "0.1.0"

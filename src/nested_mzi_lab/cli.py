@@ -26,12 +26,13 @@ from .detection import (
     spectrum,
     split_signal,
 )
-from .elements import DoveConfig, DovePlacement, Mirror, TiltSet
+from . import __version__
+from .elements import DoveConfig, DovePlacement, Mirror, MirrorTable, OutputPort, TiltSet
 from .errors import ConfigError, GuardError
-from .fields import GaussianSpec, TransverseField, TransverseGrid, power
+from .fields import GaussianSpec, TransverseField, TransverseGrid, centroid, power
 from .interferometer import (
-    OutputPort,
     Scenario,
+    default_scenario,
     detector_field_analytic,
     detector_field_numeric,
     field_before_F,
@@ -39,18 +40,14 @@ from .interferometer import (
 )
 from .weak_values import weak_value_report
 
-__version__ = "0.1.0"
-
 COMMANDS = ("weak-values", "centroid", "dither", "photons", "before-F")
 ENGINES = ("numeric", "analytic", "both")
 
+#: Key prefixes of the per-mirror tables; prefix_<mirror> names one entry.
+_MIRROR_PREFIXES = ("z", "alpha", "amp", "freq")
 _FLOAT_KEYS = {
-    "z_A", "z_B", "z_C", "z_E", "z_F", "path_length",
-    "wavelength", "w0", "grid_half_width",
-    "alpha_A", "alpha_B", "alpha_C", "alpha_E", "alpha_F",
-    "amp_A", "amp_B", "amp_C", "amp_E", "amp_F",
-    "freq_A", "freq_B", "freq_C", "freq_E", "freq_F",
-    "sample_rate", "duration",
+    "path_length", "wavelength", "w0", "grid_half_width", "sample_rate", "duration",
+    *(f"{prefix}_{m.value}" for prefix in _MIRROR_PREFIXES for m in Mirror),
 }
 _INT_KEYS = {"grid_n", "seed", "photons_per_sample"}
 _STR_KEYS = {"command", "preset", "engine", "dove", "port", "out"}
@@ -95,11 +92,7 @@ class RunConfig:
             dove = "before" if s.dove.placement is DovePlacement.BEFORE_INNER_MIRRORS else "after"
         port = "bright" if s.output_port is OutputPort.BRIGHT else "alternate"
         lines += [
-            f"z_A={s.z_a!r}",
-            f"z_B={s.z_b!r}",
-            f"z_C={s.z_c!r}",
-            f"z_E={s.z_e!r}",
-            f"z_F={s.z_f!r}",
+            *_mirror_lines("z", s.distances),
             f"path_length={s.path_length!r}",
             f"wavelength={s.beam.wavelength!r}",
             f"w0={s.beam.w0!r}",
@@ -107,21 +100,9 @@ class RunConfig:
             f"grid_half_width={s.grid.half_width!r}",
             f"dove={dove}",
             f"port={port}",
-            f"alpha_A={t.alpha_a!r}",
-            f"alpha_B={t.alpha_b!r}",
-            f"alpha_C={t.alpha_c!r}",
-            f"alpha_E={t.alpha_e!r}",
-            f"alpha_F={t.alpha_f!r}",
-            f"amp_A={p.amp_a!r}",
-            f"amp_B={p.amp_b!r}",
-            f"amp_C={p.amp_c!r}",
-            f"amp_E={p.amp_e!r}",
-            f"amp_F={p.amp_f!r}",
-            f"freq_A={p.freq_a!r}",
-            f"freq_B={p.freq_b!r}",
-            f"freq_C={p.freq_c!r}",
-            f"freq_E={p.freq_e!r}",
-            f"freq_F={p.freq_f!r}",
+            *_mirror_lines("alpha", t),
+            *_mirror_lines("amp", p.amplitudes),
+            *_mirror_lines("freq", p.frequencies),
             f"sample_rate={p.sample_rate!r}",
             f"duration={p.duration!r}",
             f"photons_per_sample={self.photons_per_sample}",
@@ -139,6 +120,15 @@ class RunConfig:
 
     def manifest_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
+
+
+def _mirror_lines(prefix: str, table: MirrorTable) -> list[str]:
+    return [f"{prefix}_{m.value}={value!r}" for m, value in table.items()]
+
+
+def _override(values: dict[str, object], prefix: str, table: MirrorTable) -> MirrorTable:
+    """table with each entry replaced by its prefix_<mirror> key where one was given."""
+    return type(table)((values.get(f"{prefix}_{m.value}", v) for m, v in table.items()), prefix)
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -189,8 +179,6 @@ def parse_config(text: str) -> RunConfig:
         preset = load_preset(str(preset_name))
         scenario, tilts = preset.scenario, preset.tilts
     else:
-        from .interferometer import default_scenario
-
         scenario, tilts = default_scenario(), TiltSet()
     protocol = default_protocol()
 
@@ -223,35 +211,17 @@ def parse_config(text: str) -> RunConfig:
                 f"port={values['port']!r} invalid; expected bright or alternate"
             ) from None
     scenario = Scenario(
-        z_a=float(values.get("z_A", scenario.z_a)),
-        z_b=float(values.get("z_B", scenario.z_b)),
-        z_c=float(values.get("z_C", scenario.z_c)),
-        z_e=float(values.get("z_E", scenario.z_e)),
-        z_f=float(values.get("z_F", scenario.z_f)),
+        distances=_override(values, "z", scenario.distances),
         path_length=float(values.get("path_length", scenario.path_length)),
         beam=beam,
         grid=grid,
         dove=dove,
         output_port=port,
     )
-    tilts = TiltSet(
-        alpha_a=float(values.get("alpha_A", tilts.alpha_a)),
-        alpha_b=float(values.get("alpha_B", tilts.alpha_b)),
-        alpha_c=float(values.get("alpha_C", tilts.alpha_c)),
-        alpha_e=float(values.get("alpha_E", tilts.alpha_e)),
-        alpha_f=float(values.get("alpha_F", tilts.alpha_f)),
-    )
+    tilts = _override(values, "alpha", tilts)
     protocol = DitherProtocol(
-        amp_a=float(values.get("amp_A", protocol.amp_a)),
-        amp_b=float(values.get("amp_B", protocol.amp_b)),
-        amp_c=float(values.get("amp_C", protocol.amp_c)),
-        amp_e=float(values.get("amp_E", protocol.amp_e)),
-        amp_f=float(values.get("amp_F", protocol.amp_f)),
-        freq_a=float(values.get("freq_A", protocol.freq_a)),
-        freq_b=float(values.get("freq_B", protocol.freq_b)),
-        freq_c=float(values.get("freq_C", protocol.freq_c)),
-        freq_e=float(values.get("freq_E", protocol.freq_e)),
-        freq_f=float(values.get("freq_F", protocol.freq_f)),
+        amplitudes=_override(values, "amp", protocol.amplitudes),
+        frequencies=_override(values, "freq", protocol.frequencies),
         sample_rate=float(values.get("sample_rate", protocol.sample_rate)),
         duration=float(values.get("duration", protocol.duration)),
     )
@@ -383,12 +353,10 @@ def run(config: RunConfig) -> int:
             f"# manifest_sha256={config.manifest_hash()}\n" + report.to_text()
         )
     elif config.command == "centroid":
-        from .fields import centroid as field_centroid
-
         rows = []
         for engine_name, field in _detector_fields(config):
             rows.append(
-                f"{engine_name},{field_centroid(field)!r},"
+                f"{engine_name},{centroid(field)!r},"
                 f"{split_signal(field)!r},{power(field)!r}"
             )
         _write_lines(

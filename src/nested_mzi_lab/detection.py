@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import Mirror, TiltSet
+from .elements import Mirror, MirrorTable, TiltSet
 from .errors import ConfigError, ZeroNormError
 from .fields import TransverseField, ZERO_POWER
 from .interferometer import Scenario, check_small_angle_regime, detector_field_numeric
@@ -27,15 +27,10 @@ from .interferometer import Scenario, check_small_angle_regime, detector_field_n
 DYNAMIC_RANGE_FLOOR = 2e-4
 
 DEFAULT_DITHER_AMPLITUDE = 1e-6  # rad, keeps k*alpha*w0 = 1e-2 for the default beam
-#: Dither frequencies (Hz): integer cycles over the default window and free of
-#: intermodulation collisions onto any signal bin up to fifth order.
-DEFAULT_FREQUENCIES = {
-    Mirror.A: 307.0,
-    Mirror.B: 367.0,
-    Mirror.C: 433.0,
-    Mirror.E: 509.0,
-    Mirror.F: 577.0,
-}
+#: Dither frequencies (Hz) over A, B, C, E, F: integer cycles over the default
+#: window and free of intermodulation collisions onto any signal bin up to
+#: fifth order.
+DEFAULT_FREQUENCIES = MirrorTable((307.0, 367.0, 433.0, 509.0, 577.0), "freq")
 DEFAULT_SAMPLE_RATE = 10_000.0
 DEFAULT_DURATION = 1.0
 
@@ -44,44 +39,34 @@ DEFAULT_DURATION = 1.0
 class DitherProtocol:
     """Per-mirror oscillation amplitudes/frequencies and the sampling window."""
 
-    amp_a: float = DEFAULT_DITHER_AMPLITUDE
-    amp_b: float = DEFAULT_DITHER_AMPLITUDE
-    amp_c: float = DEFAULT_DITHER_AMPLITUDE
-    amp_e: float = DEFAULT_DITHER_AMPLITUDE
-    amp_f: float = DEFAULT_DITHER_AMPLITUDE
-    freq_a: float = DEFAULT_FREQUENCIES[Mirror.A]
-    freq_b: float = DEFAULT_FREQUENCIES[Mirror.B]
-    freq_c: float = DEFAULT_FREQUENCIES[Mirror.C]
-    freq_e: float = DEFAULT_FREQUENCIES[Mirror.E]
-    freq_f: float = DEFAULT_FREQUENCIES[Mirror.F]
+    amplitudes: MirrorTable = MirrorTable((DEFAULT_DITHER_AMPLITUDE,) * len(Mirror), "amp")
+    frequencies: MirrorTable = DEFAULT_FREQUENCIES
     sample_rate: float = DEFAULT_SAMPLE_RATE
     duration: float = DEFAULT_DURATION
 
     def __post_init__(self) -> None:
-        if not (self.sample_rate > 0.0 and self.duration > 0.0):
-            raise ConfigError("sample_rate and duration must be positive")
+        if not (0.0 < self.sample_rate < math.inf and 0.0 < self.duration < math.inf):
+            raise ConfigError("sample_rate and duration must be positive and finite")
         count = self.sample_rate * self.duration
         if abs(count - round(count)) > 1e-9 or round(count) < 2:
             raise ConfigError(
                 f"sample_rate * duration must be an integer >= 2, got {count!r}"
             )
-        freqs = self.frequencies()
-        amps = self.amplitudes()
-        for mirror in Mirror:
-            if freqs[mirror] <= 0.0:
+        for mirror, freq, amp in zip(Mirror, self.frequencies, self.amplitudes):
+            if freq <= 0.0:
                 raise ConfigError(f"freq_{mirror.value} must be positive")
-            if amps[mirror] < 0.0:
+            if amp < 0.0:
                 raise ConfigError(f"amp_{mirror.value} must be >= 0")
-            cycles = freqs[mirror] * self.duration
+            cycles = freq * self.duration
             if abs(cycles - round(cycles)) > 1e-9:
                 raise ConfigError(
-                    f"freq_{mirror.value} = {freqs[mirror]:g} Hz is not an integer "
+                    f"freq_{mirror.value} = {freq:g} Hz is not an integer "
                     f"number of cycles over {self.duration:g} s"
                 )
-        if len(set(freqs.values())) != len(freqs):
+        if len(set(self.frequencies)) != len(Mirror):
             raise ConfigError("dither frequencies must be pairwise distinct")
         resolution = 1.0 / self.duration
-        ordered = sorted(freqs.values())
+        ordered = sorted(self.frequencies)
         for i, low in enumerate(ordered):
             for high in ordered[i + 1 :]:
                 harmonic = round(high / low)
@@ -90,26 +75,8 @@ class DitherProtocol:
                         f"frequencies {low:g} and {high:g} Hz are harmonically "
                         "related within the spectral resolution"
                     )
-        if self.sample_rate <= 4.0 * max(freqs.values()):
+        if self.sample_rate <= 4.0 * max(self.frequencies):
             raise ConfigError("sample_rate must exceed 4x the highest dither frequency")
-
-    def amplitudes(self) -> dict[Mirror, float]:
-        return {
-            Mirror.A: self.amp_a,
-            Mirror.B: self.amp_b,
-            Mirror.C: self.amp_c,
-            Mirror.E: self.amp_e,
-            Mirror.F: self.amp_f,
-        }
-
-    def frequencies(self) -> dict[Mirror, float]:
-        return {
-            Mirror.A: self.freq_a,
-            Mirror.B: self.freq_b,
-            Mirror.C: self.freq_c,
-            Mirror.E: self.freq_e,
-            Mirror.F: self.freq_f,
-        }
 
     @property
     def sample_count(self) -> int:
@@ -120,20 +87,14 @@ class DitherProtocol:
 
     def tilts_at(self, t: float) -> TiltSet:
         phase = 2.0 * math.pi * t
-        return TiltSet(
-            alpha_a=self.amp_a * math.sin(phase * self.freq_a),
-            alpha_b=self.amp_b * math.sin(phase * self.freq_b),
-            alpha_c=self.amp_c * math.sin(phase * self.freq_c),
-            alpha_e=self.amp_e * math.sin(phase * self.freq_e),
-            alpha_f=self.amp_f * math.sin(phase * self.freq_f),
-        )
+        return TiltSet(a * math.sin(phase * f) for a, f in zip(self.amplitudes, self.frequencies))
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
     """Complex dither-frequency amplitudes of the detector signal, per mirror."""
 
-    frequencies: dict[Mirror, float]
+    frequencies: MirrorTable
     amplitudes: dict[Mirror, complex]
     noise_floor: float
 
@@ -187,15 +148,7 @@ def run_dither(scenario: Scenario, protocol: DitherProtocol) -> np.ndarray:
     set alpha_j(t) = A_j sin(2 pi f_j t).  The worst-case simultaneous crest
     must sit inside the small-angle regime.
     """
-    amps = protocol.amplitudes()
-    crest = TiltSet(
-        alpha_a=amps[Mirror.A],
-        alpha_b=amps[Mirror.B],
-        alpha_c=amps[Mirror.C],
-        alpha_e=amps[Mirror.E],
-        alpha_f=amps[Mirror.F],
-    )
-    check_small_angle_regime(scenario, crest)
+    check_small_angle_regime(scenario, TiltSet(protocol.amplitudes))
     series = np.empty(protocol.sample_count)
     for i, t in enumerate(protocol.times()):
         field = detector_field_numeric(scenario, protocol.tilts_at(t))
@@ -219,11 +172,11 @@ def spectrum(series: np.ndarray, protocol: DitherProtocol) -> SpectrumReport:
         )
     times = protocol.times()
     amplitudes: dict[Mirror, complex] = {}
-    for mirror, freq in protocol.frequencies().items():
+    for mirror, freq in protocol.frequencies.items():
         phase = np.exp(-2j * math.pi * freq * times)
         amplitudes[mirror] = complex(2.0 / count * np.sum(series * phase))
     full = np.abs(np.fft.rfft(series)) * (2.0 / count)
-    signal_bins = {round(f * protocol.duration) for f in protocol.frequencies().values()}
+    signal_bins = {round(f * protocol.duration) for f in protocol.frequencies}
     mask = np.ones(full.shape, dtype=bool)
     mask[0] = False  # DC carries the mean, not noise
     for b in signal_bins:
@@ -233,7 +186,7 @@ def spectrum(series: np.ndarray, protocol: DitherProtocol) -> SpectrumReport:
     top = max(abs(a) for a in amplitudes.values())
     floor = max(median_off, DYNAMIC_RANGE_FLOOR * top)
     return SpectrumReport(
-        frequencies=dict(protocol.frequencies()),
+        frequencies=protocol.frequencies,
         amplitudes=amplitudes,
         noise_floor=floor,
     )

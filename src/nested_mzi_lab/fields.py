@@ -44,8 +44,10 @@ class TransverseGrid:
             raise ConfigError(
                 f"grid n must be a power of two >= {MIN_SAMPLES}, got {self.n}"
             )
-        if not self.half_width > 0.0:
-            raise ConfigError(f"grid half_width must be positive, got {self.half_width}")
+        if not 0.0 < self.half_width < math.inf:
+            raise ConfigError(
+                f"grid half_width must be positive and finite, got {self.half_width}"
+            )
 
     @property
     def spacing(self) -> float:
@@ -66,10 +68,10 @@ class GaussianSpec:
     wavelength: float
 
     def __post_init__(self) -> None:
-        if not self.w0 > 0.0:
-            raise ConfigError(f"waist w0 must be positive, got {self.w0}")
-        if not self.wavelength > 0.0:
-            raise ConfigError(f"wavelength must be positive, got {self.wavelength}")
+        if not 0.0 < self.w0 < math.inf:
+            raise ConfigError(f"waist w0 must be positive and finite, got {self.w0}")
+        if not 0.0 < self.wavelength < math.inf:
+            raise ConfigError(f"wavelength must be positive and finite, got {self.wavelength}")
         if self.k * self.w0 < MIN_KW0:
             raise ConfigError(
                 f"k*w0 = {self.k * self.w0:.3g} is below the paraxial bound {MIN_KW0:g}"

@@ -1,8 +1,8 @@
 """Nested Mach-Zehnder assembly and its two detector-plane engines.
 
-A Scenario fixes the unfolded geometry (mirror-to-detector distances z_j and
-a common total path length), the beam, the Dove-prism configuration and the
-collected output port.  Two independent engines produce the detector field:
+A Scenario fixes the unfolded geometry (a table of mirror-to-detector
+distances z_j and a common total path length), the beam, the Dove-prism
+configuration and the collected output port.  Two independent engines produce the detector field:
 
 * the analytic engine sums three closed-form Gaussian contributions, one per
   unfolded path, each a shifted profile times a net phase ramp, valid to
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -29,11 +28,13 @@ from .elements import (
     DoveConfig,
     DovePlacement,
     Mirror,
+    MirrorTable,
+    OutputPort,
     Path,
     TiltSet,
     apply_dove_x,
     apply_tilt,
-    path_amplitude,
+    port_amplitudes,
 )
 from .errors import ConfigError, RegimeError
 from .fields import (
@@ -55,60 +56,24 @@ DEFAULT_WAVELENGTH = 633e-9
 DEFAULT_WAIST = 1e-3
 DEFAULT_GRID_N = 1024
 DEFAULT_HALF_WIDTH = 16e-3
-#: Mirror-to-detector distances (m): z_E > z_A = z_B > z_F, reference leg z_C.
-DEFAULT_DISTANCES = {
-    Mirror.A: 1.0,
-    Mirror.B: 1.0,
-    Mirror.C: 1.0,
-    Mirror.E: 1.5,
-    Mirror.F: 0.5,
-}
+#: Mirror-to-detector distances (m) over A, B, C, E, F: z_E > z_A = z_B > z_F,
+#: reference leg z_C.
+DEFAULT_DISTANCES = MirrorTable((1.0, 1.0, 1.0, 1.5, 0.5), "z")
 DEFAULT_PATH_LENGTH = 2.0
 #: Illustrative single-mirror tilt used by the named presets.
 PRESET_TILT = 50e-6
-
-
-class OutputPort(Enum):
-    """Which port the final beam splitter collects.
-
-    BRIGHT is the standard arrangement: the inner interferometer is aligned
-    dark toward mirror F, so the aligned inner contributions cancel at the
-    detector.  ALTERNATE_INNER_PORT models the final splitter shifted to
-    capture the inner interferometer's other (bright) output instead.
-    """
-
-    BRIGHT = "bright"
-    ALTERNATE_INNER_PORT = "alternate"
-
-
-_ALTERNATE_AMPLITUDES = {
-    Path.EAF: 1.0 / math.sqrt(3.0),
-    Path.EBF: 1.0 / math.sqrt(3.0),
-    Path.C: -1.0 / math.sqrt(3.0),
-}
-
-
-def port_amplitudes(port: OutputPort) -> dict[Path, float]:
-    """Net path amplitudes at the collected port (unit total probability)."""
-    if port is OutputPort.BRIGHT:
-        return {p: path_amplitude(p) for p in Path}
-    return dict(_ALTERNATE_AMPLITUDES)
 
 
 @dataclass(frozen=True)
 class Scenario:
     """Full interferometer description used by both engines.
 
-    z_* are optical distances from each mirror to the detector along the
-    unfolded paths; path_length is the common source-to-detector optical
-    length of all three paths (the prisms rebalance them).
+    distances holds the optical distance z_j from each mirror to the detector
+    along the unfolded paths; path_length is the common source-to-detector
+    optical length of all three paths (the prisms rebalance them).
     """
 
-    z_a: float
-    z_b: float
-    z_c: float
-    z_e: float
-    z_f: float
+    distances: MirrorTable
     path_length: float
     beam: GaussianSpec
     grid: TransverseGrid
@@ -116,24 +81,18 @@ class Scenario:
     output_port: OutputPort = OutputPort.BRIGHT
 
     def __post_init__(self) -> None:
-        for name in ("z_a", "z_b", "z_c", "z_e", "z_f", "path_length"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if not (self.z_e > self.z_a and self.z_e > self.z_b):
+        z = self.distances
+        for mirror, value in z.items():
+            if not value > 0.0:
+                raise ConfigError(f"z_{mirror.value} must be positive, got {value}")
+        if not 0.0 < self.path_length < math.inf:
+            raise ConfigError(f"path_length must be positive and finite, got {self.path_length}")
+        if not (z[Mirror.E] > z[Mirror.A] and z[Mirror.E] > z[Mirror.B]):
             raise ConfigError("mirror E must precede A and B: require z_E > z_A and z_E > z_B")
-        if not (self.z_f < self.z_a and self.z_f < self.z_b):
+        if not (z[Mirror.F] < z[Mirror.A] and z[Mirror.F] < z[Mirror.B]):
             raise ConfigError("mirror F must follow A and B: require z_F < z_A and z_F < z_B")
-        if self.path_length < max(self.z_e, self.z_c):
+        if self.path_length < max(z[Mirror.E], z[Mirror.C]):
             raise ConfigError("path_length must be at least max(z_E, z_C)")
-
-    def mirror_distance(self, mirror: Mirror) -> float:
-        return {
-            Mirror.A: self.z_a,
-            Mirror.B: self.z_b,
-            Mirror.C: self.z_c,
-            Mirror.E: self.z_e,
-            Mirror.F: self.z_f,
-        }[mirror]
 
 
 @dataclass(frozen=True)
@@ -148,13 +107,12 @@ def check_small_angle_regime(scenario: Scenario, tilts: TiltSet) -> None:
     """Raise RegimeError unless tilts sit inside the first-order regime."""
     k = scenario.beam.k
     w0 = scenario.beam.w0
-    angles = tilts.as_dict()
-    worst = max(abs(a) for a in angles.values())
+    worst = max(abs(a) for a in tilts)
     if worst * k * w0 > SMALL_ANGLE_KAW * _REGIME_SLACK:
         raise RegimeError(
             f"k*alpha*w0 = {worst * k * w0:.3g} exceeds the small-angle bound {SMALL_ANGLE_KAW:g}"
         )
-    walk = sum(abs(scenario.mirror_distance(m) * a) for m, a in angles.items())
+    walk = sum(abs(z * a) for z, a in zip(scenario.distances, tilts))
     if walk > WALKOFF_FRACTION * w0 * _REGIME_SLACK:
         raise RegimeError(
             f"summed walk-off {walk:.3g} m exceeds {WALKOFF_FRACTION:g} of the waist"
@@ -172,23 +130,21 @@ def _first_order_geometry(
     placement before the inner mirrors, alpha_E and alpha_A for placement
     after them).
     """
-    s, t = scenario, tilts
+    z, t = scenario.distances, tilts
+    A, B, C, E, F = Mirror
     sign_e = 1.0
     sign_a = 1.0
-    if s.dove.enabled:
+    if scenario.dove.enabled:
         sign_e = -1.0
-        if s.dove.placement is DovePlacement.AFTER_INNER_MIRRORS:
+        if scenario.dove.placement is DovePlacement.AFTER_INNER_MIRRORS:
             sign_a = -1.0
     return {
         Path.EAF: (
-            sign_e * s.z_e * t.alpha_e + sign_a * s.z_a * t.alpha_a + s.z_f * t.alpha_f,
-            sign_e * t.alpha_e + sign_a * t.alpha_a + t.alpha_f,
+            sign_e * z[E] * t[E] + sign_a * z[A] * t[A] + z[F] * t[F],
+            sign_e * t[E] + sign_a * t[A] + t[F],
         ),
-        Path.EBF: (
-            s.z_e * t.alpha_e + s.z_b * t.alpha_b + s.z_f * t.alpha_f,
-            t.alpha_e + t.alpha_b + t.alpha_f,
-        ),
-        Path.C: (s.z_c * t.alpha_c, t.alpha_c),
+        Path.EBF: (z[E] * t[E] + z[B] * t[B] + z[F] * t[F], t[E] + t[B] + t[F]),
+        Path.C: (z[C] * t[C], t[C]),
     }
 
 
@@ -215,14 +171,14 @@ def detector_field_analytic(scenario: Scenario, tilts: TiltSet) -> TransverseFie
 def _outer_prefix(scenario: Scenario) -> TransverseField:
     """Source field propagated up to (just before) mirror E."""
     source = make_gaussian(scenario.beam, scenario.grid)
-    return propagate(source, scenario.path_length - scenario.z_e)
+    return propagate(source, scenario.path_length - scenario.distances[Mirror.E])
 
 
 @lru_cache(maxsize=32)
 def _reference_prefix(scenario: Scenario) -> TransverseField:
     """Source field propagated up to (just before) mirror C."""
     source = make_gaussian(scenario.beam, scenario.grid)
-    return propagate(source, scenario.path_length - scenario.z_c)
+    return propagate(source, scenario.path_length - scenario.distances[Mirror.C])
 
 
 def _inner_path_field(
@@ -234,32 +190,30 @@ def _inner_path_field(
     (used for the pre-F probe); otherwise it continues through mirror F to
     the detector plane.
     """
-    s, t = scenario, tilts
-    if path is Path.EAF:
-        z_mirror, angle = s.z_a, t.alpha_a
-        prism = s.dove.enabled  # x-oriented prism lives in this leg
-    else:
-        z_mirror, angle = s.z_b, t.alpha_b
-        prism = False  # y-oriented prism acts as identity in 1-D
-    f = apply_tilt(_outer_prefix(s), t.alpha_e)
-    f = propagate(f, s.z_e - z_mirror)
+    s, z = scenario, scenario.distances
+    mirror = Mirror.A if path is Path.EAF else Mirror.B
+    # The x-oriented prism lives in the leg through A; the y-oriented one in
+    # the leg through B acts as the identity in 1-D.
+    prism = path is Path.EAF and s.dove.enabled
+    f = apply_tilt(_outer_prefix(s), tilts[Mirror.E])
+    f = propagate(f, z[Mirror.E] - z[mirror])
     if prism and s.dove.placement is DovePlacement.BEFORE_INNER_MIRRORS:
         f = apply_dove_x(f)
-    f = apply_tilt(f, angle)
+    f = apply_tilt(f, tilts[mirror])
     if prism and s.dove.placement is DovePlacement.AFTER_INNER_MIRRORS:
         f = apply_dove_x(f)
     if stop_z is not None:
-        return propagate(f, z_mirror - stop_z)
-    f = propagate(f, z_mirror - s.z_f)
-    f = apply_tilt(f, t.alpha_f)
-    return propagate(f, s.z_f)
+        return propagate(f, z[mirror] - stop_z)
+    f = propagate(f, z[mirror] - z[Mirror.F])
+    f = apply_tilt(f, tilts[Mirror.F])
+    return propagate(f, z[Mirror.F])
 
 
 def path_fields(scenario: Scenario, tilts: TiltSet) -> tuple[PathField, ...]:
     """The three weighted path contributions at the detector plane (numeric)."""
     amps = port_amplitudes(scenario.output_port)
-    ref = apply_tilt(_reference_prefix(scenario), tilts.alpha_c)
-    ref = propagate(ref, scenario.z_c)
+    ref = apply_tilt(_reference_prefix(scenario), tilts[Mirror.C])
+    ref = propagate(ref, scenario.distances[Mirror.C])
     contributions = []
     for path in (Path.EAF, Path.EBF):
         f = _inner_path_field(scenario, tilts, path)
@@ -289,10 +243,12 @@ def field_before_F(scenario: Scenario, tilts: TiltSet) -> TransverseField:
     exact position is immaterial.  The pre-F weights are the bright-port
     inner-arm amplitudes regardless of which final port is collected.
     """
-    stop_z = 0.5 * (min(scenario.z_a, scenario.z_b) + scenario.z_f)
+    z = scenario.distances
+    stop_z = 0.5 * (min(z[Mirror.A], z[Mirror.B]) + z[Mirror.F])
     eaf = _inner_path_field(scenario, tilts, Path.EAF, stop_z=stop_z)
     ebf = _inner_path_field(scenario, tilts, Path.EBF, stop_z=stop_z)
-    total = path_amplitude(Path.EAF) * eaf.amplitude + path_amplitude(Path.EBF) * ebf.amplitude
+    amps = port_amplitudes(OutputPort.BRIGHT)
+    total = amps[Path.EAF] * eaf.amplitude + amps[Path.EBF] * ebf.amplitude
     return TransverseField(scenario.grid, total, scenario.beam.k)
 
 
@@ -329,11 +285,7 @@ def default_scenario(
     grid: TransverseGrid | None = None,
 ) -> Scenario:
     return Scenario(
-        z_a=DEFAULT_DISTANCES[Mirror.A],
-        z_b=DEFAULT_DISTANCES[Mirror.B],
-        z_c=DEFAULT_DISTANCES[Mirror.C],
-        z_e=DEFAULT_DISTANCES[Mirror.E],
-        z_f=DEFAULT_DISTANCES[Mirror.F],
+        distances=DEFAULT_DISTANCES,
         path_length=DEFAULT_PATH_LENGTH,
         beam=beam if beam is not None else default_beam(),
         grid=grid if grid is not None else default_grid(),

@@ -1,6 +1,7 @@
-"""Two-state-vector bookkeeping over the path basis {A, B, C}.
+"""Projector and effective weak values over the path basis {A, B, C}.
 
-Projector weak values depend only on the pre- and post-selected path states
+Projector weak values depend only on the collected port's pre- and
+post-selected path states, the two-state vectors of the elements module
 (they are system quantities, blind to the meter and to the Dove prisms),
 while the effective weak value of a mirror is the z-normalized first-order
 coefficient of the detector centroid response to that mirror's tilt,
@@ -9,88 +10,14 @@ extracted from the numeric engine by central finite difference.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import Mirror, TiltSet
+from .elements import Mirror, TiltSet, TwoStateVector, two_state_vector_for_port
 from .errors import ConfigError, PostSelectionError
 from .fields import GaussianSpec, centroid
-from .interferometer import (
-    SMALL_ANGLE_KAW,
-    OutputPort,
-    Scenario,
-    detector_field_numeric,
-)
-
-_BASIS = (Mirror.A, Mirror.B, Mirror.C)
-
-
-@dataclass(frozen=True)
-class PathState:
-    """Normalized complex amplitudes over the path basis (A, B, C)."""
-
-    amplitudes: tuple[complex, complex, complex]
-
-    def __post_init__(self) -> None:
-        amps = tuple(complex(a) for a in self.amplitudes)
-        object.__setattr__(self, "amplitudes", amps)
-        nrm = math.sqrt(sum(abs(a) ** 2 for a in amps))
-        if abs(nrm - 1.0) > 1e-12:
-            raise ConfigError(f"path state norm {nrm!r} differs from 1 by more than 1e-12")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.amplitudes, dtype=np.complex128)
-
-
-@dataclass(frozen=True)
-class TwoStateVector:
-    """Forward-evolving ket and backward-evolving bra over the path basis.
-
-    The bra is stored as the printed row of coefficients (not conjugated);
-    the overlap convention <Phi|Psi> = sum_j post_j * pre_j together with the
-    known projector weak values pins this choice.
-    """
-
-    pre: PathState
-    post: PathState
-
-    def __post_init__(self) -> None:
-        if abs(self.overlap) <= 1e-12:
-            raise PostSelectionError("post-selection orthogonal to the prepared state")
-
-    @property
-    def overlap(self) -> complex:
-        return complex(np.dot(self.post.as_array(), self.pre.as_array()))
-
-
-def paper_two_state_vector() -> TwoStateVector:
-    """The canonical pre/post pair of the bright-port experiment.
-
-    Pre and post both read (1, i, -1)/sqrt(3) over (A, B, C); their overlap
-    is 1/3.
-    """
-    r = 1.0 / math.sqrt(3.0)
-    state = PathState((r, 1j * r, -r))
-    return TwoStateVector(pre=state, post=state)
-
-
-def two_state_vector_for_port(port: OutputPort) -> TwoStateVector:
-    """Two-state vector implied by the collected output port.
-
-    The alternate-port bra is fixed by requiring the per-path products
-    post_j * pre_j to match that port's net path amplitudes (same-sign inner
-    arms, opposite-sign reference leg).
-    """
-    if port is OutputPort.BRIGHT:
-        return paper_two_state_vector()
-    r = 1.0 / math.sqrt(3.0)
-    return TwoStateVector(
-        pre=PathState((r, 1j * r, -r)),
-        post=PathState((r, -1j * r, r)),
-    )
-
+from .interferometer import SMALL_ANGLE_KAW, Scenario, detector_field_numeric
 
 def weak_value(tsv: TwoStateVector, op: np.ndarray) -> complex:
     """Weak value <Phi|op|Psi> / <Phi|Psi> of a 3x3 operator on the path basis."""
@@ -135,7 +62,7 @@ def effective_weak_value(scenario: Scenario, mirror: Mirror) -> float:
     step = alpha_step(scenario.beam)
     up = centroid(detector_field_numeric(scenario, TiltSet.single(mirror, step)))
     down = centroid(detector_field_numeric(scenario, TiltSet.single(mirror, -step)))
-    return (up - down) / (2.0 * step * scenario.mirror_distance(mirror))
+    return (up - down) / (2.0 * step * scenario.distances[mirror])
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import pytest
 from nested_mzi_lab import (
     DitherProtocol,
     GaussianSpec,
+    MirrorTable,
     TransverseField,
     TransverseGrid,
     default_beam,
@@ -28,14 +29,13 @@ def beam() -> GaussianSpec:
 @pytest.fixture(scope="session")
 def fast_protocol() -> DitherProtocol:
     return DitherProtocol(
-        freq_a=FAST_FREQS[0],
-        freq_b=FAST_FREQS[1],
-        freq_c=FAST_FREQS[2],
-        freq_e=FAST_FREQS[3],
-        freq_f=FAST_FREQS[4],
-        sample_rate=4000.0,
-        duration=0.25,
+        frequencies=MirrorTable(FAST_FREQS), sample_rate=4000.0, duration=0.25
     )
+
+
+def with_value(table: MirrorTable, mirror, value: float) -> MirrorTable:
+    """Copy of a per-mirror table with one mirror's entry changed."""
+    return type(table)(value if m is mirror else v for m, v in table.items())
 
 
 def random_field(grid: TransverseGrid, beam: GaussianSpec, seed: int) -> TransverseField:

@@ -87,17 +87,12 @@ def test_criterion_02_centroid_law_without_dove():
         rng = np.random.default_rng(2024)
         for _ in range(8):
             draws = rng.uniform(-STEP, STEP, size=5)
-            tilts = TiltSet(
-                alpha_a=draws[0],
-                alpha_b=draws[1],
-                alpha_c=draws[2],
-                alpha_e=draws[3],
-                alpha_f=draws[4],
-            )
+            tilts = TiltSet(draws)
+            z = scenario.distances
             predicted = (
-                scenario.z_a * tilts.alpha_a
-                - scenario.z_b * tilts.alpha_b
-                + scenario.z_c * tilts.alpha_c
+                z[Mirror.A] * tilts[Mirror.A]
+                - z[Mirror.B] * tilts[Mirror.B]
+                + z[Mirror.C] * tilts[Mirror.C]
             )
             measured = centroid(detector_field_numeric(scenario, tilts))
             tol = 0.01 * abs(predicted) if abs(predicted) >= 1e-3 * W0 else 1e-3 * W0
@@ -174,9 +169,10 @@ def test_criterion_07_dither_signature():
         dove = spectrum(run_dither(dove_scenario, protocol), protocol)
         assert plain.peak_mirrors() == {Mirror.A, Mirror.B, Mirror.C}
         assert dove.peak_mirrors() == {Mirror.A, Mirror.B, Mirror.C, Mirror.E}
+        z, amps = dove_scenario.distances, protocol.amplitudes
         expected_ratio = (
-            2.0 * dove_scenario.z_e * protocol.amp_e
-            / (dove_scenario.z_a * protocol.amp_a)
+            2.0 * z[Mirror.E] * amps[Mirror.E]
+            / (z[Mirror.A] * amps[Mirror.A])
         )
         ratio = dove.magnitude(Mirror.E) / dove.magnitude(Mirror.A)
         assert abs(ratio - expected_ratio) <= 0.02 * expected_ratio
@@ -229,7 +225,8 @@ def test_criterion_09_property_suites():
             weak_value(tsv, path_projector(m)) for m in (Mirror.A, Mirror.B, Mirror.C)
         )
         assert abs(total - 1.0) < 1e-14
-        joint = TiltSet(alpha_a=5e-5, alpha_b=5e-5)  # z_A = z_B in the default geometry
+        # A and B tilted alike; z_A = z_B in the default geometry
+        joint = TiltSet((5e-5, 5e-5, 0.0, 0.0, 0.0))
         assert abs(centroid(detector_field_numeric(default_scenario(), joint))) < 1e-3 * W0
 
 

@@ -2,13 +2,22 @@ import numpy as np
 import pytest
 
 from nested_mzi_lab import (
+    PRESET_NAMES,
     ConfigError,
+    Mirror,
     default_beam,
     default_grid,
     make_gaussian,
     sample_photons,
 )
-from nested_mzi_lab.cli import main, parse_config, write_field_csv, write_photons_csv
+from nested_mzi_lab.cli import (
+    _FLOAT_KEYS,
+    COMMANDS,
+    main,
+    parse_config,
+    write_field_csv,
+    write_photons_csv,
+)
 
 FAST_CFG = (
     "freq_A=100.0 freq_B=128.0 freq_C=160.0 freq_E=264.0 freq_F=440.0\n"
@@ -66,7 +75,7 @@ class TestParseConfig:
 
     def test_later_keys_override_preset(self):
         config = parse_config("preset=fig1c command=centroid alpha_E=1e-6")
-        assert config.tilts.alpha_e == 1e-6
+        assert config.tilts[Mirror.E] == 1e-6
 
     def test_round_trip(self):
         config = parse_config("preset=alt-port command=dither seed=5")
@@ -79,6 +88,85 @@ class TestParseConfig:
             config.engine,
             config.seed,
         )
+
+
+#: manifest_hash() of "preset=<p> command=<c> seed=7".  Any change to a key
+#: name, the line order or a value's formatting changes these digests, and
+#: manifests already written must keep reproducing their runs.
+PINNED_MANIFEST_HASHES = {
+    ("fig1a", "weak-values"): "622e57b48a167e10c59ff3cf124d6664693a1de861ceac19e8e673750b48800a",
+    ("fig1a", "centroid"): "3a26282f52289d0040fca81241474d64836ea49d9fdbfc7ea0e90ba2c1b69a74",
+    ("fig1a", "dither"): "c628617d4840e191e4a920ce87132caecbaea0257f2a6bde542cfb5cc08c40d0",
+    ("fig1a", "photons"): "0a1f02b3541f67bf49bf414f387a36b1a1a9c477a2a19fefe853b3ff2e3e802b",
+    ("fig1a", "before-F"): "385d67a95a67b4ccf5931b49ca38d70db53b040cc977729b2762b66e2cd23926",
+    ("fig1b", "weak-values"): "ca84c7ece7bdce1d79babb84f4013a90a0df68da02a83248042eed15b86650db",
+    ("fig1b", "centroid"): "e85508c5b9808b366ccec953cbe24c0b7d1411f34a1c82652688b26cf08889e6",
+    ("fig1b", "dither"): "07374905c873aa78191a7f4c4f48566b6ee84920ef0ee7a31c21ec32762a8c15",
+    ("fig1b", "photons"): "e9b0999dec5e20adee5593c3bf404b664445e219e4b10c7145e664b6b7335dfe",
+    ("fig1b", "before-F"): "932b167145397ce7ac5b600c691841001c61d3a13fde10046b82850166e64aff",
+    ("fig1c", "weak-values"): "8decaa8196f07a61f535cbb7e8747f3f24b43f4852c91de9440ccd0081af2e43",
+    ("fig1c", "centroid"): "1af511d5ae46f717663942bc13b061a12de7da20aee0d5dabe4aeb60550c2d23",
+    ("fig1c", "dither"): "672e7b861c1622a47ffe0280c9666d7cdc2062723dd4d78ccfdb341ce92a5845",
+    ("fig1c", "photons"): "36fcf0a65c34d92f181f32ca3d593ba31bf3fca146e56aba7b41019466479b3d",
+    ("fig1c", "before-F"): "864305f43790f7346eecd671e7a9fca2dec3c88923d6eb54ee605b7eba988625",
+    ("dove-after", "weak-values"): "d862c760f126f4465ea76f5a352933277bfaf8ffb658be7498e46c7ea41f6dd8",
+    ("dove-after", "centroid"): "b74460a44ec4a88b086d92f50ff2fe4e9e0b0cbdc1f517009284460b43d9a57e",
+    ("dove-after", "dither"): "54dcedcb3b863d228531891cc24659fe7e89532fad11e22ef8a99960e4ddedf4",
+    ("dove-after", "photons"): "6691298ca5371964ca05c9781b3b753979d62bf26b700ca1c067b16871742fc1",
+    ("dove-after", "before-F"): "483011c6cdfb69c362662022b90e2bbefd4d0a7300ef6f2df720baf11adf8abe",
+    ("alt-port", "weak-values"): "22ee5eff7d9b8573887104cac20d0bb7f7c37901f8ad2d41ebe480bf099e2dca",
+    ("alt-port", "centroid"): "be34df1a19bb96d7f3bb9ab68aa9bb7008afe8b3eaf2f58bb07cd9712ad05beb",
+    ("alt-port", "dither"): "9421bdd474c915b414449f4b72071fc8deeccc7632a216a9ab75cd7e882a09a6",
+    ("alt-port", "photons"): "9af36882ff2d71408839c989c0600577a8654b568180845ce0711620de21afd0",
+    ("alt-port", "before-F"): "2929d50f17bf03f24cfb901a8861b2e6009d4b57012ff8109f3b100d8f8fd935",
+}
+
+PINNED_FIG1C_DITHER = """\
+command=dither
+preset=fig1c
+engine=numeric
+z_A=1.0
+z_B=1.0
+z_C=1.0
+z_E=1.5
+z_F=0.5
+path_length=2.0
+wavelength=6.33e-07
+w0=0.001
+grid_n=1024
+grid_half_width=0.016
+dove=before
+port=bright
+alpha_A=0.0
+alpha_B=0.0
+alpha_C=0.0
+alpha_E=5e-05
+alpha_F=0.0
+amp_A=1e-06
+amp_B=1e-06
+amp_C=1e-06
+amp_E=1e-06
+amp_F=1e-06
+freq_A=307.0
+freq_B=367.0
+freq_C=433.0
+freq_E=509.0
+freq_F=577.0
+sample_rate=10000.0
+duration=1.0
+photons_per_sample=100000
+"""
+
+
+class TestManifestFormat:
+    def test_fig1c_dither_text(self):
+        assert parse_config("preset=fig1c command=dither").to_text() == PINNED_FIG1C_DITHER
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_pinned_hash(self, preset, command):
+        config = parse_config(f"preset={preset} command={command} seed=7")
+        assert config.manifest_hash() == PINNED_MANIFEST_HASHES[(preset, command)]
 
 
 class TestCliRuns:
@@ -173,6 +261,18 @@ class TestExitCodes:
 
     def test_missing_command_is_2(self, tmp_path):
         assert main(["--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
+    def test_non_finite_float_is_2(self, tmp_path, capsys, key, value):
+        args = ["centroid", "--preset", "fig1a", "--set", f"{key}={value}"]
+        assert main(args + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error category=config")
+
+    def test_infinite_geometry_is_2(self, tmp_path):
+        # Together these pass every ordering check of the scenario.
+        args = ["centroid", "--preset", "fig1a", "--set", "z_E=inf", "--set", "path_length=inf"]
+        assert main(args + ["--out", str(tmp_path)]) == 2
 
     def test_guard_error_is_3(self, tmp_path, capsys):
         # preset tilt (50 urad) is outside the analytic engine's regime

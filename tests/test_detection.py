@@ -11,6 +11,7 @@ from nested_mzi_lab import (
     DitherProtocol,
     DoveConfig,
     Mirror,
+    MirrorTable,
     TiltSet,
     TransverseField,
     ZeroNormError,
@@ -24,7 +25,7 @@ from nested_mzi_lab import (
     spectrum,
     split_signal,
 )
-from conftest import random_field
+from conftest import random_field, with_value
 
 
 def shifted_gaussian(grid, beam, d):
@@ -44,24 +45,29 @@ class TestProtocolValidation:
         DitherProtocol()
 
     def test_non_integer_cycles_rejected(self, fast_protocol):
+        freqs = with_value(fast_protocol.frequencies, Mirror.A, 101.5)
         with pytest.raises(ConfigError):
-            replace(fast_protocol, freq_a=101.5)
+            replace(fast_protocol, frequencies=freqs)
 
     def test_duplicate_frequencies_rejected(self, fast_protocol):
+        freqs = fast_protocol.frequencies
+        freqs = with_value(freqs, Mirror.A, freqs[Mirror.B])
         with pytest.raises(ConfigError):
-            replace(fast_protocol, freq_a=fast_protocol.freq_b)
+            replace(fast_protocol, frequencies=freqs)
 
     def test_sample_rate_bound(self, fast_protocol):
         with pytest.raises(ConfigError):
             replace(fast_protocol, sample_rate=1600.0)  # not > 4 * 440 Hz
 
     def test_harmonic_frequencies_rejected(self, fast_protocol):
+        freqs = with_value(fast_protocol.frequencies, Mirror.F, 320.0)  # 2 x 160 Hz
         with pytest.raises(ConfigError):
-            replace(fast_protocol, freq_f=320.0)  # 2 x 160 Hz
+            replace(fast_protocol, frequencies=freqs)
 
     def test_negative_amplitude_rejected(self, fast_protocol):
+        amps = with_value(fast_protocol.amplitudes, Mirror.C, -1e-6)
         with pytest.raises(ConfigError):
-            replace(fast_protocol, amp_c=-1e-6)
+            replace(fast_protocol, amplitudes=amps)
 
 
 class TestSplitSignal:
@@ -91,26 +97,29 @@ class TestSplitSignal:
 
 class TestRunDither:
     def test_quiet_mirrors_give_zero_series(self, fast_protocol):
-        protocol = replace(
-            fast_protocol, amp_a=0.0, amp_b=0.0, amp_c=0.0, amp_e=0.0, amp_f=0.0
-        )
+        protocol = replace(fast_protocol, amplitudes=MirrorTable())
         series = run_dither(default_scenario(), protocol)
         assert np.max(np.abs(series)) < 1e-14
 
     def test_e_only_silent_without_dove(self, fast_protocol):
-        protocol = replace(fast_protocol, amp_a=0.0, amp_b=0.0, amp_c=0.0, amp_f=0.0)
+        amp_e = fast_protocol.amplitudes[Mirror.E]
+        protocol = replace(fast_protocol, amplitudes=MirrorTable.single(Mirror.E, amp_e))
         quiet = run_dither(default_scenario(), protocol)
         loud = run_dither(default_scenario(dove=DoveConfig(enabled=True)), protocol)
         assert np.max(np.abs(quiet)) < 1e-4 * np.max(np.abs(loud))
 
     def test_a_only_series_is_calibrated_sinusoid(self, fast_protocol):
         # First-order prediction: split amplitude erf(sqrt(2) z_A A_A / w) at f_A.
-        protocol = replace(fast_protocol, amp_b=0.0, amp_c=0.0, amp_e=0.0, amp_f=0.0)
+        amp_a = fast_protocol.amplitudes[Mirror.A]
+        protocol = replace(fast_protocol, amplitudes=MirrorTable.single(Mirror.A, amp_a))
         scenario = default_scenario()
         series = run_dither(scenario, protocol)
         report = spectrum(series, protocol)
         predicted = math.erf(
-            math.sqrt(2.0) * scenario.z_a * protocol.amp_a / detector_waist(scenario)
+            math.sqrt(2.0)
+            * scenario.distances[Mirror.A]
+            * protocol.amplitudes[Mirror.A]
+            / detector_waist(scenario)
         )
         assert report.magnitude(Mirror.A) == pytest.approx(predicted, rel=2e-2)
 
@@ -127,19 +136,20 @@ class TestSpectrum:
 
     def test_pure_tone_amplitude_calibration(self, fast_protocol):
         t = fast_protocol.times()
-        series = 0.25 * np.sin(2 * math.pi * fast_protocol.freq_c * t)
+        series = 0.25 * np.sin(2 * math.pi * fast_protocol.frequencies[Mirror.C] * t)
         report = spectrum(series, fast_protocol)
         assert report.magnitude(Mirror.C) == pytest.approx(0.25, rel=1e-12)
 
     def test_no_dove_peak_pattern_and_ratios(self, fast_protocol):
-        protocol = replace(fast_protocol, amp_a=1e-6, amp_b=0.8e-6, amp_c=0.6e-6)
+        protocol = replace(
+            fast_protocol, amplitudes=MirrorTable((1e-6, 0.8e-6, 0.6e-6, 1e-6, 1e-6))
+        )
         scenario = default_scenario()
         report = spectrum(run_dither(scenario, protocol), protocol)
         assert report.peak_mirrors() == {Mirror.A, Mirror.B, Mirror.C}
         expected = {
-            Mirror.A: scenario.z_a * protocol.amp_a,
-            Mirror.B: scenario.z_b * protocol.amp_b,
-            Mirror.C: scenario.z_c * protocol.amp_c,
+            m: scenario.distances[m] * protocol.amplitudes[m]
+            for m in (Mirror.A, Mirror.B, Mirror.C)
         }
         base = report.magnitude(Mirror.A) / expected[Mirror.A]
         for mirror in (Mirror.B, Mirror.C):
@@ -154,21 +164,14 @@ class TestSpectrum:
         scenario = default_scenario(dove=DoveConfig(enabled=True))
         report = spectrum(run_dither(scenario, fast_protocol), fast_protocol)
         assert report.peak_mirrors() == {Mirror.A, Mirror.B, Mirror.C, Mirror.E}
-        expected_ratio = (
-            2.0 * scenario.z_e * fast_protocol.amp_e / (scenario.z_a * fast_protocol.amp_a)
-        )
+        z, amps = scenario.distances, fast_protocol.amplitudes
+        expected_ratio = 2.0 * z[Mirror.E] * amps[Mirror.E] / (z[Mirror.A] * amps[Mirror.A])
         ratio = report.magnitude(Mirror.E) / report.magnitude(Mirror.A)
         assert ratio == pytest.approx(expected_ratio, rel=2e-2)
 
     def test_doubling_amplitudes_doubles_peaks(self, fast_protocol):
-        small = replace(
-            fast_protocol,
-            amp_a=0.4e-6, amp_b=0.4e-6, amp_c=0.4e-6, amp_e=0.4e-6, amp_f=0.4e-6,
-        )
-        large = replace(
-            fast_protocol,
-            amp_a=0.8e-6, amp_b=0.8e-6, amp_c=0.8e-6, amp_e=0.8e-6, amp_f=0.8e-6,
-        )
+        small = replace(fast_protocol, amplitudes=MirrorTable((0.4e-6,) * 5))
+        large = replace(fast_protocol, amplitudes=MirrorTable((0.8e-6,) * 5))
         scenario = default_scenario(dove=DoveConfig(enabled=True))
         rep_small = spectrum(run_dither(scenario, small), small)
         rep_large = spectrum(run_dither(scenario, large), large)

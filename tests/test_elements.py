@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from nested_mzi_lab import (
     ConfigError,
     Mirror,
+    MirrorTable,
+    OutputPort,
     Path,
     RegimeError,
     TiltSet,
@@ -17,7 +19,7 @@ from nested_mzi_lab import (
     make_gaussian,
     momentum_centroid,
     norm,
-    path_amplitude,
+    port_amplitudes,
 )
 from conftest import random_field
 
@@ -88,26 +90,58 @@ class TestApplyDove:
         assert np.max(np.abs(lhs.amplitude - rhs.amplitude)) < 1e-12
 
 
-class TestPathAmplitudes:
+class TestPortAmplitudes:
     def test_values(self):
         r = 1.0 / math.sqrt(3.0)
-        assert path_amplitude(Path.EAF) == pytest.approx(r)
-        assert path_amplitude(Path.EBF) == pytest.approx(-r)
-        assert path_amplitude(Path.C) == pytest.approx(r)
+        bright = port_amplitudes(OutputPort.BRIGHT)
+        assert bright[Path.EAF] == pytest.approx(r)
+        assert bright[Path.EBF] == pytest.approx(-r)
+        assert bright[Path.C] == pytest.approx(r)
+        alternate = port_amplitudes(OutputPort.ALTERNATE_INNER_PORT)
+        assert alternate[Path.EAF] == pytest.approx(r)
+        assert alternate[Path.EBF] == pytest.approx(r)
+        assert alternate[Path.C] == pytest.approx(-r)
 
-    def test_total_probability(self):
-        assert sum(path_amplitude(p) ** 2 for p in Path) == pytest.approx(1.0, abs=1e-15)
+    @pytest.mark.parametrize("port", list(OutputPort))
+    def test_total_probability(self, port):
+        amps = port_amplitudes(port)
+        assert sum(amps[p] ** 2 for p in Path) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("port", list(OutputPort))
+    def test_magnitudes_round_to_one_over_sqrt3(self, port):
+        # Output bytes depend on the last bit of every path amplitude.
+        assert {abs(a) for a in port_amplitudes(port).values()} == {1.0 / math.sqrt(3.0)}
+
+
+class TestMirrorTable:
+    def test_indexed_by_mirror_in_enum_order(self):
+        table = MirrorTable((1.0, 2.0, 3.0, 4.0, 5.0))
+        assert [table[m] for m in Mirror] == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert list(table.items()) == list(zip(Mirror, (1.0, 2.0, 3.0, 4.0, 5.0)))
+
+    def test_values_are_python_floats(self):
+        table = MirrorTable(np.arange(5.0))
+        assert all(type(v) is float for v in table)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ConfigError, match="z_C"):
+            MirrorTable((1.0, 1.0, bad, 1.5, 0.5), "z")
+
+    def test_one_value_per_mirror(self):
+        with pytest.raises(ConfigError):
+            MirrorTable((1.0, 2.0))
 
 
 class TestTiltSet:
     def test_defaults_are_aligned(self):
-        assert all(v == 0.0 for v in TiltSet().as_dict().values())
+        assert all(v == 0.0 for v in TiltSet())
 
     def test_paraxial_guard(self):
         with pytest.raises(ConfigError):
-            TiltSet(alpha_e=1e-3)
+            TiltSet.single(Mirror.E, 1e-3)
 
     def test_single(self):
         t = TiltSet.single(Mirror.E, 5e-5)
-        assert t.angle(Mirror.E) == 5e-5
-        assert t.angle(Mirror.A) == 0.0
+        assert t[Mirror.E] == 5e-5
+        assert t[Mirror.A] == 0.0

@@ -30,6 +30,7 @@ from nested_mzi_lab import (
     power,
     PRESET_NAMES,
 )
+from conftest import with_value
 
 W0 = default_beam().w0
 STEP = alpha_step(default_beam())
@@ -48,11 +49,12 @@ def dove():
 class TestScenarioValidation:
     def test_ordering_e_before_inner(self, bright):
         with pytest.raises(ConfigError):
-            replace(bright, z_e=0.9)  # z_E must exceed z_A and z_B
+            # z_E must exceed z_A and z_B
+            replace(bright, distances=with_value(bright.distances, Mirror.E, 0.9))
 
     def test_ordering_f_after_inner(self, bright):
         with pytest.raises(ConfigError):
-            replace(bright, z_f=1.2)
+            replace(bright, distances=with_value(bright.distances, Mirror.F, 1.2))
 
     def test_path_length_bound(self, bright):
         with pytest.raises(ConfigError):
@@ -60,7 +62,7 @@ class TestScenarioValidation:
 
     def test_positive_distances(self, bright):
         with pytest.raises(ConfigError):
-            replace(bright, z_c=-1.0)
+            replace(bright, distances=with_value(bright.distances, Mirror.C, -1.0))
 
     def test_presets_resolve(self):
         for name in PRESET_NAMES:
@@ -97,7 +99,7 @@ class TestAnalyticEngine:
     def test_e_tilt_reads_minus_two_with_dove(self, dove):
         alpha = 1e-6
         f = detector_field_analytic(dove, TiltSet.single(Mirror.E, alpha))
-        assert centroid(f) == pytest.approx(-2.0 * dove.z_e * alpha, rel=1e-2)
+        assert centroid(f) == pytest.approx(-2.0 * dove.distances[Mirror.E] * alpha, rel=1e-2)
 
     def test_regime_violation_raises(self, bright):
         with pytest.raises(RegimeError):
@@ -150,13 +152,7 @@ class TestEngineInvariants:
     def test_linearity_of_response(self, seeds):
         scenario = load_preset("fig1c").scenario
         angles = dict(zip(Mirror, (0.4 * STEP * s for s in seeds)))
-        combined = TiltSet(
-            alpha_a=angles[Mirror.A],
-            alpha_b=angles[Mirror.B],
-            alpha_c=angles[Mirror.C],
-            alpha_e=angles[Mirror.E],
-            alpha_f=angles[Mirror.F],
-        )
+        combined = TiltSet(angles[m] for m in Mirror)
         total = centroid(detector_field_numeric(scenario, combined))
         parts = sum(
             centroid(detector_field_numeric(scenario, TiltSet.single(m, angles[m])))
@@ -166,7 +162,7 @@ class TestEngineInvariants:
 
     def test_joint_inner_tilt_cancels(self, bright):
         alpha = 5e-5  # z_A = z_B, so equal tilts of A and B leave no trace
-        tilts = TiltSet(alpha_a=alpha, alpha_b=alpha)
+        tilts = TiltSet((alpha, alpha, 0.0, 0.0, 0.0))  # over A, B, C, E, F
         assert abs(centroid(detector_field_numeric(bright, tilts))) < 1e-3 * W0
 
     @pytest.mark.parametrize("scenario_name", ["fig1b", "fig1c"])
@@ -219,4 +215,4 @@ class TestAlternatePort:
         # tilting E produces no first-order centroid response.
         scenario = load_preset("alt-port").scenario
         f = detector_field_numeric(scenario, TiltSet.single(Mirror.E, STEP))
-        assert abs(centroid(f)) < 1e-2 * scenario.z_e * STEP
+        assert abs(centroid(f)) < 1e-2 * scenario.distances[Mirror.E] * STEP
