@@ -61,11 +61,9 @@ from .fields import (
     propagate,
 )
 from .interferometer import (
-    PathField,
     Preset,
     PRESET_NAMES,
     Scenario,
-    alternate_port_field,
     check_small_angle_regime,
     default_beam,
     default_grid,
@@ -74,7 +72,6 @@ from .interferometer import (
     detector_field_numeric,
     field_before_F,
     load_preset,
-    path_fields,
 )
 from .weak_values import (
     WeakValueReport,

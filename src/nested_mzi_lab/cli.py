@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import sys
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -53,15 +54,7 @@ _INT_KEYS = {"grid_n", "seed", "photons_per_sample"}
 _STR_KEYS = {"command", "preset", "engine", "dove", "port", "out"}
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
 
-_DOVE_VALUES = {
-    "off": DoveConfig(enabled=False),
-    "before": DoveConfig(enabled=True, placement=DovePlacement.BEFORE_INNER_MIRRORS),
-    "after": DoveConfig(enabled=True, placement=DovePlacement.AFTER_INNER_MIRRORS),
-}
-_PORT_VALUES = {
-    "bright": OutputPort.BRIGHT,
-    "alternate": OutputPort.ALTERNATE_INNER_PORT,
-}
+_DOVE_OFF = "off"  # dove= value for no prisms; the others are DovePlacement values
 
 
 @dataclass(frozen=True)
@@ -87,10 +80,7 @@ class RunConfig:
         lines.append(f"engine={self.engine}")
         if self.seed is not None:
             lines.append(f"seed={self.seed}")
-        dove = "off"
-        if s.dove.enabled:
-            dove = "before" if s.dove.placement is DovePlacement.BEFORE_INNER_MIRRORS else "after"
-        port = "bright" if s.output_port is OutputPort.BRIGHT else "alternate"
+        dove = s.dove.placement.value if s.dove.enabled else _DOVE_OFF
         lines += [
             *_mirror_lines("z", s.distances),
             f"path_length={s.path_length!r}",
@@ -99,7 +89,7 @@ class RunConfig:
             f"grid_n={s.grid.n}",
             f"grid_half_width={s.grid.half_width!r}",
             f"dove={dove}",
-            f"port={port}",
+            f"port={s.output_port.value}",
             *_mirror_lines("alpha", t),
             *_mirror_lines("amp", p.amplitudes),
             *_mirror_lines("freq", p.frequencies),
@@ -129,6 +119,15 @@ def _mirror_lines(prefix: str, table: MirrorTable) -> list[str]:
 def _override(values: dict[str, object], prefix: str, table: MirrorTable) -> MirrorTable:
     """table with each entry replaced by its prefix_<mirror> key where one was given."""
     return type(table)((values.get(f"{prefix}_{m.value}", v) for m, v in table.items()), prefix)
+
+
+def _member(enum: type[Enum], key: str, text: object, *extra: str) -> Enum:
+    """The enum member whose value is text, given for key (extra: its other strings)."""
+    try:
+        return enum(text)
+    except ValueError:
+        expected = ", ".join([*extra, *(m.value for m in enum)])
+        raise ConfigError(f"{key}={text!r} invalid; expected one of {expected}") from None
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -195,21 +194,14 @@ def parse_config(text: str) -> RunConfig:
             half_width=float(values.get("grid_half_width", grid.half_width)),
         )
     dove = scenario.dove
-    if "dove" in values:
-        try:
-            dove = _DOVE_VALUES[str(values["dove"])]
-        except KeyError:
-            raise ConfigError(
-                f"dove={values['dove']!r} invalid; expected off, before or after"
-            ) from None
+    if values.get("dove") == _DOVE_OFF:
+        dove = DoveConfig(enabled=False)
+    elif "dove" in values:
+        placement = _member(DovePlacement, "dove", values["dove"], _DOVE_OFF)
+        dove = DoveConfig(enabled=True, placement=placement)
     port = scenario.output_port
     if "port" in values:
-        try:
-            port = _PORT_VALUES[str(values["port"])]
-        except KeyError:
-            raise ConfigError(
-                f"port={values['port']!r} invalid; expected bright or alternate"
-            ) from None
+        port = _member(OutputPort, "port", values["port"])
     scenario = Scenario(
         distances=_override(values, "z", scenario.distances),
         path_length=float(values.get("path_length", scenario.path_length)),

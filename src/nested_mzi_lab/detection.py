@@ -48,6 +48,8 @@ class DitherProtocol:
         if not (0.0 < self.sample_rate < math.inf and 0.0 < self.duration < math.inf):
             raise ConfigError("sample_rate and duration must be positive and finite")
         count = self.sample_rate * self.duration
+        if not math.isfinite(count):
+            raise ConfigError(f"sample_rate * duration overflows, got {count!r}")
         if abs(count - round(count)) > 1e-9 or round(count) < 2:
             raise ConfigError(
                 f"sample_rate * duration must be an integer >= 2, got {count!r}"
@@ -58,6 +60,8 @@ class DitherProtocol:
             if amp < 0.0:
                 raise ConfigError(f"amp_{mirror.value} must be >= 0")
             cycles = freq * self.duration
+            if not math.isfinite(cycles):
+                raise ConfigError(f"freq_{mirror.value} * duration overflows, got {cycles!r}")
             if abs(cycles - round(cycles)) > 1e-9:
                 raise ConfigError(
                     f"freq_{mirror.value} = {freq:g} Hz is not an integer "

@@ -93,6 +93,16 @@ class Path(Enum):
     C = "C"
 
 
+#: The apparatus topology: the mirrors each unfolded path meets, from source
+#: to detector.  The outer loop enters at E, splits over the inner mirrors A
+#: and B and recombines toward F; the reference leg passes C.
+PATH_MIRRORS: Mapping[Path, tuple[Mirror, ...]] = MappingProxyType({
+    Path.EAF: (Mirror.E, Mirror.A, Mirror.F),
+    Path.EBF: (Mirror.E, Mirror.B, Mirror.F),
+    Path.C: (Mirror.C,),
+})
+
+
 class DovePlacement(Enum):
     BEFORE_INNER_MIRRORS = "before"
     AFTER_INNER_MIRRORS = "after"
@@ -104,6 +114,22 @@ class DoveConfig:
 
     enabled: bool = False
     placement: DovePlacement = DovePlacement.BEFORE_INNER_MIRRORS
+
+
+@cache
+def path_elements(dove: DoveConfig, path: Path) -> tuple[tuple[Mirror, bool], ...]:
+    """Ordered (mirror, prism) elements of one unfolded path, source to detector.
+
+    Each mirror of PATH_MIRRORS contributes its tilt, (mirror, False).  With
+    the prisms in, the x-oriented prism, (A, True), sits at mirror A's plane
+    before or after A's tilt as the placement says; the y-oriented prism in
+    the leg through B is the identity in 1-D.
+    """
+    elements = [(mirror, False) for mirror in PATH_MIRRORS[path]]
+    if dove.enabled and Mirror.A in PATH_MIRRORS[path]:
+        after = dove.placement is DovePlacement.AFTER_INNER_MIRRORS
+        elements.insert(elements.index((Mirror.A, False)) + after, (Mirror.A, True))
+    return tuple(elements)
 
 
 def apply_tilt(f: TransverseField, alpha: float) -> TransverseField:

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import AliasingError, ConfigError, GridMismatchError, ZeroNormError
+from .errors import AliasingError, ConfigError, GridMismatchError, GuardError, ZeroNormError
 
 # Anti-aliasing guard: amplitude in the outer 5% of the grid (|x| > 0.95 W)
 # must stay below 1e-8 of the field peak.
@@ -72,6 +72,8 @@ class GaussianSpec:
             raise ConfigError(f"waist w0 must be positive and finite, got {self.w0}")
         if not 0.0 < self.wavelength < math.inf:
             raise ConfigError(f"wavelength must be positive and finite, got {self.wavelength}")
+        if not math.isfinite(self.k):
+            raise ConfigError(f"wavenumber k = 2*pi/wavelength overflows at {self.wavelength!r}")
         if self.k * self.w0 < MIN_KW0:
             raise ConfigError(
                 f"k*w0 = {self.k * self.w0:.3g} is below the paraxial bound {MIN_KW0:g}"
@@ -179,6 +181,8 @@ def _check_edges(f: TransverseField) -> None:
     peak = float(mag.max())
     if peak == 0.0:
         return
+    if not math.isfinite(peak):
+        raise GuardError(f"propagated field is not finite (peak {peak!r})")
     edge = np.abs(f.grid.xs) > (1.0 - EDGE_BAND) * f.grid.half_width
     worst = float(mag[edge].max())
     if worst > EDGE_RATIO * peak:

@@ -2,29 +2,30 @@
 
 A Scenario fixes the unfolded geometry (a table of mirror-to-detector
 distances z_j and a common total path length), the beam, the Dove-prism
-configuration and the collected output port.  Two independent engines produce the detector field:
+configuration and the collected output port.  Both engines read the same
+path table: each unfolded path's ordered elements (mirror tilts, and the
+x-oriented Dove prism in the leg through A) from elements.path_elements.
+They differ in physics, not in topology:
 
-* the analytic engine sums three closed-form Gaussian contributions, one per
-  unfolded path, each a shifted profile times a net phase ramp, valid to
-  first order in the tilts;
-* the numeric engine propagates the input mode element by element along each
-  unfolded path (propagate, tilt at each mirror plane, parity at the prism
-  plane) and is exact within the paraxial sampled model.
-
-Path topology: the outer loop enters at mirror E, splits into the inner
-interferometer (mirrors A, B), recombines toward mirror F; the reference leg
-passes mirror C.  The x-oriented Dove prism sits in the leg through A.
+* the analytic engine folds each path's elements into a net walk-off and
+  ramp angle (a tilt adds z_j * alpha_j and alpha_j, the prism negates both)
+  and sums three closed-form Gaussian contributions, each a shifted profile
+  times a net phase ramp, valid to first order in the tilts;
+* the numeric engine traces the input mode along each path (propagate
+  between element planes, tilt at each mirror, parity at the prism) and is
+  exact within the paraxial sampled model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .elements import (
+    PATH_MIRRORS,
     DoveConfig,
     DovePlacement,
     Mirror,
@@ -34,6 +35,7 @@ from .elements import (
     TiltSet,
     apply_dove_x,
     apply_tilt,
+    path_elements,
     port_amplitudes,
 )
 from .errors import ConfigError, RegimeError
@@ -87,20 +89,12 @@ class Scenario:
                 raise ConfigError(f"z_{mirror.value} must be positive, got {value}")
         if not 0.0 < self.path_length < math.inf:
             raise ConfigError(f"path_length must be positive and finite, got {self.path_length}")
-        if not (z[Mirror.E] > z[Mirror.A] and z[Mirror.E] > z[Mirror.B]):
-            raise ConfigError("mirror E must precede A and B: require z_E > z_A and z_E > z_B")
-        if not (z[Mirror.F] < z[Mirror.A] and z[Mirror.F] < z[Mirror.B]):
-            raise ConfigError("mirror F must follow A and B: require z_F < z_A and z_F < z_B")
-        if self.path_length < max(z[Mirror.E], z[Mirror.C]):
-            raise ConfigError("path_length must be at least max(z_E, z_C)")
-
-
-@dataclass(frozen=True)
-class PathField:
-    """One unfolded path's weighted contribution at a plane."""
-
-    path: Path
-    field: TransverseField
+        for path, mirrors in PATH_MIRRORS.items():
+            if self.path_length < z[mirrors[0]]:
+                raise ConfigError(f"path_length must be at least z_{mirrors[0].value}")
+            for up, down in zip(mirrors, mirrors[1:]):
+                if not z[up] > z[down]:
+                    raise ConfigError(f"path {path.value} needs z_{up.value} > z_{down.value}")
 
 
 def check_small_angle_regime(scenario: Scenario, tilts: TiltSet) -> None:
@@ -119,49 +113,30 @@ def check_small_angle_regime(scenario: Scenario, tilts: TiltSet) -> None:
         )
 
 
-def _first_order_geometry(
-    scenario: Scenario, tilts: TiltSet
-) -> dict[Path, tuple[float, float]]:
-    """Per-path detector-plane displacement and net ramp angle.
-
-    Walk-off displacements add as z_j * alpha_j along each path and ramp
-    angles add as alpha_j; the parity flip of the prism in the leg through A
-    reverses the sign of every tilt acquired upstream of it (alpha_E for
-    placement before the inner mirrors, alpha_E and alpha_A for placement
-    after them).
-    """
-    z, t = scenario.distances, tilts
-    A, B, C, E, F = Mirror
-    sign_e = 1.0
-    sign_a = 1.0
-    if scenario.dove.enabled:
-        sign_e = -1.0
-        if scenario.dove.placement is DovePlacement.AFTER_INNER_MIRRORS:
-            sign_a = -1.0
-    return {
-        Path.EAF: (
-            sign_e * z[E] * t[E] + sign_a * z[A] * t[A] + z[F] * t[F],
-            sign_e * t[E] + sign_a * t[A] + t[F],
-        ),
-        Path.EBF: (z[E] * t[E] + z[B] * t[B] + z[F] * t[F], t[E] + t[B] + t[F]),
-        Path.C: (z[C] * t[C], t[C]),
-    }
-
-
 def detector_field_analytic(scenario: Scenario, tilts: TiltSet) -> TransverseField:
     """First-order detector field: sum of shifted, ramped free-space profiles.
 
-    Each path contributes amplitude * phi(x - sum z_j alpha_j) *
-    exp(i k x sum alpha_j), with phi the closed-form Gaussian propagated over
-    the common path length.  Requires tilts inside the small-angle regime.
+    Each path contributes amplitude * phi(x - shift) * exp(i k x ramp), with
+    phi the closed-form Gaussian propagated over the common path length.
+    shift and ramp fold the path's elements: a tilt alpha_j adds z_j * alpha_j
+    and alpha_j, and the prism's parity negates both, reversing the sign of
+    every tilt acquired upstream of it.  Requires tilts inside the
+    small-angle regime.
     """
     check_small_angle_regime(scenario, tilts)
     xs = scenario.grid.xs
     k = scenario.beam.k
+    z = scenario.distances
     amps = port_amplitudes(scenario.output_port)
-    geometry = _first_order_geometry(scenario, tilts)
     total = np.zeros(scenario.grid.n, dtype=np.complex128)
-    for path, (shift, ramp) in geometry.items():
+    for path in Path:
+        shift = ramp = 0.0
+        for mirror, prism in path_elements(scenario.dove, path):
+            if prism:
+                shift, ramp = -shift, -ramp
+            else:
+                shift += z[mirror] * tilts[mirror]
+                ramp += tilts[mirror]
         profile = gaussian_profile(xs - shift, scenario.beam, scenario.path_length)
         total += amps[path] * profile * np.exp(1j * k * ramp * xs)
     return TransverseField(scenario.grid, total, k)
@@ -181,58 +156,34 @@ def _reference_prefix(scenario: Scenario) -> TransverseField:
     return propagate(source, scenario.path_length - scenario.distances[Mirror.C])
 
 
-def _inner_path_field(
-    scenario: Scenario, tilts: TiltSet, path: Path, stop_z: float | None = None
+def _trace(
+    scenario: Scenario, tilts: TiltSet, path: Path, stop_z: float = 0.0
 ) -> TransverseField:
-    """Element-by-element trace of one inner path (EAF or EBF), unweighted.
+    """Element-by-element trace of one unfolded path, unweighted.
 
-    When stop_z is given the trace halts at that distance from the detector
-    (used for the pre-F probe); otherwise it continues through mirror F to
-    the detector plane.
+    Starts from the cached source field just before the path's first mirror,
+    propagates between element planes, applying each mirror's tilt and the
+    prism's parity, and ends at the plane stop_z from the detector (the
+    detector plane by default); elements past that plane are not applied.
     """
-    s, z = scenario, scenario.distances
-    mirror = Mirror.A if path is Path.EAF else Mirror.B
-    # The x-oriented prism lives in the leg through A; the y-oriented one in
-    # the leg through B acts as the identity in 1-D.
-    prism = path is Path.EAF and s.dove.enabled
-    f = apply_tilt(_outer_prefix(s), tilts[Mirror.E])
-    f = propagate(f, z[Mirror.E] - z[mirror])
-    if prism and s.dove.placement is DovePlacement.BEFORE_INNER_MIRRORS:
-        f = apply_dove_x(f)
-    f = apply_tilt(f, tilts[mirror])
-    if prism and s.dove.placement is DovePlacement.AFTER_INNER_MIRRORS:
-        f = apply_dove_x(f)
-    if stop_z is not None:
-        return propagate(f, z[mirror] - stop_z)
-    f = propagate(f, z[mirror] - z[Mirror.F])
-    f = apply_tilt(f, tilts[Mirror.F])
-    return propagate(f, z[Mirror.F])
-
-
-def path_fields(scenario: Scenario, tilts: TiltSet) -> tuple[PathField, ...]:
-    """The three weighted path contributions at the detector plane (numeric)."""
-    amps = port_amplitudes(scenario.output_port)
-    ref = apply_tilt(_reference_prefix(scenario), tilts[Mirror.C])
-    ref = propagate(ref, scenario.distances[Mirror.C])
-    contributions = []
-    for path in (Path.EAF, Path.EBF):
-        f = _inner_path_field(scenario, tilts, path)
-        contributions.append(
-            PathField(path, TransverseField(f.grid, amps[path] * f.amplitude, f.k))
-        )
-    contributions.append(
-        PathField(Path.C, TransverseField(ref.grid, amps[Path.C] * ref.amplitude, ref.k))
-    )
-    return tuple(contributions)
+    z = scenario.distances
+    plane = PATH_MIRRORS[path][0]
+    f = _outer_prefix(scenario) if plane is Mirror.E else _reference_prefix(scenario)
+    for mirror, prism in path_elements(scenario.dove, path):
+        if z[mirror] < stop_z:
+            break
+        if mirror is not plane:
+            f = propagate(f, z[plane] - z[mirror])
+            plane = mirror
+        f = apply_dove_x(f) if prism else apply_tilt(f, tilts[mirror])
+    return propagate(f, z[plane] - stop_z)
 
 
 def detector_field_numeric(scenario: Scenario, tilts: TiltSet) -> TransverseField:
-    """Full-fidelity detector field by element-by-element propagation."""
-    parts = path_fields(scenario, tilts)
-    total = parts[0].field.amplitude.copy()
-    for part in parts[1:]:
-        total = total + part.field.amplitude
-    return TransverseField(scenario.grid, total, scenario.beam.k)
+    """Full-fidelity detector field: the port-weighted sum of the three path traces."""
+    amps = port_amplitudes(scenario.output_port)
+    eaf, ebf, c = (amps[path] * _trace(scenario, tilts, path).amplitude for path in Path)
+    return TransverseField(scenario.grid, eaf + ebf + c, scenario.beam.k)
 
 
 def field_before_F(scenario: Scenario, tilts: TiltSet) -> TransverseField:
@@ -245,17 +196,12 @@ def field_before_F(scenario: Scenario, tilts: TiltSet) -> TransverseField:
     """
     z = scenario.distances
     stop_z = 0.5 * (min(z[Mirror.A], z[Mirror.B]) + z[Mirror.F])
-    eaf = _inner_path_field(scenario, tilts, Path.EAF, stop_z=stop_z)
-    ebf = _inner_path_field(scenario, tilts, Path.EBF, stop_z=stop_z)
     amps = port_amplitudes(OutputPort.BRIGHT)
-    total = amps[Path.EAF] * eaf.amplitude + amps[Path.EBF] * ebf.amplitude
-    return TransverseField(scenario.grid, total, scenario.beam.k)
-
-
-def alternate_port_field(scenario: Scenario, tilts: TiltSet) -> TransverseField:
-    """Detector field with the final beam splitter on the inner bright port."""
-    alt = replace(scenario, output_port=OutputPort.ALTERNATE_INNER_PORT)
-    return detector_field_numeric(alt, tilts)
+    eaf, ebf = (
+        amps[path] * _trace(scenario, tilts, path, stop_z).amplitude
+        for path in (Path.EAF, Path.EBF)
+    )
+    return TransverseField(scenario.grid, eaf + ebf, scenario.beam.k)
 
 
 @dataclass(frozen=True)
@@ -267,7 +213,19 @@ class Preset:
     tilts: TiltSet
 
 
-PRESET_NAMES = ("fig1a", "fig1b", "fig1c", "dove-after", "alt-port")
+#: Named presets: (Dove configuration, collected port, tilted mirror).
+_PRESETS = {
+    "fig1a": (DoveConfig(), OutputPort.BRIGHT, Mirror.A),
+    "fig1b": (DoveConfig(), OutputPort.BRIGHT, Mirror.E),
+    "fig1c": (DoveConfig(enabled=True), OutputPort.BRIGHT, Mirror.E),
+    "dove-after": (
+        DoveConfig(enabled=True, placement=DovePlacement.AFTER_INNER_MIRRORS),
+        OutputPort.BRIGHT,
+        Mirror.E,
+    ),
+    "alt-port": (DoveConfig(enabled=True), OutputPort.ALTERNATE_INNER_PORT, Mirror.E),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def default_beam() -> GaussianSpec:
@@ -304,31 +262,14 @@ def load_preset(name: str) -> Preset:
     alt-port   prisms in, final splitter on the inner bright port (mirror E
                has a nonzero weak value yet no first-order trace).
     """
-    if name == "fig1a":
-        return Preset(name, default_scenario(), TiltSet.single(Mirror.A, PRESET_TILT))
-    if name == "fig1b":
-        return Preset(name, default_scenario(), TiltSet.single(Mirror.E, PRESET_TILT))
-    if name == "fig1c":
-        return Preset(
-            name,
-            default_scenario(dove=DoveConfig(enabled=True)),
-            TiltSet.single(Mirror.E, PRESET_TILT),
-        )
-    if name == "dove-after":
-        return Preset(
-            name,
-            default_scenario(
-                dove=DoveConfig(enabled=True, placement=DovePlacement.AFTER_INNER_MIRRORS)
-            ),
-            TiltSet.single(Mirror.E, PRESET_TILT),
-        )
-    if name == "alt-port":
-        return Preset(
-            name,
-            default_scenario(
-                dove=DoveConfig(enabled=True),
-                output_port=OutputPort.ALTERNATE_INNER_PORT,
-            ),
-            TiltSet.single(Mirror.E, PRESET_TILT),
-        )
-    raise ConfigError(f"unknown preset {name!r}; expected one of {', '.join(PRESET_NAMES)}")
+    try:
+        dove, port, mirror = _PRESETS[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown preset {name!r}; expected one of {', '.join(PRESET_NAMES)}"
+        ) from None
+    return Preset(
+        name,
+        default_scenario(dove=dove, output_port=port),
+        TiltSet.single(mirror, PRESET_TILT),
+    )

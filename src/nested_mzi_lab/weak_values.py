@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import Mirror, TiltSet, TwoStateVector, two_state_vector_for_port
+from .elements import PATH_MIRRORS, Mirror, Path, TiltSet, TwoStateVector, two_state_vector_for_port
 from .errors import ConfigError, PostSelectionError
 from .fields import GaussianSpec, centroid
 from .interferometer import SMALL_ANGLE_KAW, Scenario, detector_field_numeric
@@ -33,16 +33,11 @@ def weak_value(tsv: TwoStateVector, op: np.ndarray) -> complex:
 def path_projector(mirror: Mirror) -> np.ndarray:
     """Projector onto the paths that visit the given mirror.
 
-    A, B, C project onto single paths; E and F cover both inner paths, so
-    their projectors equal Pi_A + Pi_B exactly.
+    Read from the path table alone, never from the prisms: A, B, C project
+    onto single paths; E and F are met by both inner paths, so their
+    projectors equal Pi_A + Pi_B exactly.
     """
-    diag = {
-        Mirror.A: (1.0, 0.0, 0.0),
-        Mirror.B: (0.0, 1.0, 0.0),
-        Mirror.C: (0.0, 0.0, 1.0),
-        Mirror.E: (1.0, 1.0, 0.0),
-        Mirror.F: (1.0, 1.0, 0.0),
-    }[mirror]
+    diag = [1.0 if mirror in PATH_MIRRORS[path] else 0.0 for path in Path]
     return np.diag(np.array(diag, dtype=np.complex128))
 
 

@@ -253,8 +253,17 @@ class TestCliRuns:
 
 
 class TestExitCodes:
-    def test_config_error_is_2(self, tmp_path, capsys):
-        assert main(["centroid", "--preset", "fig9z", "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--preset", "fig9z"],
+            ["--preset", "fig1c", "--set", "dove=sideways"],
+            ["--preset", "fig1c", "--set", "port=dark"],
+        ],
+        ids=" ".join,
+    )
+    def test_config_error_is_2(self, tmp_path, capsys, args):
+        assert main(["centroid", *args, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error category=config")
         assert "\n" not in err.strip()
@@ -269,18 +278,39 @@ class TestExitCodes:
         assert main(args + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error category=config")
 
-    def test_infinite_geometry_is_2(self, tmp_path):
-        # Together these pass every ordering check of the scenario.
-        args = ["centroid", "--preset", "fig1a", "--set", "z_E=inf", "--set", "path_length=inf"]
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # Together these pass every ordering check of the scenario.
+            ["centroid", "--preset", "fig1a", "--set", "z_E=inf", "--set", "path_length=inf"],
+            # Finite inputs whose products overflow: k = 2*pi/wavelength, the
+            # sample count and a cycle count.
+            ["centroid", "--preset", "fig1c", "--set", "wavelength=1e-320"],
+            ["weak-values", "--preset", "fig1c", "--set", "wavelength=1e-320"],
+            ["centroid", "--preset", "fig1c", "--set", "sample_rate=1e300",
+             "--set", "duration=1e300"],
+            ["centroid", "--preset", "fig1c", "--set", "freq_A=1e300", "--set", "duration=1e10"],
+        ],
+        ids=" ".join,
+    )
+    def test_infinite_or_overflowing_input_is_2(self, tmp_path, capsys, args):
         assert main(args + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error category=config")
 
-    def test_guard_error_is_3(self, tmp_path, capsys):
-        # preset tilt (50 urad) is outside the analytic engine's regime
-        code = main(
-            ["centroid", "--preset", "fig1c", "--engine", "analytic", "--out", str(tmp_path)]
-        )
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # preset tilt (50 urad) is outside the analytic engine's regime
+            ["--engine", "analytic"],
+            # finite geometry whose transfer function overflows to nan
+            ["--set", "z_E=1e308", "--set", "path_length=1.7e308"],
+        ],
+        ids=" ".join,
+    )
+    def test_guard_error_is_3(self, tmp_path, capsys, args):
+        code = main(["centroid", "--preset", "fig1c", *args, "--out", str(tmp_path)])
         assert code == 3
-        assert capsys.readouterr().err.startswith("error category=guard")
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error category=guard")
 
 
 class TestWriters:

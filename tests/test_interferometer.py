@@ -16,7 +16,6 @@ from nested_mzi_lab import (
     TiltSet,
     TransverseField,
     alpha_step,
-    alternate_port_field,
     centroid,
     default_beam,
     default_scenario,
@@ -26,7 +25,6 @@ from nested_mzi_lab import (
     gaussian_profile,
     load_preset,
     norm,
-    path_fields,
     power,
     PRESET_NAMES,
 )
@@ -127,6 +125,18 @@ class TestNumericEngine:
         measured = centroid(detector_field_numeric(scenario, tilts))
         assert abs(measured - reference) <= 0.01 * max(abs(reference), 1e-3 * W0)
 
+    @settings(max_examples=20, deadline=None)
+    @given(seeds=st.tuples(*[st.floats(-1.0, 1.0) for _ in Mirror]))
+    def test_multi_tilt_centroid_matches_analytic(self, seeds):
+        # All five mirrors tilt at once, so each path's elements are checked
+        # together: upstream tilts, the prism's parity and downstream tilts.
+        tilts = TiltSet(0.4 * STEP * s for s in seeds)
+        for name in PRESET_NAMES:
+            scenario = load_preset(name).scenario
+            reference = centroid(detector_field_analytic(scenario, tilts))
+            measured = centroid(detector_field_numeric(scenario, tilts))
+            assert abs(measured - reference) <= 0.01 * max(abs(reference), 1e-3 * W0)
+
     def test_large_e_tilt_runs_beyond_regime(self, bright):
         # Outside the first-order regime only the numeric engine is valid;
         # the residual is recorded without a pass/fail threshold.
@@ -134,10 +144,6 @@ class TestNumericEngine:
         residual = centroid(f)
         assert math.isfinite(residual)
         print(f"second-order centroid residual at alpha_E=5e-4: {residual:.3e} m")
-
-    def test_path_norms_bounded(self, bright):
-        for part in path_fields(bright, TiltSet.single(Mirror.A, 5e-5)):
-            assert power(part.field) <= 1.0 / 3.0 + 1e-9
 
     def test_total_probability_bounded(self, dove):
         for tilts in (TiltSet(), TiltSet.single(Mirror.E, 3e-5), TiltSet.single(Mirror.A, 5e-5)):
@@ -201,14 +207,6 @@ class TestAlternatePort:
             replace(scenario, dove=DoveConfig(enabled=False)), TiltSet()
         )
         assert np.max(np.abs(with_dove.amplitude - without.amplitude)) < 1e-12
-
-    def test_helper_coerces_port(self, dove):
-        tilts = TiltSet.single(Mirror.A, 1e-6)
-        direct = detector_field_numeric(
-            replace(dove, output_port=OutputPort.ALTERNATE_INNER_PORT), tilts
-        )
-        coerced = alternate_port_field(dove, tilts)
-        assert np.array_equal(direct.amplitude, coerced.amplitude)
 
     def test_e_response_vanishes_with_dove(self):
         # The converse pattern: on the alternate port with prisms in place,
