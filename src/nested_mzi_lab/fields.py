@@ -156,7 +156,10 @@ def gaussian_profile(
 @lru_cache(maxsize=256)
 def _transfer_function(grid: TransverseGrid, k: float, z: float) -> np.ndarray:
     kx = 2.0 * math.pi * np.fft.fftfreq(grid.n, grid.spacing)
-    h = np.exp(-0.5j * kx * kx * z / k)
+    # A phase that overflows gives nan here; _check_edges reports it as a
+    # GuardError, so numpy's warnings would only add lines to stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.exp(-0.5j * kx * kx * z / k)
     h.flags.writeable = False
     return h
 

@@ -307,10 +307,14 @@ class TestExitCodes:
         ],
         ids=" ".join,
     )
+    # pytest would otherwise capture a stray warning that the CLI prints to stderr
+    @pytest.mark.filterwarnings("error")
     def test_guard_error_is_3(self, tmp_path, capsys, args):
         code = main(["centroid", "--preset", "fig1c", *args, "--out", str(tmp_path)])
         assert code == 3
-        assert capsys.readouterr().err.splitlines()[-1].startswith("error category=guard")
+        err = capsys.readouterr().err
+        assert err.startswith("error category=guard")
+        assert "\n" not in err.strip()
 
 
 class TestWriters:
