@@ -27,6 +27,7 @@ from .elements import (
     OutputPort,
     Path,
     PathState,
+    TiltBlock,
     TiltSet,
     TwoStateVector,
     apply_dove_x,

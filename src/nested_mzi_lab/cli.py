@@ -30,7 +30,7 @@ from .detection import (
 from . import __version__
 from .elements import DoveConfig, DovePlacement, Mirror, MirrorTable, OutputPort, TiltSet
 from .errors import ConfigError, GuardError
-from .fields import GaussianSpec, TransverseField, TransverseGrid, centroid, power
+from .fields import GaussianSpec, TransverseField, TransverseGrid, _one_row, centroid, power
 from .interferometer import (
     Scenario,
     default_scenario,
@@ -250,6 +250,13 @@ def parse_config(text: str) -> RunConfig:
 # CSV writers (the serialization surface for fields, series, spectra, photons)
 
 
+def _check_finite(path: FsPath, *arrays) -> None:
+    """Last guard before a write: no nan or inf reaches disk."""
+    for values in arrays:
+        if not np.isfinite(values).all():
+            raise GuardError(f"{path.name} would hold non-finite values; not written")
+
+
 def _write_lines(path: FsPath, comments: list[str], header: str, rows: list[str]) -> None:
     text = "".join(f"# {c}\n" for c in comments) + header + "\n"
     if rows:
@@ -261,9 +268,11 @@ def write_field_csv(
     path: FsPath, field: TransverseField, comments: list[str] | None = None
 ) -> None:
     """Field samples as CSV with columns x, re, im."""
+    amplitude = _one_row(field, "write_field_csv")
+    _check_finite(path, field.grid.xs, amplitude)
     rows = [
         f"{float(x)!r},{float(a.real)!r},{float(a.imag)!r}"
-        for x, a in zip(field.grid.xs, field.amplitude)
+        for x, a in zip(field.grid.xs, amplitude)
     ]
     _write_lines(path, comments or [], "x,re,im", rows)
 
@@ -272,6 +281,7 @@ def write_series_csv(
     path: FsPath, times: np.ndarray, series: np.ndarray, comments: list[str] | None = None
 ) -> None:
     """Dither time series as CSV with columns t, signal."""
+    _check_finite(path, times, series)
     rows = [f"{float(t)!r},{float(v)!r}" for t, v in zip(times, series)]
     _write_lines(path, comments or [], "t,signal", rows)
 
@@ -280,6 +290,7 @@ def write_spectrum_csv(
     path: FsPath, report: SpectrumReport, comments: list[str] | None = None
 ) -> None:
     """Spectrum report as CSV with columns mirror, f, re, im, magnitude."""
+    _check_finite(path, list(report.amplitudes.values()), report.noise_floor)
     notes = list(comments or [])
     notes.append(f"noise_floor={report.noise_floor!r}")
     peaks = ",".join(sorted(m.value for m in report.peak_mirrors()))
@@ -298,6 +309,7 @@ def write_photons_csv(
     path: FsPath, sample: PhotonSample, comments: list[str] | None = None
 ) -> None:
     """Photon detection positions as CSV with a single position column."""
+    _check_finite(path, sample.positions)
     notes = list(comments or [])
     notes.append(f"seed={sample.seed}")
     notes.append(f"count={sample.count}")
@@ -329,6 +341,11 @@ def run(config: RunConfig) -> int:
 
     if config.command == "weak-values":
         report = weak_value_report(config.scenario)
+        _check_finite(
+            out_dir / "weak_values.csv",
+            list(report.projector.values()),
+            list(report.effective.values()),
+        )
         rows = []
         for mirror in Mirror:
             pv = report.projector[mirror]
@@ -347,10 +364,9 @@ def run(config: RunConfig) -> int:
     elif config.command == "centroid":
         rows = []
         for engine_name, field in _detector_fields(config):
-            rows.append(
-                f"{engine_name},{centroid(field)!r},"
-                f"{split_signal(field)!r},{power(field)!r}"
-            )
+            values = (centroid(field), split_signal(field), power(field))
+            _check_finite(out_dir / "centroid.csv", values)
+            rows.append(f"{engine_name},{values[0]!r},{values[1]!r},{values[2]!r}")
         _write_lines(
             out_dir / "centroid.csv", stamp, "engine,centroid,split_signal,power", rows
         )
@@ -368,6 +384,7 @@ def run(config: RunConfig) -> int:
     elif config.command == "before-F":
         field = field_before_F(config.scenario, config.tilts)
         single_arm = 1.0 / 3.0  # each inner arm carries norm^2 = 1/3
+        _check_finite(out_dir / "before_f.csv", power(field))
         notes = stamp + [
             f"power={power(field)!r}",
             f"single_arm_power={single_arm!r}",

@@ -5,7 +5,10 @@ to the beam centroid for small displacements.  Every mirror oscillates at its
 own frequency; a lock-in style single-bin Fourier projection of the signal at
 each dither frequency recovers the per-mirror response amplitudes, and a peak
 well above the noise floor at a mirror's frequency is that mirror's trace.
-Photon-counting acquisition is modeled on top of the deterministic signal.
+The series is traced in blocks of consecutive samples: one numeric-engine
+call per block, over (T, n) field rows, each row bitwise the field of its
+sample alone.  Photon-counting acquisition is modeled on top of the
+deterministic signal.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import Mirror, MirrorTable, TiltSet
-from .errors import ConfigError, ZeroNormError
-from .fields import TransverseField, ZERO_POWER
+from .elements import Mirror, MirrorTable, TiltBlock, TiltSet
+from .errors import ConfigError, GuardError, ZeroNormError
+from .fields import TransverseField, ZERO_POWER, _one_row
 from .interferometer import Scenario, check_small_angle_regime, detector_field_numeric
 
 #: Modeled detector dynamic range: the noise floor reported with a spectrum is
@@ -33,6 +36,14 @@ DEFAULT_DITHER_AMPLITUDE = 1e-6  # rad, keeps k*alpha*w0 = 1e-2 for the default 
 DEFAULT_FREQUENCIES = MirrorTable((307.0, 367.0, 433.0, 509.0, 577.0), "freq")
 DEFAULT_SAMPLE_RATE = 10_000.0
 DEFAULT_DURATION = 1.0
+#: Work bound on one dither run, in field samples (sample_count x grid_n):
+#: checked before anything is allocated.  The default run is 1e4 x 1024,
+#: about 1e7, so the bound leaves some 400x headroom.
+MAX_DITHER_WORK = 2**32
+#: Time samples traced per numeric-engine call.  Larger blocks save little
+#: more time, since the FFTs and phase ramps dominate by then, and every
+#: (T, n) field of a call holds T * n * 16 bytes.
+_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -90,8 +101,14 @@ class DitherProtocol:
         return np.arange(self.sample_count) / self.sample_rate
 
     def tilts_at(self, t: float) -> TiltSet:
+        """The tilt set at one time t: alpha_j(t) = A_j sin(2 pi f_j t)."""
         phase = 2.0 * math.pi * t
         return TiltSet(a * math.sin(phase * f) for a, f in zip(self.amplitudes, self.frequencies))
+
+    def tilts(self, times: np.ndarray) -> TiltBlock:
+        """The tilt sets at each of times, one row per time (tilts_at, row by row)."""
+        phase = 2.0 * math.pi * times
+        return TiltBlock(a * np.sin(phase * f) for a, f in zip(self.amplitudes, self.frequencies))
 
 
 @dataclass(frozen=True)
@@ -128,35 +145,46 @@ class PhotonSample:
         object.__setattr__(self, "positions", pos)
 
 
-def split_signal(f: TransverseField) -> float:
+def split_signal(f: TransverseField) -> float | np.ndarray:
     """Normalized split-detector difference (P_right - P_left) / P_total.
 
     The x = 0 sample and the periodic boundary sample are split evenly
     between the halves, so the signal is exactly antisymmetric under parity.
+    One field gives a float; a (T, n) block gives the (T,) signal of its rows.
     """
     a = f.amplitude
     intensity = a.real**2 + a.imag**2
     mid = f.grid.n // 2
-    right = float(np.sum(intensity[mid + 1 :]))
-    left = float(np.sum(intensity[1:mid]))
-    total = right + left + float(intensity[0]) + float(intensity[mid])
-    if total * f.grid.spacing < ZERO_POWER:
+    right = np.sum(intensity[..., mid + 1 :], axis=-1)
+    left = np.sum(intensity[..., 1:mid], axis=-1)
+    total = right + left + intensity[..., 0] + intensity[..., mid]
+    if np.count_nonzero(total * f.grid.spacing < ZERO_POWER):
         raise ZeroNormError("zero-power field has no split signal")
-    return (right - left) / total
+    signal = (right - left) / total
+    return float(signal) if signal.ndim == 0 else signal
 
 
 def run_dither(scenario: Scenario, protocol: DitherProtocol) -> np.ndarray:
     """Split-detector time series while every mirror oscillates at its frequency.
 
     Each time sample evaluates the numeric engine at the instantaneous tilt
-    set alpha_j(t) = A_j sin(2 pi f_j t).  The worst-case simultaneous crest
-    must sit inside the small-angle regime.
+    set alpha_j(t) = A_j sin(2 pi f_j t); consecutive samples are traced
+    together, one block of rows per engine call.  The worst-case simultaneous
+    crest must sit inside the small-angle regime, and sample_count x grid_n
+    must not exceed MAX_DITHER_WORK.
     """
+    work = protocol.sample_count * scenario.grid.n
+    if work > MAX_DITHER_WORK:
+        raise ConfigError(
+            f"dither work sample_count {protocol.sample_count} x grid_n {scenario.grid.n}"
+            f" = {work} exceeds the bound {MAX_DITHER_WORK}"
+        )
     check_small_angle_regime(scenario, TiltSet(protocol.amplitudes))
+    times = protocol.times()
     series = np.empty(protocol.sample_count)
-    for i, t in enumerate(protocol.times()):
-        field = detector_field_numeric(scenario, protocol.tilts_at(t))
-        series[i] = split_signal(field)
+    for start in range(0, times.size, _BLOCK):
+        block = protocol.tilts(times[start : start + _BLOCK])
+        series[start : start + _BLOCK] = split_signal(detector_field_numeric(scenario, block))
     return series
 
 
@@ -205,7 +233,7 @@ def sample_photons(f: TransverseField, count: int, seed: int) -> PhotonSample:
     """
     if count < 1:
         raise ConfigError(f"photon count must be >= 1, got {count}")
-    a = f.amplitude
+    a = _one_row(f, "sample_photons")
     weights = a.real**2 + a.imag**2
     total = float(weights.sum())
     if total * f.grid.spacing < ZERO_POWER:
@@ -237,6 +265,8 @@ def photon_dither_experiment(
     if photons_per_sample < 1:
         raise ConfigError(f"photons_per_sample must be >= 1, got {photons_per_sample}")
     series = run_dither(scenario, protocol)
+    if not np.isfinite(series).all():
+        raise GuardError("split-detector series is not finite; no photon counts drawn")
     p_right = np.clip(0.5 * (1.0 + series), 0.0, 1.0)
     counts = np.empty_like(series)
     for i, p in enumerate(p_right):

@@ -13,14 +13,19 @@ They differ in physics, not in topology:
   times a net phase ramp, valid to first order in the tilts;
 * the numeric engine traces the input mode along each path (propagate
   between element planes, tilt at each mirror, parity at the prism) and is
-  exact within the paraxial sampled model.
+  exact within the paraxial sampled model.  It takes one TiltSet, or a
+  TiltBlock of T tilt sets that it traces at once as (T, n) rows.  Within
+  one call, the steps that paths share (the tilt at E, and the propagation
+  on to the inner mirrors when z_A == z_B) are computed once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,6 +37,7 @@ from .elements import (
     MirrorTable,
     OutputPort,
     Path,
+    TiltBlock,
     TiltSet,
     apply_dove_x,
     apply_tilt,
@@ -156,37 +162,105 @@ def _reference_prefix(scenario: Scenario) -> TransverseField:
     return propagate(source, scenario.path_length - scenario.distances[Mirror.C])
 
 
+@cache
+def _shared_steps(dove: DoveConfig) -> Mapping[Path, tuple[int | None, ...]]:
+    """Per element of each path: an int naming the elements walked up to it, if shared.
+
+    Paths that begin with the same elements get the same ints for those
+    elements, so a trace can take another path's field for as long as their
+    walks agree; an element past the point where its path parts from every
+    other gets None.
+    """
+    walks = {path: path_elements(dove, path) for path in Path}
+    prefixes = [walk[: i + 1] for walk in walks.values() for i in range(len(walk))]
+    ids = {prefix: i for i, prefix in enumerate({p for p in prefixes if prefixes.count(p) > 1})}
+    return MappingProxyType({
+        path: tuple(ids.get(walk[: i + 1]) for i in range(len(walk)))
+        for path, walk in walks.items()
+    })
+
+
+def _once(memo: dict, key: object, step, *args) -> TransverseField:
+    """step(*args), computed once per call under key; a None key is not kept."""
+    if key is None:
+        return step(*args)
+    if key not in memo:
+        memo[key] = step(*args)
+    return memo[key]
+
+
 def _trace(
-    scenario: Scenario, tilts: TiltSet, path: Path, stop_z: float = 0.0
+    scenario: Scenario,
+    tilts: TiltSet | TiltBlock,
+    path: Path,
+    stop_z: float,
+    memo: dict,
 ) -> TransverseField:
     """Element-by-element trace of one unfolded path, unweighted.
 
     Starts from the cached source field just before the path's first mirror,
     propagates between element planes, applying each mirror's tilt and the
-    prism's parity, and ends at the plane stop_z from the detector (the
-    detector plane by default); elements past that plane are not applied.
+    prism's parity, and ends at the plane stop_z from the detector; elements
+    past that plane are not applied.  memo keeps, for this call, the fields
+    of the steps that several paths walk (the shared elements and the
+    propagations that follow them), so each is computed once.
     """
     z = scenario.distances
     plane = PATH_MIRRORS[path][0]
     f = _outer_prefix(scenario) if plane is Mirror.E else _reference_prefix(scenario)
-    for mirror, prism in path_elements(scenario.dove, path):
+    walked = None  # shared key of the elements applied so far
+    for (mirror, prism), key in zip(
+        path_elements(scenario.dove, path), _shared_steps(scenario.dove)[path]
+    ):
         if z[mirror] < stop_z:
             break
         if mirror is not plane:
-            f = propagate(f, z[plane] - z[mirror])
+            distance = z[plane] - z[mirror]
+            f = _once(memo, walked if walked is None else (walked, distance), propagate, f, distance)
             plane = mirror
-        f = apply_dove_x(f) if prism else apply_tilt(f, tilts[mirror])
-    return propagate(f, z[plane] - stop_z)
+        if prism:
+            f = _once(memo, key, apply_dove_x, f)
+        else:
+            f = _once(memo, key, apply_tilt, f, tilts[mirror])
+        walked = key
+    distance = z[plane] - stop_z
+    return _once(memo, walked if walked is None else (walked, distance), propagate, f, distance)
 
 
-def detector_field_numeric(scenario: Scenario, tilts: TiltSet) -> TransverseField:
-    """Full-fidelity detector field: the port-weighted sum of the three path traces."""
-    amps = port_amplitudes(scenario.output_port)
-    eaf, ebf, c = (amps[path] * _trace(scenario, tilts, path).amplitude for path in Path)
-    return TransverseField(scenario.grid, eaf + ebf + c, scenario.beam.k)
+def _port_sum(
+    scenario: Scenario,
+    tilts: TiltSet | TiltBlock,
+    amps: Mapping[Path, float],
+    paths: Iterable[Path],
+    stop_z: float = 0.0,
+) -> TransverseField:
+    """Sum of amps[path] times each path's trace, one row per tilt set.
+
+    A TiltBlock whose paths all stay untilted traces one shared row, which
+    is broadcast to the block's T rows.
+    """
+    memo: dict = {}
+    total = None
+    for path in paths:
+        term = amps[path] * _trace(scenario, tilts, path, stop_z, memo).amplitude
+        total = term if total is None else total + term
+    if isinstance(tilts, TiltBlock) and total.ndim == 1:
+        total = np.broadcast_to(total, (tilts.rows, total.size))
+    return TransverseField(scenario.grid, total, scenario.beam.k)
 
 
-def field_before_F(scenario: Scenario, tilts: TiltSet) -> TransverseField:
+def detector_field_numeric(
+    scenario: Scenario, tilts: TiltSet | TiltBlock
+) -> TransverseField:
+    """Full-fidelity detector field: the port-weighted sum of the three path traces.
+
+    A TiltSet gives one (n,) field; a TiltBlock of T tilt sets gives the
+    (T, n) block whose row r is the field of tilt set r, bitwise.
+    """
+    return _port_sum(scenario, tilts, port_amplitudes(scenario.output_port), Path)
+
+
+def field_before_F(scenario: Scenario, tilts: TiltSet | TiltBlock) -> TransverseField:
     """Coherent sum of the two inner-arm fields at a plane just ahead of mirror F.
 
     The probe sits midway between the inner exit beam splitter and F; since
@@ -196,12 +270,9 @@ def field_before_F(scenario: Scenario, tilts: TiltSet) -> TransverseField:
     """
     z = scenario.distances
     stop_z = 0.5 * (min(z[Mirror.A], z[Mirror.B]) + z[Mirror.F])
-    amps = port_amplitudes(OutputPort.BRIGHT)
-    eaf, ebf = (
-        amps[path] * _trace(scenario, tilts, path, stop_z).amplitude
-        for path in (Path.EAF, Path.EBF)
+    return _port_sum(
+        scenario, tilts, port_amplitudes(OutputPort.BRIGHT), (Path.EAF, Path.EBF), stop_z
     )
-    return TransverseField(scenario.grid, eaf + ebf, scenario.beam.k)
 
 
 @dataclass(frozen=True)

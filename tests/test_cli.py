@@ -10,6 +10,7 @@ from nested_mzi_lab import (
     make_gaussian,
     sample_photons,
 )
+from nested_mzi_lab import cli, detection
 from nested_mzi_lab.cli import (
     _FLOAT_KEYS,
     COMMANDS,
@@ -290,6 +291,9 @@ class TestExitCodes:
             ["centroid", "--preset", "fig1c", "--set", "sample_rate=1e300",
              "--set", "duration=1e300"],
             ["centroid", "--preset", "fig1c", "--set", "freq_A=1e300", "--set", "duration=1e10"],
+            # 1e13 samples x 1024 grid points: over the dither work bound.
+            ["dither", "--preset", "fig1c", "--set", "duration=1e9"],
+            ["photons", "--preset", "fig1c", "--seed", "1", "--set", "duration=1e9"],
         ],
         ids=" ".join,
     )
@@ -315,6 +319,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error category=guard")
         assert "\n" not in err.strip()
+
+
+    @pytest.mark.parametrize("command", ["dither", "photons"])
+    def test_non_finite_output_is_3(self, tmp_path, capsys, monkeypatch, command):
+        def broken_dither(scenario, protocol):
+            series = np.zeros(protocol.sample_count)
+            series[3] = np.nan
+            return series
+
+        monkeypatch.setattr(cli, "run_dither", broken_dither)
+        monkeypatch.setattr(detection, "run_dither", broken_dither)
+        args = [command, "--preset", "fig1c", "--seed", "1", "--set", "sample_rate=2400"]
+        assert main(args + ["--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error category=guard")
+        assert "\n" not in err.strip()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.txt"]
 
 
 class TestWriters:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nested_mzi_lab import (
     ConfigError,
     DitherProtocol,
+    PRESET_NAMES,
     DoveConfig,
     Mirror,
     MirrorTable,
@@ -17,6 +18,8 @@ from nested_mzi_lab import (
     ZeroNormError,
     centroid,
     default_scenario,
+    detector_field_numeric,
+    load_preset,
     make_gaussian,
     parity_x,
     photon_dither_experiment,
@@ -25,7 +28,8 @@ from nested_mzi_lab import (
     spectrum,
     split_signal,
 )
-from conftest import random_field, with_value
+from conftest import FAST_FREQS, random_field, with_value
+from nested_mzi_lab.detection import MAX_DITHER_WORK
 
 
 def shifted_gaussian(grid, beam, d):
@@ -253,3 +257,46 @@ class TestPhotonDitherExperiment:
     def test_count_guard(self, fast_protocol):
         with pytest.raises(ConfigError):
             photon_dither_experiment(default_scenario(), fast_protocol, 0, seed=1)
+
+
+class TestBlockedDither:
+    # 1001 samples: not a multiple of the engine's block of samples.
+    ODD = DitherProtocol(frequencies=MirrorTable(FAST_FREQS), sample_rate=4004.0, duration=0.25)
+
+    @pytest.mark.parametrize("preset_name", PRESET_NAMES)
+    def test_equals_the_per_sample_loop_bitwise(self, preset_name):
+        scenario = load_preset(preset_name).scenario
+        protocol = self.ODD
+        assert protocol.sample_count == 1001
+        loop = np.array([
+            split_signal(detector_field_numeric(scenario, protocol.tilts_at(t)))
+            for t in protocol.times()
+        ])
+        assert np.array_equal(run_dither(scenario, protocol), loop)
+
+    def test_tilt_block_rows_equal_tilts_at(self, fast_protocol):
+        times = fast_protocol.times()[:50]
+        block = fast_protocol.tilts(times)
+        for r, t in enumerate(times):
+            assert tuple(column[r] for column in block) == fast_protocol.tilts_at(t)
+
+    def test_split_signal_row_by_row(self, grid, beam):
+        rows = np.stack([random_field(grid, beam, seed).amplitude for seed in range(4)])
+        signals = split_signal(TransverseField(grid, rows, beam.k))
+        assert signals.shape == (4,)
+        for signal, amp in zip(signals, rows):
+            assert signal == split_signal(TransverseField(grid, amp, beam.k))
+
+    def test_split_signal_zero_power_row(self, grid, beam):
+        rows = np.stack([random_field(grid, beam, 1).amplitude, np.zeros(grid.n)])
+        with pytest.raises(ZeroNormError):
+            split_signal(TransverseField(grid, rows, beam.k))
+
+    def test_work_bound_refused_before_allocation(self):
+        scenario = default_scenario()
+        huge = DitherProtocol(duration=1e9)
+        assert huge.sample_count * scenario.grid.n > MAX_DITHER_WORK
+        with pytest.raises(ConfigError, match="sample_count 10000000000000 x grid_n 1024"):
+            run_dither(scenario, huge)
+        with pytest.raises(ConfigError, match="exceeds the bound"):
+            photon_dither_experiment(scenario, huge, 10, seed=1)

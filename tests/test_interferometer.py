@@ -13,6 +13,7 @@ from nested_mzi_lab import (
     Mirror,
     OutputPort,
     RegimeError,
+    TiltBlock,
     TiltSet,
     TransverseField,
     alpha_step,
@@ -193,6 +194,16 @@ class TestFieldBeforeF:
     def test_aligned_beam_ignores_prisms(self, dove):
         assert power(field_before_F(dove, TiltSet())) < 1e-12
 
+    @pytest.mark.parametrize("z_a, z_b", [(1.2, 0.8), (0.8, 1.2)])
+    def test_cancellation_with_unequal_inner_distances(self, bright, z_a, z_b):
+        # Each arm still travels z_E - stop_z in all; a shared E-to-inner
+        # step reused across unequal distances would break the cancellation.
+        z = with_value(with_value(bright.distances, Mirror.A, z_a), Mirror.B, z_b)
+        scenario = replace(bright, distances=z)
+        assert power(field_before_F(scenario, TiltSet())) < 1e-12
+        block = TiltBlock(np.zeros((len(Mirror), 2)))
+        assert np.abs(field_before_F(scenario, block).amplitude).max() < 1e-10
+
 
 class TestAlternatePort:
     def test_aligned_probability(self):
@@ -214,3 +225,52 @@ class TestAlternatePort:
         scenario = load_preset("alt-port").scenario
         f = detector_field_numeric(scenario, TiltSet.single(Mirror.E, STEP))
         assert abs(centroid(f)) < 1e-2 * scenario.distances[Mirror.E] * STEP
+
+
+def tilt_rows(seed, count, scale=3e-7):
+    """count random tilt sets, one per row, with row 0 untilted."""
+    rows = np.random.default_rng(seed).uniform(-scale, scale, size=(count, len(Mirror)))
+    rows[0] = 0.0
+    return rows
+
+
+def row_tilts(rows):
+    return TiltBlock(rows.T), [TiltSet(row.tolist()) for row in rows]
+
+
+class TestTiltBlocks:
+    @pytest.mark.parametrize("preset_name", PRESET_NAMES)
+    def test_block_equals_one_field_calls_row_by_row(self, preset_name):
+        scenario = load_preset(preset_name).scenario
+        block, singles = row_tilts(tilt_rows(7, 5))
+        batch = detector_field_numeric(scenario, block).amplitude
+        assert batch.shape == (5, scenario.grid.n)
+        for row, tilts in zip(batch, singles):
+            assert np.array_equal(row, detector_field_numeric(scenario, tilts).amplitude)
+
+    @pytest.mark.parametrize("preset_name", PRESET_NAMES)
+    def test_all_zero_block_broadcasts_the_untilted_field(self, preset_name):
+        scenario = load_preset(preset_name).scenario
+        block = TiltBlock(np.zeros((len(Mirror), 3)))
+        batch = detector_field_numeric(scenario, block).amplitude
+        untilted = detector_field_numeric(scenario, TiltSet()).amplitude
+        assert batch.shape == (3, scenario.grid.n)
+        assert all(np.array_equal(row, untilted) for row in batch)
+
+    def test_field_before_f_block_row_by_row(self, dove):
+        block, singles = row_tilts(tilt_rows(3, 4))
+        batch = field_before_F(dove, block).amplitude
+        for row, tilts in zip(batch, singles):
+            assert np.array_equal(row, field_before_F(dove, tilts).amplitude)
+
+    def test_one_out_of_range_entry_raises_regime_error(self, dove):
+        rows = tilt_rows(5, 4)
+        rows[2, 3] = 2e-3  # mirror E, beyond MAX_TILT
+        with pytest.raises(RegimeError, match="0.002"):
+            detector_field_numeric(dove, TiltBlock(rows.T))
+
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(ConfigError):
+            TiltBlock([np.zeros(3)] * 4 + [np.zeros(2)])
+        with pytest.raises(ConfigError):
+            TiltBlock([np.zeros(3)] * 4)
