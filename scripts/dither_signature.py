@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from nested_mzi_lab import (
-    DoveConfig,
+    Dove,
     Mirror,
     MirrorTable,
     default_protocol,
@@ -48,7 +48,7 @@ def main() -> None:
 
     configs = [
         ("no prisms", default_scenario()),
-        ("prisms in", default_scenario(dove=DoveConfig(enabled=True))),
+        ("prisms in", default_scenario(dove=Dove.BEFORE)),
     ]
     for tag, scenario in configs:
         series = run_dither(scenario, protocol)

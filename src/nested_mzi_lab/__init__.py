@@ -20,8 +20,7 @@ from .detection import (
     split_signal,
 )
 from .elements import (
-    DoveConfig,
-    DovePlacement,
+    Dove,
     Mirror,
     MirrorTable,
     OutputPort,

@@ -19,7 +19,6 @@ import numpy as np
 
 from .detection import (
     DitherProtocol,
-    PhotonSample,
     SpectrumReport,
     default_protocol,
     photon_dither_experiment,
@@ -28,7 +27,7 @@ from .detection import (
     split_signal,
 )
 from . import __version__
-from .elements import DoveConfig, DovePlacement, Mirror, MirrorTable, OutputPort, TiltSet
+from .elements import Mirror, MirrorTable, TiltSet
 from .errors import ConfigError, GuardError
 from .fields import GaussianSpec, TransverseField, TransverseGrid, _one_row, centroid, power
 from .interferometer import (
@@ -44,17 +43,46 @@ from .weak_values import weak_value_report
 COMMANDS = ("weak-values", "centroid", "dither", "photons", "before-F")
 ENGINES = ("numeric", "analytic", "both")
 
-#: Key prefixes of the per-mirror tables; prefix_<mirror> names one entry.
-_MIRROR_PREFIXES = ("z", "alpha", "amp", "freq")
-_FLOAT_KEYS = {
-    "path_length", "wavelength", "w0", "grid_half_width", "sample_rate", "duration",
-    *(f"{prefix}_{m.value}" for prefix in _MIRROR_PREFIXES for m in Mirror),
-}
-_INT_KEYS = {"grid_n", "seed", "photons_per_sample"}
-_STR_KEYS = {"command", "preset", "engine", "dove", "port", "out"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
 
-_DOVE_OFF = "off"  # dove= value for no prisms; the others are DovePlacement values
+def _run_values(
+    scenario: Scenario, tilts: TiltSet, protocol: DitherProtocol, photons_per_sample: int = 100_000
+) -> dict[str, object]:
+    """The CLI's one key table: every physics key of a run and its value, in manifest order."""
+    s, p = scenario, protocol
+    return {
+        **_per_mirror("z", s.distances),
+        "path_length": s.path_length,
+        "wavelength": s.beam.wavelength,
+        "w0": s.beam.w0,
+        "grid_n": s.grid.n,
+        "grid_half_width": s.grid.half_width,
+        "dove": s.dove,
+        "port": s.output_port,
+        **_per_mirror("alpha", tilts),
+        **_per_mirror("amp", p.amplitudes),
+        **_per_mirror("freq", p.frequencies),
+        "sample_rate": p.sample_rate,
+        "duration": p.duration,
+        "photons_per_sample": photons_per_sample,
+    }
+
+
+def _per_mirror(prefix: str, table: MirrorTable) -> dict[str, float]:
+    return {f"{prefix}_{m.value}": value for m, value in table.items()}
+
+
+def _table(values: dict[str, object], prefix: str, kind: type = MirrorTable) -> MirrorTable:
+    """The per-mirror table built from the prefix_<mirror> entries of values."""
+    return kind((values[f"{prefix}_{m.value}"] for m in Mirror), prefix)
+
+
+#: Keys that name the run rather than its physics, with their types; all but
+#: out head the manifest, in this order.
+_RUN_KEYS = {"command": str, "preset": str, "engine": str, "seed": int, "out": str}
+#: The values of a run without a preset: the default scenario, untilted.
+_DEFAULTS = _run_values(default_scenario(), TiltSet(), default_protocol())
+_KEY_TYPES = {**_RUN_KEYS, **{key: type(value) for key, value in _DEFAULTS.items()}}
+_FLOAT_KEYS = {key for key, kind in _KEY_TYPES.items() if kind is float}
 
 
 @dataclass(frozen=True)
@@ -72,182 +100,118 @@ class RunConfig:
     photons_per_sample: int
 
     def to_text(self) -> str:
-        """Flat key=value block; parse_config() round-trips it."""
-        s, t, p = self.scenario, self.tilts, self.protocol
-        lines = [f"command={self.command}"]
-        if self.preset is not None:
-            lines.append(f"preset={self.preset}")
-        lines.append(f"engine={self.engine}")
-        if self.seed is not None:
-            lines.append(f"seed={self.seed}")
-        dove = s.dove.placement.value if s.dove.enabled else _DOVE_OFF
-        lines += [
-            *_mirror_lines("z", s.distances),
-            f"path_length={s.path_length!r}",
-            f"wavelength={s.beam.wavelength!r}",
-            f"w0={s.beam.w0!r}",
-            f"grid_n={s.grid.n}",
-            f"grid_half_width={s.grid.half_width!r}",
-            f"dove={dove}",
-            f"port={s.output_port.value}",
-            *_mirror_lines("alpha", t),
-            *_mirror_lines("amp", p.amplitudes),
-            *_mirror_lines("freq", p.frequencies),
-            f"sample_rate={p.sample_rate!r}",
-            f"duration={p.duration!r}",
-            f"photons_per_sample={self.photons_per_sample}",
-        ]
-        return "\n".join(lines) + "\n"
+        """Flat key=value block in manifest order; parse_config() round-trips it."""
+        head = {key: getattr(self, key) for key in _RUN_KEYS if key != "out"}
+        body = _run_values(self.scenario, self.tilts, self.protocol, self.photons_per_sample)
+        return "".join(
+            f"{key}={value.value if isinstance(value, Enum) else value}\n"
+            for key, value in {**head, **body}.items()
+            if value is not None
+        )
 
     def manifest(self) -> str:
-        body = self.to_text()
-        digest = hashlib.sha256(body.encode()).hexdigest()
         return (
             "# nested-mzi-lab run manifest\n"
             f"# version={__version__}\n"
-            f"# manifest_sha256={digest}\n" + body
+            f"# manifest_sha256={self.manifest_hash()}\n" + self.to_text()
         )
 
     def manifest_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
 
-def _mirror_lines(prefix: str, table: MirrorTable) -> list[str]:
-    return [f"{prefix}_{m.value}={value!r}" for m, value in table.items()]
-
-
-def _override(values: dict[str, object], prefix: str, table: MirrorTable) -> MirrorTable:
-    """table with each entry replaced by its prefix_<mirror> key where one was given."""
-    return type(table)((values.get(f"{prefix}_{m.value}", v) for m, v in table.items()), prefix)
-
-
-def _member(enum: type[Enum], key: str, text: object, *extra: str) -> Enum:
-    """The enum member whose value is text, given for key (extra: its other strings)."""
-    try:
-        return enum(text)
-    except ValueError:
-        expected = ", ".join([*extra, *(m.value for m in enum)])
-        raise ConfigError(f"{key}={text!r} invalid; expected one of {expected}") from None
-
-
 def _tokenize(text: str) -> list[tuple[str, str]]:
     pairs = []
     for raw_line in text.splitlines():
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        for token in line.split():
+        for token in raw_line.split("#", 1)[0].split():
             if "=" not in token:
                 raise ConfigError(f"expected key=value, got {token!r}")
             key, value = token.split("=", 1)
-            if key not in _ALL_KEYS:
+            if key not in _KEY_TYPES:
                 raise ConfigError(f"unknown configuration key {key!r}")
             pairs.append((key, value))
     return pairs
 
 
 def _convert(key: str, value: str):
+    """value read as the type of key: a number, a string or the member of an enum."""
+    kind = _KEY_TYPES[key]
     try:
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _INT_KEYS:
-            return int(value)
+        return kind(value)
     except ValueError as exc:
+        if issubclass(kind, Enum):
+            expected = ", ".join(m.value for m in kind)
+            raise ConfigError(f"{key}={value!r} invalid; expected one of {expected}") from None
         raise ConfigError(f"could not parse {key}={value!r}: {exc}") from None
-    return value
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse flat key=value configuration text into a fully validated RunConfig.
 
-    Later occurrences of a key override earlier ones, so preset values can be
-    overridden by explicit settings.
+    Later occurrences of a key override earlier ones.  The given keys are laid
+    over the preset's (or the default) values, and every object is built from
+    the merged values.
     """
-    values: dict[str, object] = {}
-    for key, raw in _tokenize(text):
-        values[key] = _convert(key, raw)
+    given = {key: _convert(key, raw) for key, raw in _tokenize(text)}
 
-    command = str(values.get("command", ""))
+    command = given.get("command", "")
     if not command:
         raise ConfigError(f"command missing; expected one of {', '.join(COMMANDS)}")
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
 
-    preset_name = values.get("preset")
-    if preset_name is not None:
-        preset = load_preset(str(preset_name))
-        scenario, tilts = preset.scenario, preset.tilts
-    else:
-        scenario, tilts = default_scenario(), TiltSet()
-    protocol = default_protocol()
+    preset = given.get("preset")
+    defaults = _DEFAULTS
+    if preset is not None:
+        base = load_preset(preset)
+        defaults = _run_values(base.scenario, base.tilts, default_protocol())
+    values = {key: given.get(key, default) for key, default in defaults.items()}
 
-    beam = scenario.beam
-    if "wavelength" in values or "w0" in values:
-        beam = GaussianSpec(
-            w0=float(values.get("w0", beam.w0)),
-            wavelength=float(values.get("wavelength", beam.wavelength)),
-        )
-    grid = scenario.grid
-    if "grid_n" in values or "grid_half_width" in values:
-        grid = TransverseGrid(
-            n=int(values.get("grid_n", grid.n)),
-            half_width=float(values.get("grid_half_width", grid.half_width)),
-        )
-    dove = scenario.dove
-    if values.get("dove") == _DOVE_OFF:
-        dove = DoveConfig(enabled=False)
-    elif "dove" in values:
-        placement = _member(DovePlacement, "dove", values["dove"], _DOVE_OFF)
-        dove = DoveConfig(enabled=True, placement=placement)
-    port = scenario.output_port
-    if "port" in values:
-        port = _member(OutputPort, "port", values["port"])
     scenario = Scenario(
-        distances=_override(values, "z", scenario.distances),
-        path_length=float(values.get("path_length", scenario.path_length)),
-        beam=beam,
-        grid=grid,
-        dove=dove,
-        output_port=port,
+        distances=_table(values, "z"),
+        path_length=values["path_length"],
+        beam=GaussianSpec(w0=values["w0"], wavelength=values["wavelength"]),
+        grid=TransverseGrid(n=values["grid_n"], half_width=values["grid_half_width"]),
+        dove=values["dove"],
+        output_port=values["port"],
     )
-    tilts = _override(values, "alpha", tilts)
+    tilts = _table(values, "alpha", TiltSet)
     protocol = DitherProtocol(
-        amplitudes=_override(values, "amp", protocol.amplitudes),
-        frequencies=_override(values, "freq", protocol.frequencies),
-        sample_rate=float(values.get("sample_rate", protocol.sample_rate)),
-        duration=float(values.get("duration", protocol.duration)),
+        amplitudes=_table(values, "amp"),
+        frequencies=_table(values, "freq"),
+        sample_rate=values["sample_rate"],
+        duration=values["duration"],
     )
 
-    engine = str(values.get("engine", "numeric"))
+    engine = given.get("engine", "numeric")
     if engine not in ENGINES:
         raise ConfigError(f"engine={engine!r} invalid; expected one of {', '.join(ENGINES)}")
     if command != "centroid" and engine != "numeric":
         raise ConfigError("engine selection applies only to the centroid command")
 
-    seed = values.get("seed")
+    seed = given.get("seed")
     if command == "photons" and seed is None:
         raise ConfigError("seed is required for photon commands")
 
-    photons_per_sample = int(values.get("photons_per_sample", 100_000))
+    photons_per_sample = values["photons_per_sample"]
     if photons_per_sample < 1:
         raise ConfigError("photons_per_sample must be >= 1")
 
-    out = values.get("out")
     return RunConfig(
         command=command,
-        preset=str(preset_name) if preset_name is not None else None,
+        preset=preset,
         scenario=scenario,
         tilts=tilts,
         protocol=protocol,
         engine=engine,
-        seed=int(seed) if seed is not None else None,
-        out=str(out) if out is not None else None,
+        seed=seed,
+        out=given.get("out"),
         photons_per_sample=photons_per_sample,
     )
 
 
 # ---------------------------------------------------------------------------
-# CSV writers (the serialization surface for fields, series, spectra, photons)
+# CSV writers (the serialization surface for fields, series and spectra)
 
 
 def _check_finite(path: FsPath, *arrays) -> None:
@@ -303,18 +267,6 @@ def write_spectrum_csv(
             f"{amp.real!r},{amp.imag!r},{abs(amp)!r}"
         )
     _write_lines(path, notes, "mirror,f,re,im,magnitude", rows)
-
-
-def write_photons_csv(
-    path: FsPath, sample: PhotonSample, comments: list[str] | None = None
-) -> None:
-    """Photon detection positions as CSV with a single position column."""
-    _check_finite(path, sample.positions)
-    notes = list(comments or [])
-    notes.append(f"seed={sample.seed}")
-    notes.append(f"count={sample.count}")
-    rows = [f"{float(x)!r}" for x in sample.positions]
-    _write_lines(path, notes, "position", rows)
 
 
 # ---------------------------------------------------------------------------

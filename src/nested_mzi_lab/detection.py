@@ -40,6 +40,8 @@ DEFAULT_DURATION = 1.0
 #: checked before anything is allocated.  The default run is 1e4 x 1024,
 #: about 1e7, so the bound leaves some 400x headroom.
 MAX_DITHER_WORK = 2**32
+#: Largest photons_per_sample: the binomial draw takes a 64-bit count.
+MAX_PHOTONS_PER_SAMPLE = 2**63 - 1
 #: Time samples traced per numeric-engine call.  Larger blocks save little
 #: more time, since the FFTs and phase ramps dominate by then, and every
 #: (T, n) field of a call holds T * n * 16 bytes.
@@ -73,13 +75,16 @@ class DitherProtocol:
             cycles = freq * self.duration
             if not math.isfinite(cycles):
                 raise ConfigError(f"freq_{mirror.value} * duration overflows, got {cycles!r}")
-            if abs(cycles - round(cycles)) > 1e-9:
+            if abs(cycles - round(cycles)) > 1e-9 or round(cycles) < 1:
                 raise ConfigError(
                     f"freq_{mirror.value} = {freq:g} Hz is not an integer "
-                    f"number of cycles over {self.duration:g} s"
+                    f"number (>= 1) of cycles over {self.duration:g} s"
                 )
         if len(set(self.frequencies)) != len(Mirror):
             raise ConfigError("dither frequencies must be pairwise distinct")
+        # Checked ahead of the harmonic test, whose frequency ratios it keeps finite.
+        if self.sample_rate <= 4.0 * max(self.frequencies):
+            raise ConfigError("sample_rate must exceed 4x the highest dither frequency")
         resolution = 1.0 / self.duration
         ordered = sorted(self.frequencies)
         for i, low in enumerate(ordered):
@@ -90,8 +95,6 @@ class DitherProtocol:
                         f"frequencies {low:g} and {high:g} Hz are harmonically "
                         "related within the spectral resolution"
                     )
-        if self.sample_rate <= 4.0 * max(self.frequencies):
-            raise ConfigError("sample_rate must exceed 4x the highest dither frequency")
 
     @property
     def sample_count(self) -> int:
@@ -233,6 +236,8 @@ def sample_photons(f: TransverseField, count: int, seed: int) -> PhotonSample:
     """
     if count < 1:
         raise ConfigError(f"photon count must be >= 1, got {count}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     a = _one_row(f, "sample_photons")
     weights = a.real**2 + a.imag**2
     total = float(weights.sum())
@@ -264,6 +269,13 @@ def photon_dither_experiment(
     """
     if photons_per_sample < 1:
         raise ConfigError(f"photons_per_sample must be >= 1, got {photons_per_sample}")
+    if photons_per_sample > MAX_PHOTONS_PER_SAMPLE:
+        raise ConfigError(
+            f"photons_per_sample {photons_per_sample} exceeds the 64-bit bound"
+            f" {MAX_PHOTONS_PER_SAMPLE}"
+        )
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     series = run_dither(scenario, protocol)
     if not np.isfinite(series).all():
         raise GuardError("split-detector series is not finite; no photon counts drawn")

@@ -1,11 +1,12 @@
-"""Optical elements as pure field operators, and the per-mirror table.
+"""Optical elements as pure field operators, the per-mirror table and the prism placement.
 
 Mirror tilts act as linear phase ramps, Dove prisms as transverse parity, and
 the beam splitters enter only through the pre- and post-selected path states
 of the collected output port, whose per-path products give each unfolded
 path's net amplitude.  The model is 1-D in the interferometer plane, so the
 y-oriented prisms of the two reference legs reduce to the identity and only
-the x-oriented prism in the leg through mirror A survives.
+the x-oriented prism in the leg through mirror A survives.  Dove says where
+the prisms sit: absent, or before or after the inner mirrors.
 """
 
 from __future__ import annotations
@@ -127,31 +128,26 @@ PATH_MIRRORS: Mapping[Path, tuple[Mirror, ...]] = MappingProxyType({
 })
 
 
-class DovePlacement(Enum):
-    BEFORE_INNER_MIRRORS = "before"
-    AFTER_INNER_MIRRORS = "after"
+class Dove(Enum):
+    """Where the Dove prisms sit: absent, or before or after the inner mirrors A and B."""
 
-
-@dataclass(frozen=True)
-class DoveConfig:
-    """Whether the prisms are inserted, and on which side of mirrors A/B."""
-
-    enabled: bool = False
-    placement: DovePlacement = DovePlacement.BEFORE_INNER_MIRRORS
+    OFF = "off"
+    BEFORE = "before"
+    AFTER = "after"
 
 
 @cache
-def path_elements(dove: DoveConfig, path: Path) -> tuple[tuple[Mirror, bool], ...]:
+def path_elements(dove: Dove, path: Path) -> tuple[tuple[Mirror, bool], ...]:
     """Ordered (mirror, prism) elements of one unfolded path, source to detector.
 
     Each mirror of PATH_MIRRORS contributes its tilt, (mirror, False).  With
     the prisms in, the x-oriented prism, (A, True), sits at mirror A's plane
-    before or after A's tilt as the placement says; the y-oriented prism in
-    the leg through B is the identity in 1-D.
+    before or after A's tilt as dove says; the y-oriented prism in the leg
+    through B is the identity in 1-D.
     """
     elements = [(mirror, False) for mirror in PATH_MIRRORS[path]]
-    if dove.enabled and Mirror.A in PATH_MIRRORS[path]:
-        after = dove.placement is DovePlacement.AFTER_INNER_MIRRORS
+    if dove is not Dove.OFF and Mirror.A in PATH_MIRRORS[path]:
+        after = dove is Dove.AFTER
         elements.insert(elements.index((Mirror.A, False)) + after, (Mirror.A, True))
     return tuple(elements)
 
@@ -170,7 +166,7 @@ def apply_tilt(f: TransverseField, alpha: float | np.ndarray) -> TransverseField
         raise RegimeError(f"tilt angle {value:g} rad outside |alpha| < {MAX_TILT:g}")
     if not np.count_nonzero(a):
         return f
-    ramp = np.exp(1j * f.k * (a[:, None] if a.ndim else alpha) * f.grid.xs)
+    ramp = np.exp(1j * f.k * a[..., None] * f.grid.xs)
     return TransverseField(f.grid, f.amplitude * ramp, f.k)
 
 

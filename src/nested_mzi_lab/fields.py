@@ -29,6 +29,12 @@ EDGE_BAND = 0.05
 EDGE_RATIO = 1e-8
 
 MIN_SAMPLES = 256
+#: Largest grid: at this bound one row of complex samples takes 1 MiB, and the
+#: prefix and transfer-function caches alone keep up to 320 such arrays.
+MAX_SAMPLES = 2**16
+#: Waist sampling bound: the grid spacing is at most w0 / MIN_WAIST_SAMPLES, so
+#: the mode's spectrum has fallen below 1e-17 of its peak at the Nyquist edge.
+MIN_WAIST_SAMPLES = 4
 MIN_KW0 = 100.0  # paraxial validity bound on k * w0
 ZERO_POWER = 1e-30
 
@@ -51,10 +57,16 @@ class TransverseGrid:
             raise ConfigError(
                 f"grid n must be a power of two >= {MIN_SAMPLES}, got {self.n}"
             )
+        if self.n > MAX_SAMPLES:
+            raise ConfigError(f"grid n = {self.n} exceeds the bound {MAX_SAMPLES}")
         if not 0.0 < self.half_width < math.inf:
             raise ConfigError(
                 f"grid half_width must be positive and finite, got {self.half_width}"
             )
+        if not self.half_width * self.half_width < math.inf:
+            raise ConfigError(f"grid half_width {self.half_width!r} overflows when squared")
+        if not 0.0 < self.spacing < math.inf:
+            raise ConfigError(f"grid spacing 2*half_width/n = {self.spacing!r} is not positive")
 
     @property
     def spacing(self) -> float:
@@ -152,16 +164,30 @@ def norm(f: TransverseField) -> float:
 def make_gaussian(spec: GaussianSpec, grid: TransverseGrid) -> TransverseField:
     """Prepare the normalized even Gaussian mode exp(-x^2/w0^2) on the grid.
 
+    The grid must pass check_sampling.
+    """
+    check_sampling(spec, grid)
+    amp = np.exp(-(grid.xs**2) / spec.w0**2).astype(np.complex128)
+    amp /= math.sqrt(float(np.sum(np.abs(amp) ** 2) * grid.spacing))
+    return TransverseField(grid, amp, spec.k)
+
+
+def check_sampling(spec: GaussianSpec, grid: TransverseGrid) -> None:
+    """Raise ConfigError unless the grid holds the mode.
+
     The grid must extend to at least 8 waists so the edge guard band carries
-    no meaningful amplitude.
+    no meaningful amplitude, and its spacing must not exceed
+    w0 / MIN_WAIST_SAMPLES.
     """
     if grid.half_width < 8.0 * spec.w0:
         raise ConfigError(
             f"grid too narrow: half_width {grid.half_width:g} m < 8*w0 = {8 * spec.w0:g} m"
         )
-    amp = np.exp(-(grid.xs**2) / spec.w0**2).astype(np.complex128)
-    amp /= math.sqrt(float(np.sum(np.abs(amp) ** 2) * grid.spacing))
-    return TransverseField(grid, amp, spec.k)
+    if grid.spacing > spec.w0 / MIN_WAIST_SAMPLES:
+        raise ConfigError(
+            f"grid too coarse: spacing {grid.spacing:g} m > w0/{MIN_WAIST_SAMPLES}"
+            f" = {spec.w0 / MIN_WAIST_SAMPLES:g} m"
+        )
 
 
 def gaussian_profile(

@@ -1,11 +1,11 @@
 """Nested Mach-Zehnder assembly and its two detector-plane engines.
 
 A Scenario fixes the unfolded geometry (a table of mirror-to-detector
-distances z_j and a common total path length), the beam, the Dove-prism
-configuration and the collected output port.  Both engines read the same
-path table: each unfolded path's ordered elements (mirror tilts, and the
-x-oriented Dove prism in the leg through A) from elements.path_elements.
-They differ in physics, not in topology:
+distances z_j and a common total path length), the beam, where the Dove
+prisms sit (a Dove value) and the collected output port.  Both engines read
+the same path table: each unfolded path's ordered elements (mirror tilts,
+and the x-oriented Dove prism in the leg through A) from
+elements.path_elements.  They differ in physics, not in topology:
 
 * the analytic engine folds each path's elements into a net walk-off and
   ramp angle (a tilt adds z_j * alpha_j and alpha_j, the prism negates both)
@@ -31,8 +31,7 @@ import numpy as np
 
 from .elements import (
     PATH_MIRRORS,
-    DoveConfig,
-    DovePlacement,
+    Dove,
     Mirror,
     MirrorTable,
     OutputPort,
@@ -49,6 +48,7 @@ from .fields import (
     GaussianSpec,
     TransverseField,
     TransverseGrid,
+    check_sampling,
     gaussian_profile,
     make_gaussian,
     propagate,
@@ -85,7 +85,7 @@ class Scenario:
     path_length: float
     beam: GaussianSpec
     grid: TransverseGrid
-    dove: DoveConfig = DoveConfig()
+    dove: Dove = Dove.OFF
     output_port: OutputPort = OutputPort.BRIGHT
 
     def __post_init__(self) -> None:
@@ -101,6 +101,7 @@ class Scenario:
             for up, down in zip(mirrors, mirrors[1:]):
                 if not z[up] > z[down]:
                     raise ConfigError(f"path {path.value} needs z_{up.value} > z_{down.value}")
+        check_sampling(self.beam, self.grid)
 
 
 def check_small_angle_regime(scenario: Scenario, tilts: TiltSet) -> None:
@@ -163,7 +164,7 @@ def _reference_prefix(scenario: Scenario) -> TransverseField:
 
 
 @cache
-def _shared_steps(dove: DoveConfig) -> Mapping[Path, tuple[int | None, ...]]:
+def _shared_steps(dove: Dove) -> Mapping[Path, tuple[int | None, ...]]:
     """Per element of each path: an int naming the elements walked up to it, if shared.
 
     Paths that begin with the same elements get the same ints for those
@@ -284,17 +285,13 @@ class Preset:
     tilts: TiltSet
 
 
-#: Named presets: (Dove configuration, collected port, tilted mirror).
+#: Named presets: (prism placement, collected port, tilted mirror).
 _PRESETS = {
-    "fig1a": (DoveConfig(), OutputPort.BRIGHT, Mirror.A),
-    "fig1b": (DoveConfig(), OutputPort.BRIGHT, Mirror.E),
-    "fig1c": (DoveConfig(enabled=True), OutputPort.BRIGHT, Mirror.E),
-    "dove-after": (
-        DoveConfig(enabled=True, placement=DovePlacement.AFTER_INNER_MIRRORS),
-        OutputPort.BRIGHT,
-        Mirror.E,
-    ),
-    "alt-port": (DoveConfig(enabled=True), OutputPort.ALTERNATE_INNER_PORT, Mirror.E),
+    "fig1a": (Dove.OFF, OutputPort.BRIGHT, Mirror.A),
+    "fig1b": (Dove.OFF, OutputPort.BRIGHT, Mirror.E),
+    "fig1c": (Dove.BEFORE, OutputPort.BRIGHT, Mirror.E),
+    "dove-after": (Dove.AFTER, OutputPort.BRIGHT, Mirror.E),
+    "alt-port": (Dove.BEFORE, OutputPort.ALTERNATE_INNER_PORT, Mirror.E),
 }
 PRESET_NAMES = tuple(_PRESETS)
 
@@ -308,7 +305,7 @@ def default_grid() -> TransverseGrid:
 
 
 def default_scenario(
-    dove: DoveConfig = DoveConfig(),
+    dove: Dove = Dove.OFF,
     output_port: OutputPort = OutputPort.BRIGHT,
     beam: GaussianSpec | None = None,
     grid: TransverseGrid | None = None,

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import PATH_MIRRORS, Mirror, Path, TiltSet, TwoStateVector, two_state_vector_for_port
+from .elements import (
+    PATH_MIRRORS,
+    Dove,
+    Mirror,
+    Path,
+    TiltSet,
+    TwoStateVector,
+    two_state_vector_for_port,
+)
 from .errors import ConfigError, PostSelectionError
 from .fields import GaussianSpec, centroid
 from .interferometer import SMALL_ANGLE_KAW, Scenario, detector_field_numeric
@@ -55,9 +63,12 @@ def effective_weak_value(scenario: Scenario, mirror: Mirror) -> float:
     the same path.
     """
     step = alpha_step(scenario.beam)
+    scale = 2.0 * step * scenario.distances[mirror]
+    if not scale > 0.0:
+        raise ConfigError(f"2 * alpha_step * z_{mirror.value} underflows to {scale!r}")
     up = centroid(detector_field_numeric(scenario, TiltSet.single(mirror, step)))
     down = centroid(detector_field_numeric(scenario, TiltSet.single(mirror, -step)))
-    return (up - down) / (2.0 * step * scenario.distances[mirror])
+    return (up - down) / scale
 
 
 @dataclass(frozen=True)
@@ -89,5 +100,5 @@ def weak_value_report(scenario: Scenario) -> WeakValueReport:
     projector = {m: weak_value(tsv, path_projector(m)) for m in Mirror}
     effective = {m: effective_weak_value(scenario, m) for m in Mirror}
     return WeakValueReport(
-        projector=projector, effective=effective, dove_enabled=scenario.dove.enabled
+        projector=projector, effective=effective, dove_enabled=scenario.dove is not Dove.OFF
     )

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nested_mzi_lab import (
     DitherProtocol,
@@ -10,6 +11,9 @@ from nested_mzi_lab import (
     default_beam,
     default_grid,
 )
+
+#: Selected with --hypothesis-profile=ci: every run draws the same examples.
+settings.register_profile("ci", derandomize=True, database=None)
 
 # Reduced dither protocol for unit tests: 1000 samples, 4 Hz bins, frequencies
 # free of intermodulation collisions onto signal bins up to fifth order.

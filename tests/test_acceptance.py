@@ -8,8 +8,7 @@ import math
 import numpy as np
 
 from nested_mzi_lab import (
-    DoveConfig,
-    DovePlacement,
+    Dove,
     Mirror,
     TiltSet,
     TransverseField,
@@ -74,7 +73,7 @@ def test_criterion_01_projector_weak_values():
             Mirror.F: 0.0,
         }
         plain = weak_value_report(default_scenario())
-        dove = weak_value_report(default_scenario(dove=DoveConfig(enabled=True)))
+        dove = weak_value_report(default_scenario(dove=Dove.BEFORE))
         for mirror, value in expected.items():
             assert abs(plain.projector[mirror] - value) < 1e-12
             assert abs(dove.projector[mirror] - value) < 1e-12
@@ -107,7 +106,7 @@ def _coefficients(scenario) -> dict[Mirror, float]:
 
 def test_criterion_03_centroid_law_with_dove():
     with criterion(3, "Dove centroid coefficients (E,A,B,C,F) = (-2,+1,-1,+1,0)"):
-        coeffs = _coefficients(default_scenario(dove=DoveConfig(enabled=True)))
+        coeffs = _coefficients(default_scenario(dove=Dove.BEFORE))
         expected = {
             Mirror.E: -2.0,
             Mirror.A: 1.0,
@@ -122,11 +121,7 @@ def test_criterion_03_centroid_law_with_dove():
 
 def test_criterion_04_dove_after_flips_a():
     with criterion(4, "prisms after the inner mirrors flip only the A coefficient"):
-        coeffs = _coefficients(
-            default_scenario(
-                dove=DoveConfig(enabled=True, placement=DovePlacement.AFTER_INNER_MIRRORS)
-            )
-        )
+        coeffs = _coefficients(default_scenario(dove=Dove.AFTER))
         expected = {
             Mirror.E: -2.0,
             Mirror.A: -1.0,
@@ -145,7 +140,7 @@ def test_criterion_05_inner_arm_cancellation():
         residual = power(field_before_F(default_scenario(), tilts))
         assert residual < 1e-6 * single_arm
         broken = power(
-            field_before_F(default_scenario(dove=DoveConfig(enabled=True)), tilts)
+            field_before_F(default_scenario(dove=Dove.BEFORE), tilts)
         )
         assert broken > 1e3 * residual
 
@@ -165,7 +160,7 @@ def test_criterion_07_dither_signature():
     with criterion(7, "peak sets {A,B,C} vs {A,B,C,E}, never F; E/A ratio 2 z_E A_E / z_A A_A"):
         protocol = default_protocol()
         plain = spectrum(run_dither(default_scenario(), protocol), protocol)
-        dove_scenario = default_scenario(dove=DoveConfig(enabled=True))
+        dove_scenario = default_scenario(dove=Dove.BEFORE)
         dove = spectrum(run_dither(dove_scenario, protocol), protocol)
         assert plain.peak_mirrors() == {Mirror.A, Mirror.B, Mirror.C}
         assert dove.peak_mirrors() == {Mirror.A, Mirror.B, Mirror.C, Mirror.E}
@@ -181,7 +176,7 @@ def test_criterion_07_dither_signature():
 def test_criterion_08_photon_statistics_convergence():
     with criterion(8, "photon spectra converge at 1e7/sample; SE scales as 1/sqrt(N)"):
         protocol = default_protocol()
-        scenario = default_scenario(dove=DoveConfig(enabled=True))
+        scenario = default_scenario(dove=Dove.BEFORE)
         deterministic = spectrum(run_dither(scenario, protocol), protocol)
         empirical = photon_dither_experiment(scenario, protocol, 10_000_000, seed=42)
         top = max(deterministic.magnitude(m) for m in Mirror)

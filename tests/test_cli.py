@@ -4,11 +4,11 @@ import pytest
 from nested_mzi_lab import (
     PRESET_NAMES,
     ConfigError,
+    Dove,
     Mirror,
     default_beam,
     default_grid,
     make_gaussian,
-    sample_photons,
 )
 from nested_mzi_lab import cli, detection
 from nested_mzi_lab.cli import (
@@ -17,7 +17,6 @@ from nested_mzi_lab.cli import (
     main,
     parse_config,
     write_field_csv,
-    write_photons_csv,
 )
 
 FAST_CFG = (
@@ -47,7 +46,7 @@ def read_comments(path):
 class TestParseConfig:
     def test_preset_lookup(self):
         config = parse_config("preset=fig1c command=weak-values")
-        assert config.scenario.dove.enabled
+        assert config.scenario.dove is Dove.BEFORE
         assert config.command == "weak-values"
 
     def test_ordering_violation(self):
@@ -291,6 +290,8 @@ class TestExitCodes:
             ["centroid", "--preset", "fig1c", "--set", "sample_rate=1e300",
              "--set", "duration=1e300"],
             ["centroid", "--preset", "fig1c", "--set", "freq_A=1e300", "--set", "duration=1e10"],
+            # 0 whole cycles: the harmonic test divided by the subnormal frequency.
+            ["centroid", "--preset", "fig1a", "--set", "freq_A=1e-320"],
             # 1e13 samples x 1024 grid points: over the dither work bound.
             ["dither", "--preset", "fig1c", "--set", "duration=1e9"],
             ["photons", "--preset", "fig1c", "--seed", "1", "--set", "duration=1e9"],
@@ -300,6 +301,36 @@ class TestExitCodes:
     def test_infinite_or_overflowing_input_is_2(self, tmp_path, capsys, args):
         assert main(args + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error category=config")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # Refused before the dither run: numpy's generator takes neither a
+            # negative seed nor a count beyond 64 bits.
+            ["photons", "--preset", "fig1c", "--seed", "-1", "--set", "sample_rate=2400"],
+            ["photons", "--preset", "fig1c", "--seed", "1", "--set", "sample_rate=2400",
+             "--set", "photons_per_sample=100000000000000000000"],
+            # The spacing overflows; x**2 overflows; the waist falls between samples.
+            ["centroid", "--preset", "fig1a", "--set", "grid_half_width=1e308"],
+            ["centroid", "--preset", "fig1a", "--set", "grid_half_width=1e300"],
+            ["centroid", "--preset", "fig1a", "--set", "grid_half_width=10"],
+            # Sampled finely enough, but w0**2 and x**2 overflow.
+            ["centroid", "--preset", "fig1a", "--set", "w0=1e200",
+             "--set", "grid_half_width=1e202"],
+            # 2 * alpha_step * z_F underflows to 0 in the finite difference.
+            ["weak-values", "--preset", "dove-after", "--set", "z_F=5e-324"],
+            # Far over the grid bound; refused before anything is allocated.
+            ["centroid", "--preset", "fig1a", "--set", f"grid_n={2**40}"],
+        ],
+        ids=" ".join,
+    )
+    # pytest would otherwise capture a stray warning that the CLI prints to stderr
+    @pytest.mark.filterwarnings("error")
+    def test_out_of_range_input_is_2(self, tmp_path, capsys, args):
+        assert main(args + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error category=config")
+        assert "\n" not in err.strip()
 
     @pytest.mark.parametrize(
         "args",
@@ -347,11 +378,3 @@ class TestWriters:
         assert data.shape == (field.grid.n, 3)
         assert np.allclose(data[:, 0], field.grid.xs)
         assert np.allclose(data[:, 1] + 1j * data[:, 2], field.amplitude)
-
-    def test_photons_csv(self, tmp_path):
-        sample = sample_photons(make_gaussian(default_beam(), default_grid()), 50, seed=9)
-        path = tmp_path / "photons.csv"
-        write_photons_csv(path, sample)
-        data = np.loadtxt(path, delimiter=",", skiprows=3)
-        assert data.shape == (50,)
-        assert np.allclose(data, sample.positions)

@@ -10,7 +10,7 @@ from nested_mzi_lab import (
     ConfigError,
     DitherProtocol,
     PRESET_NAMES,
-    DoveConfig,
+    Dove,
     Mirror,
     MirrorTable,
     TiltSet,
@@ -29,7 +29,8 @@ from nested_mzi_lab import (
     split_signal,
 )
 from conftest import FAST_FREQS, random_field, with_value
-from nested_mzi_lab.detection import MAX_DITHER_WORK
+from nested_mzi_lab import detection
+from nested_mzi_lab.detection import MAX_DITHER_WORK, MAX_PHOTONS_PER_SAMPLE
 
 
 def shifted_gaussian(grid, beam, d):
@@ -66,6 +67,12 @@ class TestProtocolValidation:
     def test_harmonic_frequencies_rejected(self, fast_protocol):
         freqs = with_value(fast_protocol.frequencies, Mirror.F, 320.0)  # 2 x 160 Hz
         with pytest.raises(ConfigError):
+            replace(fast_protocol, frequencies=freqs)
+
+    def test_zero_cycle_frequency_rejected(self, fast_protocol):
+        # 1e-320 Hz rounds to 0 cycles; the harmonic test would then divide by it.
+        freqs = with_value(fast_protocol.frequencies, Mirror.A, 1e-320)
+        with pytest.raises(ConfigError, match="freq_A"):
             replace(fast_protocol, frequencies=freqs)
 
     def test_negative_amplitude_rejected(self, fast_protocol):
@@ -109,7 +116,7 @@ class TestRunDither:
         amp_e = fast_protocol.amplitudes[Mirror.E]
         protocol = replace(fast_protocol, amplitudes=MirrorTable.single(Mirror.E, amp_e))
         quiet = run_dither(default_scenario(), protocol)
-        loud = run_dither(default_scenario(dove=DoveConfig(enabled=True)), protocol)
+        loud = run_dither(default_scenario(dove=Dove.BEFORE), protocol)
         assert np.max(np.abs(quiet)) < 1e-4 * np.max(np.abs(loud))
 
     def test_a_only_series_is_calibrated_sinusoid(self, fast_protocol):
@@ -165,7 +172,7 @@ class TestSpectrum:
         assert report.magnitude(Mirror.F) < 1e-3 * top
 
     def test_dove_adds_e_peak_with_weight_two(self, fast_protocol):
-        scenario = default_scenario(dove=DoveConfig(enabled=True))
+        scenario = default_scenario(dove=Dove.BEFORE)
         report = spectrum(run_dither(scenario, fast_protocol), fast_protocol)
         assert report.peak_mirrors() == {Mirror.A, Mirror.B, Mirror.C, Mirror.E}
         z, amps = scenario.distances, fast_protocol.amplitudes
@@ -176,7 +183,7 @@ class TestSpectrum:
     def test_doubling_amplitudes_doubles_peaks(self, fast_protocol):
         small = replace(fast_protocol, amplitudes=MirrorTable((0.4e-6,) * 5))
         large = replace(fast_protocol, amplitudes=MirrorTable((0.8e-6,) * 5))
-        scenario = default_scenario(dove=DoveConfig(enabled=True))
+        scenario = default_scenario(dove=Dove.BEFORE)
         rep_small = spectrum(run_dither(scenario, small), small)
         rep_large = spectrum(run_dither(scenario, large), large)
         for mirror in (Mirror.A, Mirror.B, Mirror.C, Mirror.E):
@@ -196,7 +203,7 @@ class TestSamplePhotons:
         # detector field of the prisms-in scenario at a dither snapshot
         from nested_mzi_lab import detector_field_numeric
 
-        scenario = default_scenario(dove=DoveConfig(enabled=True))
+        scenario = default_scenario(dove=Dove.BEFORE)
         f = detector_field_numeric(scenario, TiltSet.single(Mirror.E, 1e-6))
         n = 1_000_000
         sample = sample_photons(f, n, seed=12)
@@ -218,6 +225,10 @@ class TestSamplePhotons:
         with pytest.raises(ConfigError):
             sample_photons(make_gaussian(beam, grid), 0, seed=1)
 
+    def test_negative_seed(self, grid, beam):
+        with pytest.raises(ConfigError, match="seed"):
+            sample_photons(make_gaussian(beam, grid), 10, seed=-1)
+
     def test_standard_error_scaling(self, grid, beam):
         # SE of the sample mean must fall as 1/sqrt(N) within a factor 1.5.
         f = make_gaussian(beam, grid)
@@ -236,7 +247,7 @@ class TestSamplePhotons:
 
 class TestPhotonDitherExperiment:
     def test_dove_trace_visible_at_modest_counts(self, fast_protocol):
-        scenario = default_scenario(dove=DoveConfig(enabled=True))
+        scenario = default_scenario(dove=Dove.BEFORE)
         report = photon_dither_experiment(scenario, fast_protocol, 100_000, seed=7)
         assert report.magnitude(Mirror.E) > 5.0 * report.noise_floor
 
@@ -245,7 +256,7 @@ class TestPhotonDitherExperiment:
         assert report.magnitude(Mirror.E) < 2.0 * report.noise_floor
 
     def test_converges_to_deterministic_spectrum(self, fast_protocol):
-        scenario = default_scenario(dove=DoveConfig(enabled=True))
+        scenario = default_scenario(dove=Dove.BEFORE)
         deterministic = spectrum(run_dither(scenario, fast_protocol), fast_protocol)
         empirical = photon_dither_experiment(scenario, fast_protocol, 10_000_000, seed=21)
         top = max(deterministic.magnitude(m) for m in Mirror)
@@ -257,6 +268,17 @@ class TestPhotonDitherExperiment:
     def test_count_guard(self, fast_protocol):
         with pytest.raises(ConfigError):
             photon_dither_experiment(default_scenario(), fast_protocol, 0, seed=1)
+
+    @pytest.mark.parametrize(
+        "photons, seed", [(10, -1), (MAX_PHOTONS_PER_SAMPLE + 1, 1)], ids=["seed", "count"]
+    )
+    def test_refused_before_the_dither_run(self, monkeypatch, fast_protocol, photons, seed):
+        def no_dither(scenario, protocol):
+            raise AssertionError("run_dither reached")
+
+        monkeypatch.setattr(detection, "run_dither", no_dither)
+        with pytest.raises(ConfigError):
+            photon_dither_experiment(default_scenario(), fast_protocol, photons, seed)
 
 
 class TestBlockedDither:

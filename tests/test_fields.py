@@ -49,6 +49,14 @@ class TestGridAndSpecs:
             TransverseGrid(n=128, half_width=1e-2)  # below the minimum
         with pytest.raises(ConfigError):
             TransverseGrid(n=1024, half_width=0.0)
+        with pytest.raises(ConfigError, match="exceeds the bound 65536"):
+            TransverseGrid(n=2**40, half_width=1e-2)  # checked before xs is built
+
+    @pytest.mark.parametrize("half_width", [1e308, 1e300, 5e-324])
+    def test_grid_rejects_overflowing_or_vanishing_extent(self, half_width):
+        # 1e308: the spacing overflows; 1e300: x**2 does; 5e-324: the spacing is 0.
+        with pytest.raises(ConfigError):
+            TransverseGrid(n=1024, half_width=half_width)
 
     def test_spec_rejects_nonparaxial_waist(self):
         with pytest.raises(ConfigError):
@@ -70,6 +78,12 @@ class TestMakeGaussian:
     def test_grid_too_narrow(self, beam):
         with pytest.raises(ConfigError):
             make_gaussian(beam, TransverseGrid(n=256, half_width=7.9 * beam.w0))
+
+    def test_grid_too_coarse(self, beam):
+        coarse = TransverseGrid(n=256, half_width=32 * 1.01 * beam.w0)  # spacing > w0/4
+        with pytest.raises(ConfigError, match="too coarse"):
+            make_gaussian(beam, coarse)
+        make_gaussian(beam, TransverseGrid(n=256, half_width=32 * beam.w0))  # w0/4 exactly
 
 
 class TestCentroid:

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from nested_mzi_lab import (
     ConfigError,
-    DoveConfig,
-    DovePlacement,
+    Dove,
     Mirror,
     OutputPort,
     RegimeError,
@@ -42,7 +41,7 @@ def bright():
 
 @pytest.fixture(scope="module")
 def dove():
-    return default_scenario(dove=DoveConfig(enabled=True))
+    return default_scenario(dove=Dove.BEFORE)
 
 
 class TestScenarioValidation:
@@ -71,12 +70,9 @@ class TestScenarioValidation:
             load_preset("fig9z")
 
     def test_preset_configurations(self):
-        assert not load_preset("fig1a").scenario.dove.enabled
-        assert load_preset("fig1c").scenario.dove.enabled
-        assert (
-            load_preset("dove-after").scenario.dove.placement
-            is DovePlacement.AFTER_INNER_MIRRORS
-        )
+        assert load_preset("fig1a").scenario.dove is Dove.OFF
+        assert load_preset("fig1c").scenario.dove is Dove.BEFORE
+        assert load_preset("dove-after").scenario.dove is Dove.AFTER
         assert (
             load_preset("alt-port").scenario.output_port
             is OutputPort.ALTERNATE_INNER_PORT
@@ -215,7 +211,7 @@ class TestAlternatePort:
         scenario = load_preset("alt-port").scenario
         with_dove = detector_field_numeric(scenario, TiltSet())
         without = detector_field_numeric(
-            replace(scenario, dove=DoveConfig(enabled=False)), TiltSet()
+            replace(scenario, dove=Dove.OFF), TiltSet()
         )
         assert np.max(np.abs(with_dove.amplitude - without.amplitude)) < 1e-12
 

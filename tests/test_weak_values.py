@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,9 +7,9 @@ from hypothesis import strategies as st
 
 from nested_mzi_lab import (
     ConfigError,
-    DoveConfig,
-    DovePlacement,
+    Dove,
     Mirror,
+    MirrorTable,
     OutputPort,
     PathState,
     PostSelectionError,
@@ -112,16 +114,22 @@ class TestEffectiveWeakValues:
         assert abs(effective_weak_value(scenario, Mirror.E)) < 1e-2
 
     def test_dove_e_reads_minus_two(self):
-        scenario = default_scenario(dove=DoveConfig(enabled=True))
+        scenario = default_scenario(dove=Dove.BEFORE)
         assert effective_weak_value(scenario, Mirror.E) == pytest.approx(-2.0, abs=1e-2)
 
     @pytest.mark.parametrize("enabled", [False, True])
     def test_a_reads_plus_one_with_prisms_before(self, enabled):
-        scenario = default_scenario(dove=DoveConfig(enabled=enabled))
+        scenario = default_scenario(dove=Dove.BEFORE if enabled else Dove.OFF)
         assert effective_weak_value(scenario, Mirror.A) == pytest.approx(1.0, abs=1e-2)
 
+    def test_underflowing_difference_scale_rejected(self):
+        # 2 * alpha_step * z_F underflows to 0 for a subnormal z_F.
+        scenario = replace(default_scenario(), distances=MirrorTable((1.0, 1.0, 1.0, 1.5, 5e-324)))
+        with pytest.raises(ConfigError, match="z_F"):
+            effective_weak_value(scenario, Mirror.F)
+
     def test_inner_mirrors_track_projectors_with_prisms_before(self):
-        scenario = default_scenario(dove=DoveConfig(enabled=True))
+        scenario = default_scenario(dove=Dove.BEFORE)
         tsv = paper_two_state_vector()
         for mirror in (Mirror.A, Mirror.B, Mirror.C):
             projector_value = weak_value(tsv, path_projector(mirror)).real
@@ -140,18 +148,14 @@ class TestWeakValueReport:
 
     def test_dove_leaves_projectors_bitwise_identical(self):
         plain = weak_value_report(default_scenario())
-        dove = weak_value_report(default_scenario(dove=DoveConfig(enabled=True)))
+        dove = weak_value_report(default_scenario(dove=Dove.BEFORE))
         for mirror in Mirror:
             assert plain.projector[mirror] == dove.projector[mirror]  # exact
         assert dove.effective[Mirror.E] == pytest.approx(-2.0, abs=1e-2)
         assert dove.dove_enabled
 
     def test_dove_after_flips_a_only(self):
-        report = weak_value_report(
-            default_scenario(
-                dove=DoveConfig(enabled=True, placement=DovePlacement.AFTER_INNER_MIRRORS)
-            )
-        )
+        report = weak_value_report(default_scenario(dove=Dove.AFTER))
         assert report.projector[Mirror.A] == pytest.approx(1.0, abs=1e-12)
         assert report.effective[Mirror.A] == pytest.approx(-1.0, abs=1e-2)
         assert report.effective[Mirror.E] == pytest.approx(-2.0, abs=1e-2)
