@@ -26,7 +26,6 @@ from .elements import (
     OutputPort,
     Path,
     PathState,
-    TiltBlock,
     TiltSet,
     TwoStateVector,
     apply_dove_x,

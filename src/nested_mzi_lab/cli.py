@@ -29,7 +29,7 @@ from .detection import (
 from . import __version__
 from .elements import Mirror, MirrorTable, TiltSet
 from .errors import ConfigError, GuardError
-from .fields import GaussianSpec, TransverseField, TransverseGrid, _one_row, centroid, power
+from .fields import GaussianSpec, TransverseField, TransverseGrid, centroid, power
 from .interferometer import (
     Scenario,
     default_scenario,
@@ -232,11 +232,10 @@ def write_field_csv(
     path: FsPath, field: TransverseField, comments: list[str] | None = None
 ) -> None:
     """Field samples as CSV with columns x, re, im."""
-    amplitude = _one_row(field, "write_field_csv")
-    _check_finite(path, field.grid.xs, amplitude)
+    _check_finite(path, field.grid.xs, field.amplitude)
     rows = [
         f"{float(x)!r},{float(a.real)!r},{float(a.imag)!r}"
-        for x, a in zip(field.grid.xs, amplitude)
+        for x, a in zip(field.grid.xs, field.amplitude)
     ]
     _write_lines(path, comments or [], "x,re,im", rows)
 
@@ -349,21 +348,11 @@ def run(config: RunConfig) -> int:
 
 
 def _assemble_text(args: argparse.Namespace) -> str:
-    lines: list[str] = []
-    if args.config:
-        lines.append(FsPath(args.config).read_text())
-    if args.preset:
-        lines.append(f"preset={args.preset}")
-    for pair in args.set or []:
-        lines.append(pair)
-    if args.engine:
-        lines.append(f"engine={args.engine}")
-    if args.seed is not None:
-        lines.append(f"seed={args.seed}")
-    if args.out:
-        lines.append(f"out={args.out}")
-    if args.command:
-        lines.append(f"command={args.command}")
+    """--config, then the --set pairs, then the flags: a later key overrides, so a flag wins."""
+    lines = [FsPath(args.config).read_text()] if args.config else []
+    lines += args.set or []
+    flags = {key: getattr(args, key) for key in _RUN_KEYS}
+    lines += [f"{key}={value}" for key, value in flags.items() if value not in (None, "")]
     return "\n".join(lines)
 
 

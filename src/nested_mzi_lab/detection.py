@@ -5,10 +5,9 @@ to the beam centroid for small displacements.  Every mirror oscillates at its
 own frequency; a lock-in style single-bin Fourier projection of the signal at
 each dither frequency recovers the per-mirror response amplitudes, and a peak
 well above the noise floor at a mirror's frequency is that mirror's trace.
-The series is traced in blocks of consecutive samples: one numeric-engine
-call per block, over (T, n) field rows, each row bitwise the field of its
-sample alone.  Photon-counting acquisition is modeled on top of the
-deterministic signal.
+The series comes from the interferometer's fold engine, evaluated over
+chunks of consecutive samples at once.  Photon-counting acquisition is
+modeled on top of the deterministic signal.
 """
 
 from __future__ import annotations
@@ -18,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import Mirror, MirrorTable, TiltBlock, TiltSet
+from .elements import Mirror, MirrorTable, TiltSet
 from .errors import ConfigError, GuardError, ZeroNormError
-from .fields import TransverseField, ZERO_POWER, _one_row
-from .interferometer import Scenario, check_small_angle_regime, detector_field_numeric
+from .fields import TransverseField, ZERO_POWER
+from .interferometer import Scenario, check_small_angle_regime, detector_rows
 
 #: Modeled detector dynamic range: the noise floor reported with a spectrum is
 #: never taken below this fraction of the strongest dither peak, so that a
@@ -42,10 +41,10 @@ DEFAULT_DURATION = 1.0
 MAX_DITHER_WORK = 2**32
 #: Largest photons_per_sample: the binomial draw takes a 64-bit count.
 MAX_PHOTONS_PER_SAMPLE = 2**63 - 1
-#: Time samples traced per numeric-engine call.  Larger blocks save little
-#: more time, since the FFTs and phase ramps dominate by then, and every
-#: (T, n) field of a call holds T * n * 16 bytes.
-_BLOCK = 8
+#: Field samples (time samples x grid_n) the dither evaluates at once, with
+#: at least one time sample: each (T, n) temporary of a chunk holds 16 bytes
+#: times the larger of _CHUNK_WORK and grid_n.  Larger chunks save little time.
+_CHUNK_WORK = 2**13
 
 
 @dataclass(frozen=True)
@@ -108,10 +107,12 @@ class DitherProtocol:
         phase = 2.0 * math.pi * t
         return TiltSet(a * math.sin(phase * f) for a, f in zip(self.amplitudes, self.frequencies))
 
-    def tilts(self, times: np.ndarray) -> TiltBlock:
-        """The tilt sets at each of times, one row per time (tilts_at, row by row)."""
+    def tilts(self, times: np.ndarray) -> dict[Mirror, np.ndarray]:
+        """Each mirror's (T,) column of angles at times; entry r is tilts_at(times[r])."""
         phase = 2.0 * math.pi * times
-        return TiltBlock(a * np.sin(phase * f) for a, f in zip(self.amplitudes, self.frequencies))
+        return {
+            m: a * np.sin(phase * f) for m, a, f in zip(Mirror, self.amplitudes, self.frequencies)
+        }
 
 
 @dataclass(frozen=True)
@@ -148,33 +149,35 @@ class PhotonSample:
         object.__setattr__(self, "positions", pos)
 
 
-def split_signal(f: TransverseField) -> float | np.ndarray:
+def split_signal(f: TransverseField) -> float:
     """Normalized split-detector difference (P_right - P_left) / P_total.
 
     The x = 0 sample and the periodic boundary sample are split evenly
     between the halves, so the signal is exactly antisymmetric under parity.
-    One field gives a float; a (T, n) block gives the (T,) signal of its rows.
     """
-    a = f.amplitude
-    intensity = a.real**2 + a.imag**2
-    mid = f.grid.n // 2
+    return float(_split(f.amplitude, f.grid.spacing))
+
+
+def _split(amplitude: np.ndarray, spacing: float) -> np.ndarray:
+    """split_signal of each (n,) row of amplitude, along its last axis."""
+    intensity = amplitude.real**2 + amplitude.imag**2
+    mid = intensity.shape[-1] // 2
     right = np.sum(intensity[..., mid + 1 :], axis=-1)
     left = np.sum(intensity[..., 1:mid], axis=-1)
     total = right + left + intensity[..., 0] + intensity[..., mid]
-    if np.count_nonzero(total * f.grid.spacing < ZERO_POWER):
+    if np.count_nonzero(total * spacing < ZERO_POWER):
         raise ZeroNormError("zero-power field has no split signal")
-    signal = (right - left) / total
-    return float(signal) if signal.ndim == 0 else signal
+    return (right - left) / total
 
 
 def run_dither(scenario: Scenario, protocol: DitherProtocol) -> np.ndarray:
     """Split-detector time series while every mirror oscillates at its frequency.
 
-    Each time sample evaluates the numeric engine at the instantaneous tilt
-    set alpha_j(t) = A_j sin(2 pi f_j t); consecutive samples are traced
-    together, one block of rows per engine call.  The worst-case simultaneous
-    crest must sit inside the small-angle regime, and sample_count x grid_n
-    must not exceed MAX_DITHER_WORK.
+    Each time sample is the fold engine's detector field at the
+    instantaneous tilt set alpha_j(t) = A_j sin(2 pi f_j t), evaluated for a
+    chunk of consecutive samples at once.  The worst-case simultaneous crest
+    must sit inside the small-angle regime, and sample_count x grid_n must
+    not exceed MAX_DITHER_WORK.
     """
     work = protocol.sample_count * scenario.grid.n
     if work > MAX_DITHER_WORK:
@@ -185,9 +188,10 @@ def run_dither(scenario: Scenario, protocol: DitherProtocol) -> np.ndarray:
     check_small_angle_regime(scenario, TiltSet(protocol.amplitudes))
     times = protocol.times()
     series = np.empty(protocol.sample_count)
-    for start in range(0, times.size, _BLOCK):
-        block = protocol.tilts(times[start : start + _BLOCK])
-        series[start : start + _BLOCK] = split_signal(detector_field_numeric(scenario, block))
+    rows = max(1, _CHUNK_WORK // scenario.grid.n)
+    for start in range(0, times.size, rows):
+        chunk = detector_rows(scenario, protocol.tilts(times[start : start + rows]))
+        series[start : start + rows] = _split(chunk, scenario.grid.spacing)
     return series
 
 
@@ -238,7 +242,7 @@ def sample_photons(f: TransverseField, count: int, seed: int) -> PhotonSample:
         raise ConfigError(f"photon count must be >= 1, got {count}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    a = _one_row(f, "sample_photons")
+    a = f.amplitude
     weights = a.real**2 + a.imag**2
     total = float(weights.sum())
     if total * f.grid.spacing < ZERO_POWER:

@@ -86,30 +86,6 @@ class TiltSet(MirrorTable):
         return tilts
 
 
-class TiltBlock(tuple):
-    """T tilt sets at once: one (T,) column of angles (rad) per mirror, indexed by Mirror.
-
-    Row r of the columns is the tilt set of row r of the field block the
-    numeric engine traces.  The angles are taken as given: apply_tilt guards
-    every entry, so a bad angle fails as loudly in a block as alone.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, columns: Iterable[np.ndarray]) -> TiltBlock:
-        block = super().__new__(cls, (np.asarray(c, dtype=np.float64) for c in columns))
-        shapes = {column.shape for column in block}
-        if len(block) != len(_MIRRORS) or len(shapes) != 1 or len(shapes.pop()) != 1:
-            raise ConfigError("a tilt block needs one (T,) column per mirror, all of one length")
-        return block
-
-    __getitem__ = MirrorTable.__getitem__
-
-    @property
-    def rows(self) -> int:
-        return len(tuple.__getitem__(self, 0))
-
-
 class Path(Enum):
     """The three unfolded source-to-detector paths."""
 
@@ -152,21 +128,17 @@ def path_elements(dove: Dove, path: Path) -> tuple[tuple[Mirror, bool], ...]:
     return tuple(elements)
 
 
-def apply_tilt(f: TransverseField, alpha: float | np.ndarray) -> TransverseField:
+def apply_tilt(f: TransverseField, alpha: float) -> TransverseField:
     """Mirror tilt by alpha: multiply by the momentum-kick phase exp(i k alpha x).
 
     Norm and centroid at the element plane are unchanged; the beam picks up
-    the transverse momentum k*alpha.  alpha is one angle, or a (T,) column
-    giving row r of the result the angle alpha[r] (a one-row f broadcasts to
-    T rows).  An all-zero alpha returns f itself.
+    the transverse momentum k*alpha.  A zero alpha returns f itself.
     """
-    a = np.asarray(alpha)
-    if np.count_nonzero(abs(a) < MAX_TILT) < a.size:
-        value = next(v for v in np.atleast_1d(a).tolist() if not abs(v) < MAX_TILT)
-        raise RegimeError(f"tilt angle {value:g} rad outside |alpha| < {MAX_TILT:g}")
-    if not np.count_nonzero(a):
+    if not abs(alpha) < MAX_TILT:
+        raise RegimeError(f"tilt angle {alpha:g} rad outside |alpha| < {MAX_TILT:g}")
+    if alpha == 0.0:
         return f
-    ramp = np.exp(1j * f.k * a[..., None] * f.grid.xs)
+    ramp = np.exp(1j * f.k * alpha * f.grid.xs)
     return TransverseField(f.grid, f.amplitude * ramp, f.k)
 
 

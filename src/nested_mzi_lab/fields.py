@@ -2,15 +2,9 @@
 
 Construction, spectral (paraxial Fresnel) propagation, intensity moments and
 parity decomposition for complex scalar amplitudes on a uniform symmetric
-grid.  All values are immutable; every operation is a pure function returning
-a new field, so everything here is safe to evaluate concurrently.
-
-A field holds one row of n samples, shape (n,), or a block of T rows, shape
-(T, n), that the operators act on row by row along the last axis: each row
-undergoes exactly the floating-point operations it would alone, so a block
-is bitwise T separate fields, and every guard applies to each row.  The
-functions that reduce a field to one number (power, norm, centroid,
-momentum_centroid, inner_product) accept one row only.
+grid, plus the closed-form Gaussian profile and the edge guard that both
+engines apply.  All values are immutable; every operation is a pure function
+returning a new field, so everything here is safe to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -78,15 +72,6 @@ class TransverseGrid:
         x.flags.writeable = False
         return x
 
-    @cached_property
-    def edge_band(self) -> tuple[int, int]:
-        """The guard band |x| > (1 - EDGE_BAND) * half_width as index runs [0, lo) and [hi, n).
-
-        |x| grows toward both grid ends, so the band is one run at each end.
-        """
-        inside = np.flatnonzero(np.abs(self.xs) <= (1.0 - EDGE_BAND) * self.half_width)
-        return int(inside[0]), int(inside[-1]) + 1
-
 
 @dataclass(frozen=True)
 class GaussianSpec:
@@ -98,6 +83,8 @@ class GaussianSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.w0 < math.inf:
             raise ConfigError(f"waist w0 must be positive and finite, got {self.w0}")
+        if not self.w0 * self.w0 > 0.0:
+            raise ConfigError(f"waist w0 = {self.w0!r} underflows when squared")
         if not 0.0 < self.wavelength < math.inf:
             raise ConfigError(f"wavelength must be positive and finite, got {self.wavelength}")
         if not math.isfinite(self.k):
@@ -120,9 +107,8 @@ class GaussianSpec:
 class TransverseField:
     """Complex amplitude samples on a grid, with the optical wavenumber k.
 
-    amplitude has shape (n,) for one field or (T, n) for a block of T rows.
-    The buffer is copied on construction and frozen, so fields can be shared
-    freely between threads.
+    amplitude has shape (n,).  The buffer is copied on construction and
+    frozen, so fields can be shared freely between threads.
     """
 
     grid: TransverseGrid
@@ -131,10 +117,9 @@ class TransverseField:
 
     def __post_init__(self) -> None:
         amp = np.array(self.amplitude, dtype=np.complex128, copy=True)
-        if amp.ndim > 2 or amp.shape[-1:] != (self.grid.n,) or amp.size == 0:
+        if amp.shape != (self.grid.n,):
             raise ConfigError(
-                f"amplitude shape {amp.shape} does not match grid n = {self.grid.n}"
-                " as (n,) or (rows, n)"
+                f"amplitude shape {amp.shape} does not match grid n = {self.grid.n} as (n,)"
             )
         if not self.k > 0.0:
             raise ConfigError(f"wavenumber k must be positive, got {self.k}")
@@ -142,17 +127,9 @@ class TransverseField:
         object.__setattr__(self, "amplitude", amp)
 
 
-def _one_row(f: TransverseField, what: str) -> np.ndarray:
-    """The amplitude of a one-row field; what names the reduction that needs it."""
-    a = f.amplitude
-    if a.ndim != 1:
-        raise ConfigError(f"{what} reduces one field, got a block of {a.shape[0]} rows")
-    return a
-
-
 def power(f: TransverseField) -> float:
     """Total intensity integral of |f|^2 over the grid."""
-    a = _one_row(f, "power")
+    a = f.amplitude
     return float(np.sum(a.real**2 + a.imag**2) * f.grid.spacing)
 
 
@@ -208,7 +185,7 @@ def gaussian_profile(
 @lru_cache(maxsize=256)
 def _transfer_function(grid: TransverseGrid, k: float, z: float) -> np.ndarray:
     kx = 2.0 * math.pi * np.fft.fftfreq(grid.n, grid.spacing)
-    # A phase that overflows gives nan here; _check_edges reports it as a
+    # A phase that overflows gives nan here; check_edges reports it as a
     # GuardError, so numpy's warnings would only add lines to stderr.
     with np.errstate(over="ignore", invalid="ignore"):
         h = np.exp(-0.5j * kx * kx * z / k)
@@ -220,39 +197,31 @@ def propagate(f: TransverseField, z: float) -> TransverseField:
     """Free-space propagation over distance z via the Fresnel transfer function.
 
     Exact and unitary for band-limited sampled fields.  Raises AliasingError
-    if the propagated amplitude of any row reaches the grid's edge guard band.
+    if the propagated amplitude reaches the grid's edge guard band.
     """
     if z < 0.0:
         raise ConfigError(f"propagation distance must be >= 0, got {z}")
-    spectrum = np.fft.fft(f.amplitude, axis=-1)
-    out = np.fft.ifft(spectrum * _transfer_function(f.grid, f.k, z), axis=-1)
-    result = TransverseField(f.grid, out, f.k)
-    _check_edges(result)
-    return result
+    out = np.fft.ifft(np.fft.fft(f.amplitude) * _transfer_function(f.grid, f.k, z))
+    mag = np.abs(out)
+    band = np.abs(f.grid.xs) > (1.0 - EDGE_BAND) * f.grid.half_width
+    check_edges(float(mag.max()), float(mag[band].max()))
+    return TransverseField(f.grid, out, f.k)
 
 
-def _check_edges(f: TransverseField) -> None:
-    """Per row: skip a zero peak, refuse a non-finite one, refuse edge-band amplitude.
+def check_edges(peak: float, worst: float) -> None:
+    """Edge guard on a field's largest magnitude, peak, and its largest in the guard band.
 
-    Every row passing at once is the common case and takes one vector test;
-    otherwise the rows are checked one by one to report the first failure.
+    A zero peak passes; a non-finite value raises GuardError, and worst above
+    EDGE_RATIO * peak raises AliasingError.
     """
-    mag = np.abs(f.amplitude)
-    lo, hi = f.grid.edge_band
-    peak = mag.max(axis=-1)
-    worst = np.maximum(mag[..., :lo].max(axis=-1), mag[..., hi:].max(axis=-1))
-    passed = (worst <= EDGE_RATIO * peak) & (peak < math.inf)
-    if np.count_nonzero(passed) == passed.size:
+    if peak == 0.0:
         return
-    for row_peak, row_worst in zip(np.atleast_1d(peak).tolist(), np.atleast_1d(worst).tolist()):
-        if row_peak == 0.0:
-            continue
-        if not math.isfinite(row_peak):
-            raise GuardError(f"propagated field is not finite (peak {row_peak!r})")
-        if row_worst > EDGE_RATIO * row_peak:
-            raise AliasingError(
-                f"edge amplitude {row_worst:.3g} exceeds {EDGE_RATIO:g} of peak {row_peak:.3g}"
-            )
+    if not (math.isfinite(peak) and math.isfinite(worst)):
+        raise GuardError(f"propagated field is not finite (peak {peak!r}, edge {worst!r})")
+    if worst > EDGE_RATIO * peak:
+        raise AliasingError(
+            f"edge amplitude {worst:.3g} exceeds {EDGE_RATIO:g} of peak {peak:.3g}"
+        )
 
 
 def parity_x(f: TransverseField) -> TransverseField:
@@ -261,12 +230,7 @@ def parity_x(f: TransverseField) -> TransverseField:
     Pure sample permutation on the symmetric grid (index i -> (n - i) mod n),
     hence an exact involution.
     """
-    return TransverseField(f.grid, _mirrored(f.amplitude), f.k)
-
-
-def _mirrored(a: np.ndarray) -> np.ndarray:
-    """Samples reordered by x -> -x along the last axis."""
-    return np.roll(a[..., ::-1], 1, axis=-1)
+    return TransverseField(f.grid, np.roll(f.amplitude[::-1], 1), f.k)
 
 
 def decompose_parity(f: TransverseField) -> tuple[TransverseField, TransverseField]:
@@ -274,7 +238,7 @@ def decompose_parity(f: TransverseField) -> tuple[TransverseField, TransverseFie
 
     even + odd reconstructs f exactly and the two parts are orthogonal.
     """
-    mirrored = _mirrored(f.amplitude)
+    mirrored = np.roll(f.amplitude[::-1], 1)
     even = TransverseField(f.grid, 0.5 * (f.amplitude + mirrored), f.k)
     odd = TransverseField(f.grid, 0.5 * (f.amplitude - mirrored), f.k)
     return even, odd
@@ -284,13 +248,12 @@ def inner_product(f: TransverseField, g: TransverseField) -> complex:
     """Discrete L2 inner product <f, g>, conjugate-linear in the first argument."""
     if f.grid != g.grid:
         raise GridMismatchError("fields live on different grids")
-    a, b = _one_row(f, "inner_product"), _one_row(g, "inner_product")
-    return complex(np.sum(np.conj(a) * b) * f.grid.spacing)
+    return complex(np.sum(np.conj(f.amplitude) * g.amplitude) * f.grid.spacing)
 
 
 def centroid(f: TransverseField) -> float:
     """Intensity centroid <x> of the field, by midpoint rule on the grid."""
-    a = _one_row(f, "centroid")
+    a = f.amplitude
     intensity = a.real**2 + a.imag**2
     total = float(np.sum(intensity) * f.grid.spacing)
     if total < ZERO_POWER:
@@ -300,7 +263,7 @@ def centroid(f: TransverseField) -> float:
 
 def momentum_centroid(f: TransverseField) -> float:
     """Mean transverse spatial frequency <k_x> from the discrete spectral power."""
-    spectrum = np.fft.fft(_one_row(f, "momentum_centroid"))
+    spectrum = np.fft.fft(f.amplitude)
     p = spectrum.real**2 + spectrum.imag**2
     total = float(np.sum(p))
     if total * f.grid.spacing / f.grid.n < ZERO_POWER:

@@ -5,18 +5,13 @@ distances z_j and a common total path length), the beam, where the Dove
 prisms sit (a Dove value) and the collected output port.  Both engines read
 the same path table: each unfolded path's ordered elements (mirror tilts,
 and the x-oriented Dove prism in the leg through A) from
-elements.path_elements.  They differ in physics, not in topology:
-
-* the analytic engine folds each path's elements into a net walk-off and
-  ramp angle (a tilt adds z_j * alpha_j and alpha_j, the prism negates both)
-  and sums three closed-form Gaussian contributions, each a shifted profile
-  times a net phase ramp, valid to first order in the tilts;
-* the numeric engine traces the input mode along each path (propagate
-  between element planes, tilt at each mirror, parity at the prism) and is
-  exact within the paraxial sampled model.  It takes one TiltSet, or a
-  TiltBlock of T tilt sets that it traces at once as (T, n) rows.  Within
-  one call, the steps that paths share (the tilt at E, and the propagation
-  on to the inner mirrors when z_A == z_B) are computed once.
+elements.path_elements.  The analytic engine folds each path's elements
+exactly into a closed-form shifted and ramped Gaussian, for one tilt set or,
+behind the dither, for columns of them.  The numeric engine traces the
+sampled input mode along each path for one TiltSet and is the reference the
+fold is tested against; within one call, the steps that paths share (the
+tilt at E, and the propagation on to the inner mirrors when z_A == z_B) are
+computed once.
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from .elements import (
     MirrorTable,
     OutputPort,
     Path,
-    TiltBlock,
     TiltSet,
     apply_dove_x,
     apply_tilt,
@@ -45,9 +39,11 @@ from .elements import (
 )
 from .errors import ConfigError, RegimeError
 from .fields import (
+    EDGE_BAND,
     GaussianSpec,
     TransverseField,
     TransverseGrid,
+    check_edges,
     check_sampling,
     gaussian_profile,
     make_gaussian,
@@ -120,33 +116,58 @@ def check_small_angle_regime(scenario: Scenario, tilts: TiltSet) -> None:
         )
 
 
-def detector_field_analytic(scenario: Scenario, tilts: TiltSet) -> TransverseField:
-    """First-order detector field: sum of shifted, ramped free-space profiles.
+def _fold(scenario: Scenario, tilts: Mapping[Mirror, object]) -> tuple:
+    """Detector amplitude of the fold, and each path's walk-off s at the detector.
 
-    Each path contributes amplitude * phi(x - shift) * exp(i k x ramp), with
-    phi the closed-form Gaussian propagated over the common path length.
-    shift and ramp fold the path's elements: a tilt alpha_j adds z_j * alpha_j
-    and alpha_j, and the prism's parity negates both, reversing the sign of
-    every tilt acquired upstream of it.  Requires tilts inside the
-    small-angle regime.
+    Free propagation over d maps e^{ik theta x} h(x - s) exactly to
+    e^{ik theta x - ik theta^2 d/2} (P(d)h)(x - s - theta d).  Summed over a
+    path's segments, a tilt alpha_j at z_j from the detector adds z_j alpha_j
+    to s, alpha_j to the ramp angle theta and -k z_j alpha_j (2 theta + alpha_j) / 2
+    to the phase phi, and the prism negates s and theta.  The path then adds
+    a e^{i phi + ik theta x} G(x - s), G the source Gaussian propagated over
+    path_length.  Float tilts give one (n,) row, (T,) columns (T, n) rows.
     """
-    check_small_angle_regime(scenario, tilts)
-    xs = scenario.grid.xs
-    k = scenario.beam.k
-    z = scenario.distances
-    amps = port_amplitudes(scenario.output_port)
-    total = np.zeros(scenario.grid.n, dtype=np.complex128)
-    for path in Path:
-        shift = ramp = 0.0
+    xs, k, z = scenario.grid.xs, scenario.beam.k, scenario.distances
+    total, shifts = 0.0, []
+    for path, amp in port_amplitudes(scenario.output_port).items():
+        shift = ramp = phase = 0.0
         for mirror, prism in path_elements(scenario.dove, path):
             if prism:
                 shift, ramp = -shift, -ramp
             else:
-                shift += z[mirror] * tilts[mirror]
-                ramp += tilts[mirror]
+                alpha = tilts[mirror]
+                shift = shift + z[mirror] * alpha
+                phase = phase - 0.5 * k * z[mirror] * alpha * (2.0 * ramp + alpha)
+                ramp = ramp + alpha
+        shift, ramp, phase = (np.asarray(v)[..., None] for v in (shift, ramp, phase))
         profile = gaussian_profile(xs - shift, scenario.beam, scenario.path_length)
-        total += amps[path] * profile * np.exp(1j * k * ramp * xs)
-    return TransverseField(scenario.grid, total, k)
+        total = total + amp * profile * np.exp(1j * (k * ramp * xs + phase))
+        shifts.append(shift)
+    return total, np.array(shifts)
+
+
+def detector_field_analytic(scenario: Scenario, tilts: TiltSet) -> TransverseField:
+    """Detector field of the fold at one tilt set inside the small-angle regime."""
+    check_small_angle_regime(scenario, tilts)
+    return TransverseField(scenario.grid, _fold(scenario, tilts)[0], scenario.beam.k)
+
+
+def detector_rows(scenario: Scenario, tilts: Mapping[Mirror, np.ndarray]) -> np.ndarray:
+    """Detector amplitudes of the fold, one (n,) row per entry of the (T,) tilt columns.
+
+    The rows pass propagate's edge guard in closed form first, so they fail
+    where the numeric engine would: |G(x - s)| falls off with |x - s|, so a
+    path's largest magnitude in the guard band sits at the band edge nearest
+    its peak.  The caller checks the small-angle regime.
+    """
+    edge = (1.0 - EDGE_BAND) * scenario.grid.half_width
+    with np.errstate(all="ignore"):  # the guard reports a non-finite value itself
+        rows, shifts = _fold(scenario, tilts)
+        near = np.maximum(edge - np.abs(shifts).max(), 0.0)
+        profile = gaussian_profile(np.array([near, 0.0]), scenario.beam, scenario.path_length)
+    worst, peak = np.abs(profile)
+    check_edges(float(peak), float(worst))
+    return rows
 
 
 @lru_cache(maxsize=32)
@@ -192,7 +213,7 @@ def _once(memo: dict, key: object, step, *args) -> TransverseField:
 
 def _trace(
     scenario: Scenario,
-    tilts: TiltSet | TiltBlock,
+    tilts: TiltSet,
     path: Path,
     stop_z: float,
     memo: dict,
@@ -230,38 +251,26 @@ def _trace(
 
 def _port_sum(
     scenario: Scenario,
-    tilts: TiltSet | TiltBlock,
+    tilts: TiltSet,
     amps: Mapping[Path, float],
     paths: Iterable[Path],
     stop_z: float = 0.0,
 ) -> TransverseField:
-    """Sum of amps[path] times each path's trace, one row per tilt set.
-
-    A TiltBlock whose paths all stay untilted traces one shared row, which
-    is broadcast to the block's T rows.
-    """
+    """Sum of amps[path] times each path's trace."""
     memo: dict = {}
     total = None
     for path in paths:
         term = amps[path] * _trace(scenario, tilts, path, stop_z, memo).amplitude
         total = term if total is None else total + term
-    if isinstance(tilts, TiltBlock) and total.ndim == 1:
-        total = np.broadcast_to(total, (tilts.rows, total.size))
     return TransverseField(scenario.grid, total, scenario.beam.k)
 
 
-def detector_field_numeric(
-    scenario: Scenario, tilts: TiltSet | TiltBlock
-) -> TransverseField:
-    """Full-fidelity detector field: the port-weighted sum of the three path traces.
-
-    A TiltSet gives one (n,) field; a TiltBlock of T tilt sets gives the
-    (T, n) block whose row r is the field of tilt set r, bitwise.
-    """
+def detector_field_numeric(scenario: Scenario, tilts: TiltSet) -> TransverseField:
+    """Full-fidelity detector field: the port-weighted sum of the three path traces."""
     return _port_sum(scenario, tilts, port_amplitudes(scenario.output_port), Path)
 
 
-def field_before_F(scenario: Scenario, tilts: TiltSet | TiltBlock) -> TransverseField:
+def field_before_F(scenario: Scenario, tilts: TiltSet) -> TransverseField:
     """Coherent sum of the two inner-arm fields at a plane just ahead of mirror F.
 
     The probe sits midway between the inner exit beam splitter and F; since

@@ -252,6 +252,45 @@ class TestCliRuns:
         assert first_line == f"# manifest_sha256={digest}"
 
 
+class TestFlagsBeatSet:
+    """A flag and a --set of the same key: the flag's value runs and reaches the manifest."""
+
+    @pytest.mark.parametrize(
+        "args, pair, line",
+        [
+            (["centroid", "--preset", "fig1a"], "preset=fig1c", "preset=fig1a"),
+            (
+                ["centroid", "--preset", "fig1a", "--set", "alpha_A=5e-7", "--engine", "analytic"],
+                "engine=numeric",
+                "engine=analytic",
+            ),
+            (
+                ["photons", "--preset", "fig1c", "--set", "sample_rate=2400", "--seed", "5"],
+                "seed=3",
+                "seed=5",
+            ),
+            (["centroid", "--preset", "fig1a"], "command=weak-values", "command=centroid"),
+        ],
+        ids=["preset", "engine", "seed", "command"],
+    )
+    def test_flag_wins(self, tmp_path, args, pair, line):
+        alone, overridden = tmp_path / "alone", tmp_path / "overridden"
+        assert main([*args, "--out", str(alone)]) == 0
+        assert main([*args, "--set", pair, "--out", str(overridden)]) == 0
+        assert line in (overridden / "manifest.txt").read_text().splitlines()
+        names = sorted(p.name for p in alone.iterdir())
+        assert names == sorted(p.name for p in overridden.iterdir())
+        for name in names:
+            assert (alone / name).read_bytes() == (overridden / name).read_bytes()
+
+    def test_out_flag_wins(self, tmp_path):
+        flag, pair = tmp_path / "flag", tmp_path / "pair"
+        args = ["centroid", "--preset", "fig1a", "--set", f"out={pair}", "--out", str(flag)]
+        assert main(args) == 0
+        assert (flag / "manifest.txt").exists()
+        assert not pair.exists()
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "args",

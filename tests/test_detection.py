@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nested_mzi_lab import (
+    AliasingError,
     ConfigError,
     DitherProtocol,
     PRESET_NAMES,
@@ -281,12 +282,12 @@ class TestPhotonDitherExperiment:
             photon_dither_experiment(default_scenario(), fast_protocol, photons, seed)
 
 
-class TestBlockedDither:
-    # 1001 samples: not a multiple of the engine's block of samples.
+class TestFoldDither:
+    # 1001 samples: the last chunk of samples is a partial one.
     ODD = DitherProtocol(frequencies=MirrorTable(FAST_FREQS), sample_rate=4004.0, duration=0.25)
 
     @pytest.mark.parametrize("preset_name", PRESET_NAMES)
-    def test_equals_the_per_sample_loop_bitwise(self, preset_name):
+    def test_matches_the_per_sample_numeric_loop(self, preset_name):
         scenario = load_preset(preset_name).scenario
         protocol = self.ODD
         assert protocol.sample_count == 1001
@@ -294,25 +295,43 @@ class TestBlockedDither:
             split_signal(detector_field_numeric(scenario, protocol.tilts_at(t)))
             for t in protocol.times()
         ])
-        assert np.array_equal(run_dither(scenario, protocol), loop)
+        series = run_dither(scenario, protocol)
+        assert np.abs(series - loop).max() <= 1e-12 * np.abs(loop).max()
 
-    def test_tilt_block_rows_equal_tilts_at(self, fast_protocol):
+    @pytest.mark.parametrize(
+        "path_length, error", [(16.5, None), (17.0, AliasingError), (20.0, AliasingError)]
+    )
+    def test_edge_guard_agrees_with_the_numeric_loop(self, fast_protocol, path_length, error):
+        scenario = replace(load_preset("fig1c").scenario, path_length=path_length)
+
+        def loop():
+            for t in fast_protocol.times():
+                detector_field_numeric(scenario, fast_protocol.tilts_at(t))
+
+        for run in (lambda: run_dither(scenario, fast_protocol), loop):
+            if error is None:
+                run()
+            else:
+                with pytest.raises(error):
+                    run()
+
+    def test_tilt_columns_equal_tilts_at(self, fast_protocol):
         times = fast_protocol.times()[:50]
-        block = fast_protocol.tilts(times)
+        columns = fast_protocol.tilts(times)
         for r, t in enumerate(times):
-            assert tuple(column[r] for column in block) == fast_protocol.tilts_at(t)
+            assert tuple(columns[m][r] for m in Mirror) == fast_protocol.tilts_at(t)
 
-    def test_split_signal_row_by_row(self, grid, beam):
+    def test_split_rows_equal_split_signal(self, grid, beam):
         rows = np.stack([random_field(grid, beam, seed).amplitude for seed in range(4)])
-        signals = split_signal(TransverseField(grid, rows, beam.k))
+        signals = detection._split(rows, grid.spacing)
         assert signals.shape == (4,)
         for signal, amp in zip(signals, rows):
             assert signal == split_signal(TransverseField(grid, amp, beam.k))
 
-    def test_split_signal_zero_power_row(self, grid, beam):
+    def test_split_zero_power_row(self, grid, beam):
         rows = np.stack([random_field(grid, beam, 1).amplitude, np.zeros(grid.n)])
         with pytest.raises(ZeroNormError):
-            split_signal(TransverseField(grid, rows, beam.k))
+            detection._split(rows, grid.spacing)
 
     def test_work_bound_refused_before_allocation(self):
         scenario = default_scenario()

@@ -23,9 +23,7 @@ from nested_mzi_lab import (
     parity_x,
     power,
     propagate,
-    sample_photons,
 )
-from nested_mzi_lab.cli import write_field_csv
 from conftest import random_field
 
 
@@ -58,9 +56,19 @@ class TestGridAndSpecs:
         with pytest.raises(ConfigError):
             TransverseGrid(n=1024, half_width=half_width)
 
+    def test_field_rejects_other_shapes(self, grid, beam):
+        for shape in [(grid.n + 1,), (2, grid.n), (1, grid.n), (0, grid.n), ()]:
+            with pytest.raises(ConfigError, match="as \\(n,\\)"):
+                TransverseField(grid, np.zeros(shape), beam.k)
+
     def test_spec_rejects_nonparaxial_waist(self):
         with pytest.raises(ConfigError):
             GaussianSpec(w0=5e-6, wavelength=633e-9)  # k*w0 < 100
+
+    def test_spec_rejects_a_waist_whose_square_underflows(self):
+        # z_R = k w0^2 / 2 would be 0, and the closed-form profile divides by it.
+        with pytest.raises(ConfigError, match="underflows"):
+            GaussianSpec(w0=1e-165, wavelength=1e-167)
 
 
 class TestMakeGaussian:
@@ -179,6 +187,16 @@ class TestPropagate:
         with pytest.raises(AliasingError):
             propagate(f, 8.0)  # walk-off carries the beam into the guard band
 
+    def test_non_finite_field_raises_guard(self, grid, beam):
+        amp = make_gaussian(beam, grid).amplitude.copy()
+        amp[grid.n // 2] = np.nan
+        with pytest.raises(GuardError, match="not finite"):
+            propagate(TransverseField(grid, amp, beam.k), 0.0)
+
+    def test_zero_field_passes_the_guard(self, grid, beam):
+        out = propagate(TransverseField(grid, np.zeros(grid.n), beam.k), 0.5)
+        assert not out.amplitude.any()
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), z=st.floats(0.0, 3.0))
     def test_unitarity(self, grid, beam, seed, z):
@@ -287,70 +305,3 @@ class TestInnerProduct:
         g = make_gaussian(beam, other)
         with pytest.raises(GridMismatchError):
             inner_product(f, g)
-
-
-def gaussian_rows(grid, beam, shifts):
-    """(len(shifts), n) block of unit Gaussians centred at each shift."""
-    return np.stack([
-        np.exp(-((grid.xs - d) ** 2) / beam.w0**2) for d in shifts
-    ]).astype(complex)
-
-
-class TestFieldBlocks:
-    def test_block_propagates_row_by_row_bitwise(self, grid, beam):
-        rows = np.stack([random_field(grid, beam, seed).amplitude for seed in range(5)])
-        block = propagate(TransverseField(grid, rows, beam.k), 0.7)
-        assert block.amplitude.shape == (5, grid.n)
-        for row, amp in zip(block.amplitude, rows):
-            assert np.array_equal(row, propagate(TransverseField(grid, amp, beam.k), 0.7).amplitude)
-
-    def test_block_parity_row_by_row(self, grid, beam):
-        rows = np.stack([random_field(grid, beam, seed).amplitude for seed in range(3)])
-        flipped = parity_x(TransverseField(grid, rows, beam.k)).amplitude
-        for row, amp in zip(flipped, rows):
-            assert np.array_equal(row, parity_x(TransverseField(grid, amp, beam.k)).amplitude)
-
-    def test_one_row_at_the_edge_raises_aliasing(self, grid, beam):
-        amp = gaussian_rows(grid, beam, [0.0, 0.0, grid.half_width - 2 * beam.w0])
-        with pytest.raises(AliasingError):
-            propagate(TransverseField(grid, amp, beam.k), 0.0)
-
-    def test_one_non_finite_row_raises_guard(self, grid, beam):
-        amp = gaussian_rows(grid, beam, [0.0, 0.0, 0.0])
-        amp[1, grid.n // 2] = np.nan
-        with pytest.raises(GuardError, match="not finite"):
-            propagate(TransverseField(grid, amp, beam.k), 0.0)
-
-    def test_zero_peak_row_is_skipped(self, grid, beam):
-        amp = gaussian_rows(grid, beam, [0.0, 0.0])
-        amp[0] = 0.0
-        out = propagate(TransverseField(grid, amp, beam.k), 0.5)
-        assert not out.amplitude[0].any()
-        assert np.abs(out.amplitude[1]).max() > 0.1
-
-    def test_bad_shapes_rejected(self, grid, beam):
-        for shape in [(grid.n + 1,), (0, grid.n), (2, 2, grid.n), ()]:
-            with pytest.raises(ConfigError):
-                TransverseField(grid, np.zeros(shape), beam.k)
-
-    @pytest.mark.parametrize(
-        "reduce",
-        [
-            lambda f, tmp: power(f),
-            lambda f, tmp: norm(f),
-            lambda f, tmp: centroid(f),
-            lambda f, tmp: momentum_centroid(f),
-            lambda f, tmp: inner_product(f, f),
-            lambda f, tmp: sample_photons(f, 10, seed=1),
-            lambda f, tmp: write_field_csv(tmp / "field.csv", f),
-        ],
-        ids=[
-            "power", "norm", "centroid", "momentum_centroid", "inner_product",
-            "sample_photons", "write_field_csv",
-        ],
-    )
-    def test_reductions_refuse_a_block(self, grid, beam, tmp_path, reduce):
-        block = TransverseField(grid, gaussian_rows(grid, beam, [0.0, 1e-4]), beam.k)
-        with pytest.raises(ConfigError, match="block of 2 rows"):
-            reduce(block, tmp_path)
-        assert not list(tmp_path.iterdir())

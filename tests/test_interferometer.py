@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from nested_mzi_lab import (
     ConfigError,
     Dove,
+    GuardError,
     Mirror,
     OutputPort,
     RegimeError,
-    TiltBlock,
     TiltSet,
     TransverseField,
     alpha_step,
@@ -28,6 +28,7 @@ from nested_mzi_lab import (
     power,
     PRESET_NAMES,
 )
+from nested_mzi_lab.interferometer import detector_rows
 from conftest import with_value
 
 W0 = default_beam().w0
@@ -95,6 +96,18 @@ class TestAnalyticEngine:
         alpha = 1e-6
         f = detector_field_analytic(dove, TiltSet.single(Mirror.E, alpha))
         assert centroid(f) == pytest.approx(-2.0 * dove.distances[Mirror.E] * alpha, rel=1e-2)
+
+    @pytest.mark.parametrize("preset_name", PRESET_NAMES)
+    def test_equals_the_numeric_engine(self, preset_name):
+        # The fold is exact within the paraxial model, so the engines differ
+        # by rounding only, at any tilts inside the regime.
+        scenario = load_preset(preset_name).scenario
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            tilts = TiltSet(rng.uniform(-STEP, STEP, size=len(Mirror)))
+            numeric = detector_field_numeric(scenario, tilts).amplitude
+            folded = detector_field_analytic(scenario, tilts).amplitude
+            assert np.abs(folded - numeric).max() <= 1e-13 * np.abs(numeric).max()
 
     def test_regime_violation_raises(self, bright):
         with pytest.raises(RegimeError):
@@ -197,8 +210,6 @@ class TestFieldBeforeF:
         z = with_value(with_value(bright.distances, Mirror.A, z_a), Mirror.B, z_b)
         scenario = replace(bright, distances=z)
         assert power(field_before_F(scenario, TiltSet())) < 1e-12
-        block = TiltBlock(np.zeros((len(Mirror), 2)))
-        assert np.abs(field_before_F(scenario, block).amplitude).max() < 1e-10
 
 
 class TestAlternatePort:
@@ -223,50 +234,36 @@ class TestAlternatePort:
         assert abs(centroid(f)) < 1e-2 * scenario.distances[Mirror.E] * STEP
 
 
-def tilt_rows(seed, count, scale=3e-7):
-    """count random tilt sets, one per row, with row 0 untilted."""
+def tilt_columns(seed, count, scale=3e-7):
+    """count random tilt sets as (count,) columns per mirror, with entry 0 untilted."""
     rows = np.random.default_rng(seed).uniform(-scale, scale, size=(count, len(Mirror)))
     rows[0] = 0.0
-    return rows
+    columns = {mirror: rows[:, i] for i, mirror in enumerate(Mirror)}
+    return columns, [TiltSet(row.tolist()) for row in rows]
 
 
-def row_tilts(rows):
-    return TiltBlock(rows.T), [TiltSet(row.tolist()) for row in rows]
-
-
-class TestTiltBlocks:
+class TestDetectorRows:
     @pytest.mark.parametrize("preset_name", PRESET_NAMES)
-    def test_block_equals_one_field_calls_row_by_row(self, preset_name):
+    def test_rows_equal_the_fold_at_each_tilt_set(self, preset_name):
         scenario = load_preset(preset_name).scenario
-        block, singles = row_tilts(tilt_rows(7, 5))
-        batch = detector_field_numeric(scenario, block).amplitude
-        assert batch.shape == (5, scenario.grid.n)
-        for row, tilts in zip(batch, singles):
-            assert np.array_equal(row, detector_field_numeric(scenario, tilts).amplitude)
+        columns, singles = tilt_columns(7, 5)
+        rows = detector_rows(scenario, columns)
+        assert rows.shape == (5, scenario.grid.n)
+        for row, tilts in zip(rows, singles):
+            single = detector_field_analytic(scenario, tilts).amplitude
+            assert np.abs(row - single).max() <= 1e-15 * np.abs(single).max()
 
     @pytest.mark.parametrize("preset_name", PRESET_NAMES)
-    def test_all_zero_block_broadcasts_the_untilted_field(self, preset_name):
+    def test_zero_columns_give_the_untilted_field(self, preset_name):
         scenario = load_preset(preset_name).scenario
-        block = TiltBlock(np.zeros((len(Mirror), 3)))
-        batch = detector_field_numeric(scenario, block).amplitude
+        rows = detector_rows(scenario, {mirror: np.zeros(3) for mirror in Mirror})
         untilted = detector_field_numeric(scenario, TiltSet()).amplitude
-        assert batch.shape == (3, scenario.grid.n)
-        assert all(np.array_equal(row, untilted) for row in batch)
+        assert rows.shape == (3, scenario.grid.n)
+        for row in rows:
+            assert np.abs(row - untilted).max() <= 1e-13 * np.abs(untilted).max()
 
-    def test_field_before_f_block_row_by_row(self, dove):
-        block, singles = row_tilts(tilt_rows(3, 4))
-        batch = field_before_F(dove, block).amplitude
-        for row, tilts in zip(batch, singles):
-            assert np.array_equal(row, field_before_F(dove, tilts).amplitude)
-
-    def test_one_out_of_range_entry_raises_regime_error(self, dove):
-        rows = tilt_rows(5, 4)
-        rows[2, 3] = 2e-3  # mirror E, beyond MAX_TILT
-        with pytest.raises(RegimeError, match="0.002"):
-            detector_field_numeric(dove, TiltBlock(rows.T))
-
-    def test_ragged_columns_rejected(self):
-        with pytest.raises(ConfigError):
-            TiltBlock([np.zeros(3)] * 4 + [np.zeros(2)])
-        with pytest.raises(ConfigError):
-            TiltBlock([np.zeros(3)] * 4)
+    def test_one_non_finite_tilt_raises_guard(self, dove):
+        columns, _ = tilt_columns(3, 4)
+        columns[Mirror.E][2] = np.nan
+        with pytest.raises(GuardError, match="not finite"):
+            detector_rows(dove, columns)
