@@ -37,7 +37,6 @@ from .elements import (
 from .errors import (
     AliasingError,
     ConfigError,
-    GridMismatchError,
     GuardError,
     NestedMziError,
     PostSelectionError,
@@ -49,11 +48,8 @@ from .fields import (
     TransverseField,
     TransverseGrid,
     centroid,
-    decompose_parity,
     gaussian_profile,
-    inner_product,
     make_gaussian,
-    momentum_centroid,
     norm,
     parity_x,
     power,

@@ -5,9 +5,9 @@ to the beam centroid for small displacements.  Every mirror oscillates at its
 own frequency; a lock-in style single-bin Fourier projection of the signal at
 each dither frequency recovers the per-mirror response amplitudes, and a peak
 well above the noise floor at a mirror's frequency is that mirror's trace.
-The series comes from the interferometer's fold engine, evaluated over
-chunks of consecutive samples at once.  Photon-counting acquisition is
-modeled on top of the deterministic signal.
+The series comes from the interferometer's fold engine over chunks of
+consecutive samples: each row is one shared Gaussian envelope times a rank-3
+product of exponentials.  Photon counting is modeled on top of the signal.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ DEFAULT_DURATION = 1.0
 MAX_DITHER_WORK = 2**32
 #: Largest photons_per_sample: the binomial draw takes a 64-bit count.
 MAX_PHOTONS_PER_SAMPLE = 2**63 - 1
-#: Field samples (time samples x grid_n) the dither evaluates at once, with
-#: at least one time sample: each (T, n) temporary of a chunk holds 16 bytes
-#: times the larger of _CHUNK_WORK and grid_n.  Larger chunks save little time.
-_CHUNK_WORK = 2**13
+#: Field samples (time samples x grid_n) the dither evaluates at once, at least
+#: one time sample; its (T, n) temporaries hold 16 B x max(_CHUNK_WORK, grid_n).
+#: Smaller chunks pay more fixed Python cost per sample, larger ones more RSS.
+_CHUNK_WORK = 2**14
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,6 @@ class ConfigError(NestedMziError):
     """Invalid parameters, presets, or key=value configuration text."""
 
 
-class GridMismatchError(ConfigError):
-    """Two fields live on different transverse grids."""
-
-
 class GuardError(NestedMziError):
     """A numerical validity guard tripped at run time."""
 

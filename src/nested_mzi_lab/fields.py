@@ -1,7 +1,7 @@
 """Sampled 1-D transverse optical fields.
 
-Construction, spectral (paraxial Fresnel) propagation, intensity moments and
-parity decomposition for complex scalar amplitudes on a uniform symmetric
+Construction, spectral (paraxial Fresnel) propagation, parity and the
+intensity centroid for complex scalar amplitudes on a uniform symmetric
 grid, plus the closed-form Gaussian profile and the edge guard that both
 engines apply.  All values are immutable; every operation is a pure function
 returning a new field, so everything here is safe to evaluate concurrently.
@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import AliasingError, ConfigError, GridMismatchError, GuardError, ZeroNormError
+from .errors import AliasingError, ConfigError, GuardError, ZeroNormError
 
 # Anti-aliasing guard: amplitude in the outer 5% of the grid (|x| > 0.95 W)
 # must stay below 1e-8 of the field peak.
@@ -107,8 +107,9 @@ class GaussianSpec:
 class TransverseField:
     """Complex amplitude samples on a grid, with the optical wavenumber k.
 
-    amplitude has shape (n,).  The buffer is copied on construction and
-    frozen, so fields can be shared freely between threads.
+    amplitude has shape (n,).  It is frozen, so fields can be shared freely
+    between threads: a read-only complex128 array that owns its data is kept
+    as it is, and any other buffer (a writeable array, a view) is copied.
     """
 
     grid: TransverseGrid
@@ -116,7 +117,10 @@ class TransverseField:
     k: float
 
     def __post_init__(self) -> None:
-        amp = np.array(self.amplitude, dtype=np.complex128, copy=True)
+        amp = self.amplitude
+        if not (isinstance(amp, np.ndarray) and amp.dtype == np.complex128
+                and amp.flags.owndata and not amp.flags.writeable):
+            amp = np.array(amp, dtype=np.complex128)
         if amp.shape != (self.grid.n,):
             raise ConfigError(
                 f"amplitude shape {amp.shape} does not match grid n = {self.grid.n} as (n,)"
@@ -205,6 +209,7 @@ def propagate(f: TransverseField, z: float) -> TransverseField:
     mag = np.abs(out)
     band = np.abs(f.grid.xs) > (1.0 - EDGE_BAND) * f.grid.half_width
     check_edges(float(mag.max()), float(mag[band].max()))
+    out.flags.writeable = False
     return TransverseField(f.grid, out, f.k)
 
 
@@ -233,24 +238,6 @@ def parity_x(f: TransverseField) -> TransverseField:
     return TransverseField(f.grid, np.roll(f.amplitude[::-1], 1), f.k)
 
 
-def decompose_parity(f: TransverseField) -> tuple[TransverseField, TransverseField]:
-    """Split a field into its even and odd parts about x = 0.
-
-    even + odd reconstructs f exactly and the two parts are orthogonal.
-    """
-    mirrored = np.roll(f.amplitude[::-1], 1)
-    even = TransverseField(f.grid, 0.5 * (f.amplitude + mirrored), f.k)
-    odd = TransverseField(f.grid, 0.5 * (f.amplitude - mirrored), f.k)
-    return even, odd
-
-
-def inner_product(f: TransverseField, g: TransverseField) -> complex:
-    """Discrete L2 inner product <f, g>, conjugate-linear in the first argument."""
-    if f.grid != g.grid:
-        raise GridMismatchError("fields live on different grids")
-    return complex(np.sum(np.conj(f.amplitude) * g.amplitude) * f.grid.spacing)
-
-
 def centroid(f: TransverseField) -> float:
     """Intensity centroid <x> of the field, by midpoint rule on the grid."""
     a = f.amplitude
@@ -260,13 +247,3 @@ def centroid(f: TransverseField) -> float:
         raise ZeroNormError(f"total power {total:.3g} below {ZERO_POWER:g}")
     return float(np.sum(f.grid.xs * intensity) * f.grid.spacing / total)
 
-
-def momentum_centroid(f: TransverseField) -> float:
-    """Mean transverse spatial frequency <k_x> from the discrete spectral power."""
-    spectrum = np.fft.fft(f.amplitude)
-    p = spectrum.real**2 + spectrum.imag**2
-    total = float(np.sum(p))
-    if total * f.grid.spacing / f.grid.n < ZERO_POWER:
-        raise ZeroNormError("zero-power field has no momentum centroid")
-    kx = 2.0 * math.pi * np.fft.fftfreq(f.grid.n, f.grid.spacing)
-    return float(np.sum(kx * p) / total)

@@ -7,11 +7,12 @@ the same path table: each unfolded path's ordered elements (mirror tilts,
 and the x-oriented Dove prism in the leg through A) from
 elements.path_elements.  The analytic engine folds each path's elements
 exactly into a closed-form shifted and ramped Gaussian, for one tilt set or,
-behind the dither, for columns of them.  The numeric engine traces the
-sampled input mode along each path for one TiltSet and is the reference the
-fold is tested against; within one call, the steps that paths share (the
-tilt at E, and the propagation on to the inner mirrors when z_A == z_B) are
-computed once.
+behind the dither, for columns of them; a row is one Gaussian envelope times
+a rank-3 product of exponentials on a sqrt(n) x sqrt(n) split of the grid.
+The numeric engine traces the sampled input mode along each path for one
+TiltSet and is the reference the fold is tested against; within one call,
+the steps that paths share (the tilt at E, and the propagation on to the
+inner mirrors when z_A == z_B) are computed once.
 """
 
 from __future__ import annotations
@@ -116,6 +117,22 @@ def check_small_angle_regime(scenario: Scenario, tilts: TiltSet) -> None:
         )
 
 
+@lru_cache(maxsize=2)
+def _fold_grid(grid: TransverseGrid, beam: GaussianSpec, length: float) -> tuple:
+    """Row-independent factors of the fold: c, the envelope G(x) as (n/m, m), x_hi, x_lo.
+
+    G(x) = peak / sqrt(q) e^{c x^2} with q = 1 + i L / z_R and c = -1 / (w0^2 q),
+    and sample j m + l of the grid sits at x_hi[j] + x_lo[l], m = 2^floor(log2(n) / 2).
+    Scenarios that differ only in prisms or port share an entry; a run reads one.
+    """
+    m = 1 << (grid.n.bit_length() - 1) // 2
+    envelope = gaussian_profile(grid.xs, beam, length).reshape(-1, m)
+    x_lo = np.arange(m) * grid.spacing
+    envelope.flags.writeable = x_lo.flags.writeable = False
+    c = -1.0 / (beam.w0**2 * (1.0 + 1j * length / beam.rayleigh_range))
+    return c, envelope, grid.xs[::m], x_lo
+
+
 def _fold(scenario: Scenario, tilts: Mapping[Mirror, object]) -> tuple:
     """Detector amplitude of the fold, and each path's walk-off s at the detector.
 
@@ -124,11 +141,21 @@ def _fold(scenario: Scenario, tilts: Mapping[Mirror, object]) -> tuple:
     path's segments, a tilt alpha_j at z_j from the detector adds z_j alpha_j
     to s, alpha_j to the ramp angle theta and -k z_j alpha_j (2 theta + alpha_j) / 2
     to the phase phi, and the prism negates s and theta.  The path then adds
-    a e^{i phi + ik theta x} G(x - s), G the source Gaussian propagated over
-    path_length.  Float tilts give one (n,) row, (T,) columns (T, n) rows.
+    a e^{i phi + ik theta x} G(x - s) = G(x) a e^{beta x + gamma}, G the source
+    Gaussian propagated over path_length, beta = -2 c s + ik theta and
+    gamma = c s^2 + i phi: a row is G(x) times the rank-3 product of the
+    (n/m, 3) factors a e^{beta x_hi + gamma} and the (3, m) e^{beta x_lo}.
+
+    No factor overflows on inputs that pass check_small_angle_regime:
+    |Re beta| = 2 |s| / (w0^2 (1 + u^2)), u = L / z_R, and |s| <= min(0.1, 0.025 u) w0
+    (five tilts at z <= L with k alpha w0 <= 1e-2), so |Re beta| <= 0.025 / w0;
+    |x| <= half_width <= n w0 / 8 <= 8192 w0 (check_sampling, MAX_SAMPLES), so
+    |Re beta x| <= 205 < 709, exp's overflow.  Where G(x) underflows the row
+    is 0.  Float tilts give one (n,) row, (T,) columns (T, n) rows.
     """
-    xs, k, z = scenario.grid.xs, scenario.beam.k, scenario.distances
-    total, shifts = 0.0, []
+    k, z = scenario.beam.k, scenario.distances
+    c, envelope, x_hi, x_lo = _fold_grid(scenario.grid, scenario.beam, scenario.path_length)
+    his, los, shifts = [], [], []
     for path, amp in port_amplitudes(scenario.output_port).items():
         shift = ramp = phase = 0.0
         for mirror, prism in path_elements(scenario.dove, path):
@@ -140,10 +167,13 @@ def _fold(scenario: Scenario, tilts: Mapping[Mirror, object]) -> tuple:
                 phase = phase - 0.5 * k * z[mirror] * alpha * (2.0 * ramp + alpha)
                 ramp = ramp + alpha
         shift, ramp, phase = (np.asarray(v)[..., None] for v in (shift, ramp, phase))
-        profile = gaussian_profile(xs - shift, scenario.beam, scenario.path_length)
-        total = total + amp * profile * np.exp(1j * (k * ramp * xs + phase))
+        beta = 1j * k * ramp - 2.0 * c * shift
+        his.append(amp * np.exp(beta * x_hi + (c * shift**2 + 1j * phase)))
+        los.append(np.exp(beta * x_lo))
         shifts.append(shift)
-    return total, np.array(shifts)
+    # einsum, not BLAS's matmul, which lifts a run's peak RSS by about 0.3 MiB.
+    rows = envelope * np.einsum("...jp,...pl->...jl", np.stack(his, -1), np.stack(los, -2))
+    return rows.reshape(*rows.shape[:-2], -1), np.array(shifts)
 
 
 def detector_field_analytic(scenario: Scenario, tilts: TiltSet) -> TransverseField:

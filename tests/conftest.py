@@ -1,16 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from nested_mzi_lab import (
+    ConfigError,
     DitherProtocol,
     GaussianSpec,
     MirrorTable,
     TransverseField,
     TransverseGrid,
+    ZeroNormError,
     default_beam,
     default_grid,
 )
+from nested_mzi_lab.fields import ZERO_POWER
 
 #: Selected with --hypothesis-profile=ci: every run draws the same examples.
 settings.register_profile("ci", derandomize=True, database=None)
@@ -54,3 +59,40 @@ def random_field(grid: TransverseGrid, beam: GaussianSpec, seed: int) -> Transve
         amp = np.exp(-(u**2))
         scale = np.sqrt(np.sum(np.abs(amp) ** 2) * grid.spacing)
     return TransverseField(grid, amp / scale, beam.k)
+
+
+# Field functions only the tests use: parity parts, overlaps and the mean
+# transverse momentum, checks on the engines' building blocks.
+
+
+class GridMismatchError(ConfigError):
+    """Two fields live on different transverse grids."""
+
+
+def decompose_parity(f: TransverseField) -> tuple[TransverseField, TransverseField]:
+    """Split a field into its even and odd parts about x = 0.
+
+    even + odd reconstructs f exactly and the two parts are orthogonal.
+    """
+    mirrored = np.roll(f.amplitude[::-1], 1)
+    even = TransverseField(f.grid, 0.5 * (f.amplitude + mirrored), f.k)
+    odd = TransverseField(f.grid, 0.5 * (f.amplitude - mirrored), f.k)
+    return even, odd
+
+
+def inner_product(f: TransverseField, g: TransverseField) -> complex:
+    """Discrete L2 inner product <f, g>, conjugate-linear in the first argument."""
+    if f.grid != g.grid:
+        raise GridMismatchError("fields live on different grids")
+    return complex(np.sum(np.conj(f.amplitude) * g.amplitude) * f.grid.spacing)
+
+
+def momentum_centroid(f: TransverseField) -> float:
+    """Mean transverse spatial frequency <k_x> from the discrete spectral power."""
+    spectrum = np.fft.fft(f.amplitude)
+    p = spectrum.real**2 + spectrum.imag**2
+    total = float(np.sum(p))
+    if total * f.grid.spacing / f.grid.n < ZERO_POWER:
+        raise ZeroNormError("zero-power field has no momentum centroid")
+    kx = 2.0 * math.pi * np.fft.fftfreq(f.grid.n, f.grid.spacing)
+    return float(np.sum(kx * p) / total)

@@ -17,11 +17,10 @@ from nested_mzi_lab import (
     apply_tilt,
     centroid,
     make_gaussian,
-    momentum_centroid,
     norm,
     port_amplitudes,
 )
-from conftest import random_field
+from conftest import momentum_centroid, random_field
 
 
 class TestApplyTilt:

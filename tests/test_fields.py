@@ -9,22 +9,24 @@ from nested_mzi_lab import (
     AliasingError,
     ConfigError,
     GaussianSpec,
-    GridMismatchError,
     GuardError,
     TransverseField,
     TransverseGrid,
     ZeroNormError,
     centroid,
-    decompose_parity,
-    inner_product,
     make_gaussian,
-    momentum_centroid,
     norm,
     parity_x,
     power,
     propagate,
 )
-from conftest import random_field
+from conftest import (
+    GridMismatchError,
+    decompose_parity,
+    inner_product,
+    momentum_centroid,
+    random_field,
+)
 
 
 def normalized(grid, amp, k):
@@ -60,6 +62,30 @@ class TestGridAndSpecs:
         for shape in [(grid.n + 1,), (2, grid.n), (1, grid.n), (0, grid.n), ()]:
             with pytest.raises(ConfigError, match="as \\(n,\\)"):
                 TransverseField(grid, np.zeros(shape), beam.k)
+
+    def test_field_keeps_a_frozen_buffer_it_can_own(self, grid, beam):
+        amp = make_gaussian(beam, grid).amplitude.copy()
+        amp.flags.writeable = False
+        f = TransverseField(grid, amp, beam.k)
+        assert f.amplitude is amp
+
+    def test_field_copies_a_writeable_buffer(self, grid, beam):
+        amp = make_gaussian(beam, grid).amplitude.copy()
+        f = TransverseField(grid, amp, beam.k)
+        amp[grid.n // 2] += 1.0
+        assert f.amplitude is not amp
+        assert not f.amplitude.flags.writeable
+        assert f.amplitude[grid.n // 2] == amp[grid.n // 2] - 1.0
+
+    def test_field_copies_a_frozen_view(self, grid, beam):
+        # A read-only view can still change through its writeable base.
+        base = np.zeros((2, grid.n), dtype=np.complex128)
+        view = base[0]
+        view.flags.writeable = False
+        f = TransverseField(grid, view, beam.k)
+        base[0, 0] = 1.0
+        assert f.amplitude is not view
+        assert f.amplitude[0] == 0.0
 
     def test_spec_rejects_nonparaxial_waist(self):
         with pytest.raises(ConfigError):

@@ -11,12 +11,16 @@ from nested_mzi_lab import (
     Dove,
     GuardError,
     Mirror,
+    MirrorTable,
     OutputPort,
     RegimeError,
+    Scenario,
     TiltSet,
     TransverseField,
+    TransverseGrid,
     alpha_step,
     centroid,
+    check_small_angle_regime,
     default_beam,
     default_scenario,
     detector_field_analytic,
@@ -267,3 +271,39 @@ class TestDetectorRows:
         columns[Mirror.E][2] = np.nan
         with pytest.raises(GuardError, match="not finite"):
             detector_rows(dove, columns)
+
+    @pytest.mark.parametrize("preset_name", PRESET_NAMES)
+    def test_a_row_alone_equals_its_row_in_a_batch(self, preset_name):
+        scenario = load_preset(preset_name).scenario
+        columns, singles = tilt_columns(5, 6)
+        rows = detector_rows(scenario, columns)
+        for r, tilts in enumerate(singles):
+            alone = detector_rows(scenario, {m: col[r : r + 1] for m, col in columns.items()})
+            assert np.array_equal(alone[0], rows[r])
+            assert np.array_equal(detector_field_analytic(scenario, tilts).amplitude, rows[r])
+
+    def test_widest_accepted_grid_stays_finite_and_exact(self):
+        # The corner of the fold's exponent bound: the largest grid and half
+        # width, L = z_R (where |Re beta| peaks), every z near L and every
+        # tilt at k alpha w0 = 1e-2, signed so the walk-offs add up.
+        beam = default_beam()
+        length = beam.rayleigh_range
+        scenario = Scenario(
+            distances=MirrorTable(length * f for f in (0.999, 0.999, 1.0, 1.0, 0.998)),
+            path_length=length,
+            beam=beam,
+            grid=TransverseGrid(n=65536, half_width=8192 * beam.w0),
+            dove=Dove.BEFORE,
+        )
+        alpha = 1e-2 / (beam.k * beam.w0)
+        signs = np.array(
+            [[1, 1, 1, -1, 1], [-1, -1, -1, 1, -1], [1, -1, 1, 1, 1], [1, 1, -1, -1, -1]]
+        )
+        columns = {mirror: alpha * signs[:, i] for i, mirror in enumerate(Mirror)}
+        rows = detector_rows(scenario, columns)
+        assert np.isfinite(rows).all()
+        for row, angles in zip(rows, alpha * signs):
+            tilts = TiltSet(angles.tolist())
+            check_small_angle_regime(scenario, tilts)
+            numeric = detector_field_numeric(scenario, tilts).amplitude
+            assert np.abs(row - numeric).max() <= 1e-13 * np.abs(numeric).max()
