@@ -18,6 +18,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .detection import (
+    PEAK_FACTOR,
     DitherProtocol,
     SpectrumReport,
     default_protocol,
@@ -257,7 +258,7 @@ def write_spectrum_csv(
     notes = list(comments or [])
     notes.append(f"noise_floor={report.noise_floor!r}")
     peaks = ",".join(sorted(m.value for m in report.peak_mirrors()))
-    notes.append(f"peaks_over_5x_floor={peaks}")
+    notes.append(f"peaks_over_{PEAK_FACTOR:g}x_floor={peaks}")
     rows = []
     for mirror in Mirror:
         amp = report.amplitudes[mirror]

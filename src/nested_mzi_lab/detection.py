@@ -22,10 +22,12 @@ from .errors import ConfigError, GuardError, ZeroNormError
 from .fields import TransverseField, ZERO_POWER
 from .interferometer import Scenario, check_small_angle_regime, detector_rows
 
+#: A mirror leaves a trace where its dither peak exceeds this multiple of the noise floor.
+PEAK_FACTOR = 5.0
 #: Modeled detector dynamic range: the noise floor reported with a spectrum is
 #: never taken below this fraction of the strongest dither peak, so that a
-#: noiseless series still yields a meaningful absence threshold (5x the floor
-#: equals 1e-3 of the maximum peak).
+#: noiseless series still yields a meaningful absence threshold (PEAK_FACTOR
+#: times the floor equals 1e-3 of the maximum peak).
 DYNAMIC_RANGE_FLOOR = 2e-4
 
 DEFAULT_DITHER_AMPLITUDE = 1e-6  # rad, keeps k*alpha*w0 = 1e-2 for the default beam
@@ -126,10 +128,10 @@ class SpectrumReport:
     def magnitude(self, mirror: Mirror) -> float:
         return abs(self.amplitudes[mirror])
 
-    def peak_mirrors(self, factor: float = 5.0) -> set[Mirror]:
-        """Mirrors whose dither peak exceeds factor times the noise floor."""
+    def peak_mirrors(self) -> set[Mirror]:
+        """Mirrors whose dither peak exceeds PEAK_FACTOR times the noise floor."""
         return {
-            m for m in Mirror if self.magnitude(m) > factor * self.noise_floor
+            m for m in Mirror if self.magnitude(m) > PEAK_FACTOR * self.noise_floor
         }
 
 
@@ -189,8 +191,10 @@ def run_dither(scenario: Scenario, protocol: DitherProtocol) -> np.ndarray:
     times = protocol.times()
     series = np.empty(protocol.sample_count)
     rows = max(1, _CHUNK_WORK // scenario.grid.n)
+    out = np.empty((rows, scenario.grid.n), dtype=np.complex128)  # reused, not re-faulted per chunk
     for start in range(0, times.size, rows):
-        chunk = detector_rows(scenario, protocol.tilts(times[start : start + rows]))
+        span = times[start : start + rows]
+        chunk = detector_rows(scenario, protocol.tilts(span), out[: span.size])
         series[start : start + rows] = _split(chunk, scenario.grid.spacing)
     return series
 

@@ -5,6 +5,9 @@ intensity centroid for complex scalar amplitudes on a uniform symmetric
 grid, plus the closed-form Gaussian profile and the edge guard that both
 engines apply.  All values are immutable; every operation is a pure function
 returning a new field, so everything here is safe to evaluate concurrently.
+Arrays are frozen with numpy's read-only flag, which stops in-place writes but
+not a holder who sets it back (on the array, or on a view's .base): buffers are
+shared and cached safely only because no code in this package re-enables it.
 """
 
 from __future__ import annotations
@@ -110,6 +113,8 @@ class TransverseField:
     amplitude has shape (n,).  It is frozen, so fields can be shared freely
     between threads: a read-only complex128 array that owns its data is kept
     as it is, and any other buffer (a writeable array, a view) is copied.
+    The read-only flag is the whole freeze: a holder who sets it back writes to
+    every field sharing the buffer, cached prefixes included; this package never does.
     """
 
     grid: TransverseGrid

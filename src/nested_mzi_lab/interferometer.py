@@ -10,9 +10,7 @@ exactly into a closed-form shifted and ramped Gaussian, for one tilt set or,
 behind the dither, for columns of them; a row is one Gaussian envelope times
 a rank-3 product of exponentials on a sqrt(n) x sqrt(n) split of the grid.
 The numeric engine traces the sampled input mode along each path for one
-TiltSet and is the reference the fold is tested against; within one call,
-the steps that paths share (the tilt at E, and the propagation on to the
-inner mirrors when z_A == z_B) are computed once.
+TiltSet and is the reference the fold is tested against.
 """
 
 from __future__ import annotations
@@ -20,8 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import cache, lru_cache
-from types import MappingProxyType
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,14 +123,15 @@ def _fold_grid(grid: TransverseGrid, beam: GaussianSpec, length: float) -> tuple
     Scenarios that differ only in prisms or port share an entry; a run reads one.
     """
     m = 1 << (grid.n.bit_length() - 1) // 2
-    envelope = gaussian_profile(grid.xs, beam, length).reshape(-1, m)
+    profile = gaussian_profile(grid.xs, beam, length)
     x_lo = np.arange(m) * grid.spacing
-    envelope.flags.writeable = x_lo.flags.writeable = False
+    profile.flags.writeable = x_lo.flags.writeable = False
+    envelope = profile.reshape(-1, m)  # a view of the frozen profile, so frozen too
     c = -1.0 / (beam.w0**2 * (1.0 + 1j * length / beam.rayleigh_range))
     return c, envelope, grid.xs[::m], x_lo
 
 
-def _fold(scenario: Scenario, tilts: Mapping[Mirror, object]) -> tuple:
+def _fold(scenario: Scenario, tilts: Mapping[Mirror, object], out=None) -> tuple:
     """Detector amplitude of the fold, and each path's walk-off s at the detector.
 
     Free propagation over d maps e^{ik theta x} h(x - s) exactly to
@@ -151,7 +149,7 @@ def _fold(scenario: Scenario, tilts: Mapping[Mirror, object]) -> tuple:
     (five tilts at z <= L with k alpha w0 <= 1e-2), so |Re beta| <= 0.025 / w0;
     |x| <= half_width <= n w0 / 8 <= 8192 w0 (check_sampling, MAX_SAMPLES), so
     |Re beta x| <= 205 < 709, exp's overflow.  Where G(x) underflows the row
-    is 0.  Float tilts give one (n,) row, (T,) columns (T, n) rows.
+    is 0.  Float tilts give one (n,) row, (T,) columns (T, n) rows, into out if given.
     """
     k, z = scenario.beam.k, scenario.distances
     c, envelope, x_hi, x_lo = _fold_grid(scenario.grid, scenario.beam, scenario.path_length)
@@ -172,7 +170,9 @@ def _fold(scenario: Scenario, tilts: Mapping[Mirror, object]) -> tuple:
         los.append(np.exp(beta * x_lo))
         shifts.append(shift)
     # einsum, not BLAS's matmul, which lifts a run's peak RSS by about 0.3 MiB.
-    rows = envelope * np.einsum("...jp,...pl->...jl", np.stack(his, -1), np.stack(los, -2))
+    rows = np.einsum("...jp,...pl->...jl", np.stack(his, -1), np.stack(los, -2),
+                     out=None if out is None else out.reshape(*out.shape[:-1], *envelope.shape))
+    np.multiply(envelope, rows, out=rows)  # envelope first: the order sets a product's last bit
     return rows.reshape(*rows.shape[:-2], -1), np.array(shifts)
 
 
@@ -182,8 +182,8 @@ def detector_field_analytic(scenario: Scenario, tilts: TiltSet) -> TransverseFie
     return TransverseField(scenario.grid, _fold(scenario, tilts)[0], scenario.beam.k)
 
 
-def detector_rows(scenario: Scenario, tilts: Mapping[Mirror, np.ndarray]) -> np.ndarray:
-    """Detector amplitudes of the fold, one (n,) row per entry of the (T,) tilt columns.
+def detector_rows(scenario: Scenario, tilts: Mapping[Mirror, np.ndarray], out=None) -> np.ndarray:
+    """Detector amplitudes of the fold, one (n,) row per (T,) tilt column entry, into out if given.
 
     The rows pass propagate's edge guard in closed form first, so they fail
     where the numeric engine would: |G(x - s)| falls off with |x - s|, so a
@@ -192,7 +192,7 @@ def detector_rows(scenario: Scenario, tilts: Mapping[Mirror, np.ndarray]) -> np.
     """
     edge = (1.0 - EDGE_BAND) * scenario.grid.half_width
     with np.errstate(all="ignore"):  # the guard reports a non-finite value itself
-        rows, shifts = _fold(scenario, tilts)
+        rows, shifts = _fold(scenario, tilts, out)
         near = np.maximum(edge - np.abs(shifts).max(), 0.0)
         profile = gaussian_profile(np.array([near, 0.0]), scenario.beam, scenario.path_length)
     worst, peak = np.abs(profile)
@@ -214,69 +214,25 @@ def _reference_prefix(scenario: Scenario) -> TransverseField:
     return propagate(source, scenario.path_length - scenario.distances[Mirror.C])
 
 
-@cache
-def _shared_steps(dove: Dove) -> Mapping[Path, tuple[int | None, ...]]:
-    """Per element of each path: an int naming the elements walked up to it, if shared.
-
-    Paths that begin with the same elements get the same ints for those
-    elements, so a trace can take another path's field for as long as their
-    walks agree; an element past the point where its path parts from every
-    other gets None.
-    """
-    walks = {path: path_elements(dove, path) for path in Path}
-    prefixes = [walk[: i + 1] for walk in walks.values() for i in range(len(walk))]
-    ids = {prefix: i for i, prefix in enumerate({p for p in prefixes if prefixes.count(p) > 1})}
-    return MappingProxyType({
-        path: tuple(ids.get(walk[: i + 1]) for i in range(len(walk)))
-        for path, walk in walks.items()
-    })
-
-
-def _once(memo: dict, key: object, step, *args) -> TransverseField:
-    """step(*args), computed once per call under key; a None key is not kept."""
-    if key is None:
-        return step(*args)
-    if key not in memo:
-        memo[key] = step(*args)
-    return memo[key]
-
-
-def _trace(
-    scenario: Scenario,
-    tilts: TiltSet,
-    path: Path,
-    stop_z: float,
-    memo: dict,
-) -> TransverseField:
+def _trace(scenario: Scenario, tilts: TiltSet, path: Path, stop_z: float) -> TransverseField:
     """Element-by-element trace of one unfolded path, unweighted.
 
     Starts from the cached source field just before the path's first mirror,
     propagates between element planes, applying each mirror's tilt and the
     prism's parity, and ends at the plane stop_z from the detector; elements
-    past that plane are not applied.  memo keeps, for this call, the fields
-    of the steps that several paths walk (the shared elements and the
-    propagations that follow them), so each is computed once.
+    past that plane are not applied.
     """
     z = scenario.distances
     plane = PATH_MIRRORS[path][0]
     f = _outer_prefix(scenario) if plane is Mirror.E else _reference_prefix(scenario)
-    walked = None  # shared key of the elements applied so far
-    for (mirror, prism), key in zip(
-        path_elements(scenario.dove, path), _shared_steps(scenario.dove)[path]
-    ):
+    for mirror, prism in path_elements(scenario.dove, path):
         if z[mirror] < stop_z:
             break
         if mirror is not plane:
-            distance = z[plane] - z[mirror]
-            f = _once(memo, walked if walked is None else (walked, distance), propagate, f, distance)
+            f = propagate(f, z[plane] - z[mirror])
             plane = mirror
-        if prism:
-            f = _once(memo, key, apply_dove_x, f)
-        else:
-            f = _once(memo, key, apply_tilt, f, tilts[mirror])
-        walked = key
-    distance = z[plane] - stop_z
-    return _once(memo, walked if walked is None else (walked, distance), propagate, f, distance)
+        f = apply_dove_x(f) if prism else apply_tilt(f, tilts[mirror])
+    return propagate(f, z[plane] - stop_z)
 
 
 def _port_sum(
@@ -287,10 +243,9 @@ def _port_sum(
     stop_z: float = 0.0,
 ) -> TransverseField:
     """Sum of amps[path] times each path's trace."""
-    memo: dict = {}
-    total = None
+    total = None  # not sum(), whose int 0 start turns a -0.0 sample into 0.0
     for path in paths:
-        term = amps[path] * _trace(scenario, tilts, path, stop_z, memo).amplitude
+        term = amps[path] * _trace(scenario, tilts, path, stop_z).amplitude
         total = term if total is None else total + term
     return TransverseField(scenario.grid, total, scenario.beam.k)
 

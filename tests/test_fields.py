@@ -10,16 +10,26 @@ from nested_mzi_lab import (
     ConfigError,
     GaussianSpec,
     GuardError,
+    Mirror,
+    TiltSet,
     TransverseField,
     TransverseGrid,
     ZeroNormError,
+    apply_dove_x,
+    apply_tilt,
     centroid,
+    detector_field_analytic,
+    detector_field_numeric,
+    field_before_F,
+    load_preset,
     make_gaussian,
     norm,
     parity_x,
     power,
     propagate,
 )
+from nested_mzi_lab import fields
+from nested_mzi_lab.interferometer import _fold_grid, _outer_prefix, _reference_prefix
 from conftest import (
     GridMismatchError,
     decompose_parity,
@@ -86,6 +96,39 @@ class TestGridAndSpecs:
         base[0, 0] = 1.0
         assert f.amplitude is not view
         assert f.amplitude[0] == 0.0
+
+    def test_cached_and_returned_buffers_refuse_in_place_writes(self):
+        # Caches hand out their arrays uncopied, so a write would reach every later caller.
+        scenario = load_preset("fig1c").scenario
+        tilts = TiltSet.single(Mirror.E, 5e-7)
+        grid, beam = scenario.grid, scenario.beam
+        source = make_gaussian(beam, grid)
+        _, envelope, _, x_lo = _fold_grid(grid, beam, scenario.path_length)
+        buffers = {
+            "grid.xs": grid.xs,
+            "_transfer_function": fields._transfer_function(grid, beam.k, 0.5),
+            "_outer_prefix": _outer_prefix(scenario).amplitude,
+            "_reference_prefix": _reference_prefix(scenario).amplitude,
+            "_fold_grid envelope": envelope,
+            "_fold_grid x_lo": x_lo,
+            "make_gaussian": source.amplitude,
+            "propagate": propagate(source, 0.5).amplitude,
+            "apply_tilt": apply_tilt(source, 1e-6).amplitude,
+            "apply_dove_x": apply_dove_x(source).amplitude,
+            "detector_field_numeric": detector_field_numeric(scenario, tilts).amplitude,
+            "detector_field_analytic": detector_field_analytic(scenario, tilts).amplitude,
+            "field_before_F": field_before_F(scenario, tilts).amplitude,
+        }
+        accepted = []
+        for name, buffer in buffers.items():
+            try:
+                buffer[0] = buffer[0]  # the same values, so an accepted write changes nothing
+            except ValueError:
+                continue
+            accepted.append(name)
+        assert accepted == []
+        # Frozen before the reshape: the envelope's owner cannot be written either.
+        assert not envelope.base.flags.writeable
 
     def test_spec_rejects_nonparaxial_waist(self):
         with pytest.raises(ConfigError):

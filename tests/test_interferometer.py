@@ -101,11 +101,21 @@ class TestAnalyticEngine:
         f = detector_field_analytic(dove, TiltSet.single(Mirror.E, alpha))
         assert centroid(f) == pytest.approx(-2.0 * dove.distances[Mirror.E] * alpha, rel=1e-2)
 
-    @pytest.mark.parametrize("preset_name", PRESET_NAMES)
-    def test_equals_the_numeric_engine(self, preset_name):
+    @pytest.mark.parametrize(
+        "preset_name, distances",
+        [pytest.param(name, None, id=name) for name in PRESET_NAMES]
+        + [
+            # z_A != z_B: the inner arms part at E, as in the benchmark's interactive calls.
+            pytest.param(name, (1.2, 0.8, 1.0, 1.5, 0.5), id=f"{name}-unequal-inner-arms")
+            for name in ("fig1c", "alt-port")
+        ],
+    )
+    def test_equals_the_numeric_engine(self, preset_name, distances):
         # The fold is exact within the paraxial model, so the engines differ
         # by rounding only, at any tilts inside the regime.
         scenario = load_preset(preset_name).scenario
+        if distances is not None:
+            scenario = replace(scenario, distances=MirrorTable(distances, "z"))
         rng = np.random.default_rng(11)
         for _ in range(10):
             tilts = TiltSet(rng.uniform(-STEP, STEP, size=len(Mirror)))
