@@ -83,7 +83,6 @@ _RUN_KEYS = {"command": str, "preset": str, "engine": str, "seed": int, "out": s
 #: The values of a run without a preset: the default scenario, untilted.
 _DEFAULTS = _run_values(default_scenario(), TiltSet(), default_protocol())
 _KEY_TYPES = {**_RUN_KEYS, **{key: type(value) for key, value in _DEFAULTS.items()}}
-_FLOAT_KEYS = {key for key, kind in _KEY_TYPES.items() if kind is float}
 
 
 @dataclass(frozen=True)
@@ -215,71 +214,63 @@ def parse_config(text: str) -> RunConfig:
 # CSV writers (the serialization surface for fields, series and spectra)
 
 
-def _check_finite(path: FsPath, *arrays) -> None:
-    """Last guard before a write: no nan or inf reaches disk."""
-    for values in arrays:
-        if not np.isfinite(values).all():
-            raise GuardError(f"{path.name} would hold non-finite values; not written")
+def _write_csv(path: FsPath, comments: list[str], header: str, *columns) -> None:
+    """The one CSV writer: comment lines, a header, then one row per entry of the columns.
 
-
-def _write_lines(path: FsPath, comments: list[str], header: str, rows: list[str]) -> None:
-    text = "".join(f"# {c}\n" for c in comments) + header + "\n"
-    if rows:
-        text += "\n".join(rows) + "\n"
-    path.write_text(text)
+    A column of strings is written as it is, and a numeric column as the
+    repr of each value as a Python float.  This is the last guard before a
+    write: a nan or inf in a numeric column, or a comment key=value whose
+    value reads nan or inf, raises GuardError and nothing is written.
+    """
+    finite = all(c.rpartition("=")[2] not in ("nan", "inf", "-inf") for c in comments)
+    cells = []
+    for column in columns:
+        values = np.asarray(column)
+        text = values.dtype.kind == "U"
+        finite = finite and (text or bool(np.isfinite(values).all()))
+        cells.append(values.tolist() if text else map(repr, values.tolist()))
+    if not finite:
+        raise GuardError(f"{path.name} would hold non-finite values; not written")
+    lines = [header, *map(",".join, zip(*cells))]
+    path.write_text("".join(f"# {c}\n" for c in comments) + "\n".join(lines) + "\n")
 
 
 def write_field_csv(
     path: FsPath, field: TransverseField, comments: list[str] | None = None
 ) -> None:
     """Field samples as CSV with columns x, re, im."""
-    _check_finite(path, field.grid.xs, field.amplitude)
-    rows = [
-        f"{float(x)!r},{float(a.real)!r},{float(a.imag)!r}"
-        for x, a in zip(field.grid.xs, field.amplitude)
-    ]
-    _write_lines(path, comments or [], "x,re,im", rows)
+    a = field.amplitude
+    _write_csv(path, comments or [], "x,re,im", field.grid.xs, a.real, a.imag)
 
 
 def write_series_csv(
     path: FsPath, times: np.ndarray, series: np.ndarray, comments: list[str] | None = None
 ) -> None:
     """Dither time series as CSV with columns t, signal."""
-    _check_finite(path, times, series)
-    rows = [f"{float(t)!r},{float(v)!r}" for t, v in zip(times, series)]
-    _write_lines(path, comments or [], "t,signal", rows)
+    _write_csv(path, comments or [], "t,signal", times, series)
 
 
 def write_spectrum_csv(
     path: FsPath, report: SpectrumReport, comments: list[str] | None = None
 ) -> None:
     """Spectrum report as CSV with columns mirror, f, re, im, magnitude."""
-    _check_finite(path, list(report.amplitudes.values()), report.noise_floor)
-    notes = list(comments or [])
-    notes.append(f"noise_floor={report.noise_floor!r}")
     peaks = ",".join(sorted(m.value for m in report.peak_mirrors()))
-    notes.append(f"peaks_over_{PEAK_FACTOR:g}x_floor={peaks}")
-    rows = []
-    for mirror in Mirror:
-        amp = report.amplitudes[mirror]
-        rows.append(
-            f"{mirror.value},{report.frequencies[mirror]!r},"
-            f"{amp.real!r},{amp.imag!r},{abs(amp)!r}"
-        )
-    _write_lines(path, notes, "mirror,f,re,im,magnitude", rows)
+    notes = [
+        *(comments or []),
+        f"noise_floor={report.noise_floor!r}",
+        f"peaks_over_{PEAK_FACTOR:g}x_floor={peaks}",
+    ]
+    amps = [report.amplitudes[m] for m in Mirror]
+    _write_csv(
+        path, notes, "mirror,f,re,im,magnitude",
+        [m.value for m in Mirror], list(report.frequencies),
+        [a.real for a in amps], [a.imag for a in amps],
+        [report.magnitude(m) for m in Mirror],  # abs(complex), not np.abs: the last bit differs
+    )
 
 
 # ---------------------------------------------------------------------------
 # command execution
-
-
-def _detector_fields(config: RunConfig) -> list[tuple[str, TransverseField]]:
-    out = []
-    if config.engine in ("numeric", "both"):
-        out.append(("numeric", detector_field_numeric(config.scenario, config.tilts)))
-    if config.engine in ("analytic", "both"):
-        out.append(("analytic", detector_field_analytic(config.scenario, config.tilts)))
-    return out
 
 
 def run(config: RunConfig) -> int:
@@ -293,34 +284,23 @@ def run(config: RunConfig) -> int:
 
     if config.command == "weak-values":
         report = weak_value_report(config.scenario)
-        _check_finite(
-            out_dir / "weak_values.csv",
-            list(report.projector.values()),
-            list(report.effective.values()),
+        projector = [report.projector[m] for m in Mirror]
+        _write_csv(
+            out_dir / "weak_values.csv", stamp, "mirror,projector_re,projector_im,effective",
+            [m.value for m in Mirror], [v.real for v in projector], [v.imag for v in projector],
+            [report.effective[m] for m in Mirror],
         )
-        rows = []
-        for mirror in Mirror:
-            pv = report.projector[mirror]
-            rows.append(
-                f"{mirror.value},{pv.real!r},{pv.imag!r},{report.effective[mirror]!r}"
-            )
-        _write_lines(
-            out_dir / "weak_values.csv",
-            stamp,
-            "mirror,projector_re,projector_im,effective",
-            rows,
-        )
-        (out_dir / "weak_values.txt").write_text(
-            f"# manifest_sha256={config.manifest_hash()}\n" + report.to_text()
-        )
+        (out_dir / "weak_values.txt").write_text(f"# {stamp[0]}\n" + report.to_text())
     elif config.command == "centroid":
-        rows = []
-        for engine_name, field in _detector_fields(config):
-            values = (centroid(field), split_signal(field), power(field))
-            _check_finite(out_dir / "centroid.csv", values)
-            rows.append(f"{engine_name},{values[0]!r},{values[1]!r},{values[2]!r}")
-        _write_lines(
-            out_dir / "centroid.csv", stamp, "engine,centroid,split_signal,power", rows
+        engines = {"numeric": detector_field_numeric, "analytic": detector_field_analytic}
+        names = [name for name in engines if config.engine in (name, "both")]
+        rows = [
+            (centroid(f), split_signal(f), power(f))
+            for f in (engines[name](config.scenario, config.tilts) for name in names)
+        ]
+        _write_csv(
+            out_dir / "centroid.csv", stamp, "engine,centroid,split_signal,power",
+            names, *zip(*rows),
         )
     elif config.command == "dither":
         series = run_dither(config.scenario, config.protocol)
@@ -336,7 +316,6 @@ def run(config: RunConfig) -> int:
     elif config.command == "before-F":
         field = field_before_F(config.scenario, config.tilts)
         single_arm = 1.0 / 3.0  # each inner arm carries norm^2 = 1/3
-        _check_finite(out_dir / "before_f.csv", power(field))
         notes = stamp + [
             f"power={power(field)!r}",
             f"single_arm_power={single_arm!r}",

@@ -131,8 +131,14 @@ def _fold_grid(grid: TransverseGrid, beam: GaussianSpec, length: float) -> tuple
     return c, envelope, grid.xs[::m], x_lo
 
 
-def _fold(scenario: Scenario, tilts: Mapping[Mirror, object], out=None) -> tuple:
-    """Detector amplitude of the fold, and each path's walk-off s at the detector.
+def detector_field_analytic(scenario: Scenario, tilts: TiltSet) -> TransverseField:
+    """Detector field of the fold at one tilt set inside the small-angle regime."""
+    check_small_angle_regime(scenario, tilts)
+    return TransverseField(scenario.grid, detector_rows(scenario, tilts), scenario.beam.k)
+
+
+def detector_rows(scenario: Scenario, tilts: Mapping[Mirror, object], out=None) -> np.ndarray:
+    """Detector amplitude of the fold, after propagate's edge guard in closed form.
 
     Free propagation over d maps e^{ik theta x} h(x - s) exactly to
     e^{ik theta x - ik theta^2 d/2} (P(d)h)(x - s - theta d).  Summed over a
@@ -149,55 +155,42 @@ def _fold(scenario: Scenario, tilts: Mapping[Mirror, object], out=None) -> tuple
     (five tilts at z <= L with k alpha w0 <= 1e-2), so |Re beta| <= 0.025 / w0;
     |x| <= half_width <= n w0 / 8 <= 8192 w0 (check_sampling, MAX_SAMPLES), so
     |Re beta x| <= 205 < 709, exp's overflow.  Where G(x) underflows the row
-    is 0.  Float tilts give one (n,) row, (T,) columns (T, n) rows, into out if given.
+    is 0.  The caller checks the small-angle regime.
+
+    The edge guard makes the fold fail where the numeric engine would:
+    |G(x - s)| falls off with |x - s|, so a path's largest magnitude in the
+    guard band sits at the band edge nearest its peak.  Float tilts give one
+    (n,) row, (T,) columns (T, n) rows, into out if given.
     """
     k, z = scenario.beam.k, scenario.distances
     c, envelope, x_hi, x_lo = _fold_grid(scenario.grid, scenario.beam, scenario.path_length)
-    his, los, shifts = [], [], []
-    for path, amp in port_amplitudes(scenario.output_port).items():
-        shift = ramp = phase = 0.0
-        for mirror, prism in path_elements(scenario.dove, path):
-            if prism:
-                shift, ramp = -shift, -ramp
-            else:
-                alpha = tilts[mirror]
-                shift = shift + z[mirror] * alpha
-                phase = phase - 0.5 * k * z[mirror] * alpha * (2.0 * ramp + alpha)
-                ramp = ramp + alpha
-        shift, ramp, phase = (np.asarray(v)[..., None] for v in (shift, ramp, phase))
-        beta = 1j * k * ramp - 2.0 * c * shift
-        his.append(amp * np.exp(beta * x_hi + (c * shift**2 + 1j * phase)))
-        los.append(np.exp(beta * x_lo))
-        shifts.append(shift)
-    # einsum, not BLAS's matmul, which lifts a run's peak RSS by about 0.3 MiB.
-    rows = np.einsum("...jp,...pl->...jl", np.stack(his, -1), np.stack(los, -2),
-                     out=None if out is None else out.reshape(*out.shape[:-1], *envelope.shape))
-    np.multiply(envelope, rows, out=rows)  # envelope first: the order sets a product's last bit
-    return rows.reshape(*rows.shape[:-2], -1), np.array(shifts)
-
-
-def detector_field_analytic(scenario: Scenario, tilts: TiltSet) -> TransverseField:
-    """Detector field of the fold at one tilt set inside the small-angle regime."""
-    check_small_angle_regime(scenario, tilts)
-    return TransverseField(scenario.grid, _fold(scenario, tilts)[0], scenario.beam.k)
-
-
-def detector_rows(scenario: Scenario, tilts: Mapping[Mirror, np.ndarray], out=None) -> np.ndarray:
-    """Detector amplitudes of the fold, one (n,) row per (T,) tilt column entry, into out if given.
-
-    The rows pass propagate's edge guard in closed form first, so they fail
-    where the numeric engine would: |G(x - s)| falls off with |x - s|, so a
-    path's largest magnitude in the guard band sits at the band edge nearest
-    its peak.  The caller checks the small-angle regime.
-    """
     edge = (1.0 - EDGE_BAND) * scenario.grid.half_width
+    his, los, walk = [], [], 0.0
     with np.errstate(all="ignore"):  # the guard reports a non-finite value itself
-        rows, shifts = _fold(scenario, tilts, out)
-        near = np.maximum(edge - np.abs(shifts).max(), 0.0)
+        for path, amp in port_amplitudes(scenario.output_port).items():
+            shift = ramp = phase = 0.0
+            for mirror, prism in path_elements(scenario.dove, path):
+                if prism:
+                    shift, ramp = -shift, -ramp
+                else:
+                    alpha = tilts[mirror]
+                    shift = shift + z[mirror] * alpha
+                    phase = phase - 0.5 * k * z[mirror] * alpha * (2.0 * ramp + alpha)
+                    ramp = ramp + alpha
+            shift, ramp, phase = (np.asarray(v)[..., None] for v in (shift, ramp, phase))
+            beta = 1j * k * ramp - 2.0 * c * shift
+            his.append(amp * np.exp(beta * x_hi + (c * shift**2 + 1j * phase)))
+            los.append(np.exp(beta * x_lo))
+            walk = np.maximum(walk, np.abs(shift).max())
+        # einsum, not BLAS's matmul, which lifts a run's peak RSS by about 0.3 MiB.
+        rows = np.einsum("...jp,...pl->...jl", np.stack(his, -1), np.stack(los, -2),
+                         out=None if out is None else out.reshape(*out.shape[:-1], *envelope.shape))
+        np.multiply(envelope, rows, out=rows)  # envelope first: the order sets a product's last bit
+        near = np.maximum(edge - walk, 0.0)
         profile = gaussian_profile(np.array([near, 0.0]), scenario.beam, scenario.path_length)
     worst, peak = np.abs(profile)
     check_edges(float(peak), float(worst))
-    return rows
+    return rows.reshape(*rows.shape[:-2], -1)
 
 
 @lru_cache(maxsize=32)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,20 @@ from nested_mzi_lab import (
     PRESET_NAMES,
     ConfigError,
     Dove,
+    GuardError,
     Mirror,
+    TransverseField,
     default_beam,
     default_grid,
+    detector_field_analytic,
+    detector_field_numeric,
+    field_before_F,
     make_gaussian,
+    weak_value_report,
 )
 from nested_mzi_lab import cli, detection
 from nested_mzi_lab.cli import (
-    _FLOAT_KEYS,
+    _KEY_TYPES,
     COMMANDS,
     main,
     parse_config,
@@ -23,6 +31,50 @@ FAST_CFG = (
     "freq_A=100.0 freq_B=128.0 freq_C=160.0 freq_E=264.0 freq_F=440.0\n"
     "sample_rate=4000.0 duration=0.25\n"
 )
+
+
+FLOAT_KEYS = sorted(key for key, kind in _KEY_TYPES.items() if kind is float)
+
+
+def nan_series(scenario, protocol):
+    series = np.zeros(protocol.sample_count)
+    series[3] = np.nan
+    return series
+
+
+def nan_field(engine):
+    """engine, with one nan in the amplitude of each field it returns."""
+
+    def broken(scenario, tilts):
+        field = engine(scenario, tilts)
+        amplitude = field.amplitude.copy()
+        amplitude[3] = np.nan
+        return TransverseField(field.grid, amplitude, field.k)
+
+    return broken
+
+
+def nan_effective(scenario):
+    report = weak_value_report(scenario)
+    return replace(report, effective={**report.effective, Mirror.E: np.nan})
+
+
+#: Per case: the command's arguments, the (module, name) pairs the CLI reads
+#: its output through, and the stand-in that puts one nan into that output.
+NON_FINITE_OUTPUTS = {
+    "weak-values": (["weak-values"], [(cli, "weak_value_report")], nan_effective),
+    "centroid-numeric": (
+        ["centroid"], [(cli, "detector_field_numeric")], nan_field(detector_field_numeric)
+    ),
+    "centroid-analytic": (
+        ["centroid", "--engine", "analytic", "--set", "alpha_E=5e-7"],
+        [(cli, "detector_field_analytic")],
+        nan_field(detector_field_analytic),
+    ),
+    "before-F": (["before-F"], [(cli, "field_before_F")], nan_field(field_before_F)),
+    "dither": (["dither"], [(cli, "run_dither"), (detection, "run_dither")], nan_series),
+    "photons": (["photons"], [(cli, "run_dither"), (detection, "run_dither")], nan_series),
+}
 
 
 def read_rows(path):
@@ -311,7 +363,7 @@ class TestExitCodes:
         assert main(["--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
-    @pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_float_is_2(self, tmp_path, capsys, key, value):
         args = ["centroid", "--preset", "fig1a", "--set", f"{key}={value}"]
         assert main(args + ["--out", str(tmp_path)]) == 2
@@ -378,6 +430,8 @@ class TestExitCodes:
             ["--engine", "analytic"],
             # finite geometry whose transfer function overflows to nan
             ["--set", "z_E=1e308", "--set", "path_length=1.7e308"],
+            # inside the regime, but the fold reaches the grid edge
+            ["--engine", "analytic", "--set", "alpha_E=1e-7", "--set", "path_length=17"],
         ],
         ids=" ".join,
     )
@@ -391,16 +445,12 @@ class TestExitCodes:
         assert "\n" not in err.strip()
 
 
-    @pytest.mark.parametrize("command", ["dither", "photons"])
-    def test_non_finite_output_is_3(self, tmp_path, capsys, monkeypatch, command):
-        def broken_dither(scenario, protocol):
-            series = np.zeros(protocol.sample_count)
-            series[3] = np.nan
-            return series
-
-        monkeypatch.setattr(cli, "run_dither", broken_dither)
-        monkeypatch.setattr(detection, "run_dither", broken_dither)
-        args = [command, "--preset", "fig1c", "--seed", "1", "--set", "sample_rate=2400"]
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_OUTPUTS))
+    def test_non_finite_output_is_3(self, tmp_path, capsys, monkeypatch, case):
+        args, targets, broken = NON_FINITE_OUTPUTS[case]
+        for module, name in targets:
+            monkeypatch.setattr(module, name, broken)
+        args = [*args, "--preset", "fig1c", "--seed", "1", "--set", "sample_rate=2400"]
         assert main(args + ["--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error category=guard")
@@ -417,3 +467,11 @@ class TestWriters:
         assert data.shape == (field.grid.n, 3)
         assert np.allclose(data[:, 0], field.grid.xs)
         assert np.allclose(data[:, 1] + 1j * data[:, 2], field.amplitude)
+
+    @pytest.mark.parametrize("note", ["power=nan", "power=inf", "power=-inf"])
+    def test_non_finite_comment_is_refused(self, tmp_path, note):
+        field = make_gaussian(default_beam(), default_grid())
+        path = tmp_path / "field.csv"
+        with pytest.raises(GuardError, match="field.csv would hold non-finite values"):
+            write_field_csv(path, field, ["note=1", note])
+        assert not path.exists()

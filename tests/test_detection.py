@@ -19,6 +19,7 @@ from nested_mzi_lab import (
     ZeroNormError,
     centroid,
     default_scenario,
+    detector_field_analytic,
     detector_field_numeric,
     load_preset,
     make_gaussian,
@@ -304,11 +305,15 @@ class TestFoldDither:
     def test_edge_guard_agrees_with_the_numeric_loop(self, fast_protocol, path_length, error):
         scenario = replace(load_preset("fig1c").scenario, path_length=path_length)
 
-        def loop():
+        def loop(engine):
             for t in fast_protocol.times():
-                detector_field_numeric(scenario, fast_protocol.tilts_at(t))
+                engine(scenario, fast_protocol.tilts_at(t))
 
-        for run in (lambda: run_dither(scenario, fast_protocol), loop):
+        for run in (
+            lambda: run_dither(scenario, fast_protocol),
+            lambda: loop(detector_field_numeric),
+            lambda: loop(detector_field_analytic),
+        ):
             if error is None:
                 run()
             else:
