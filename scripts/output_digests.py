@@ -4,7 +4,9 @@
 Runs every preset through weak-values, centroid (numeric engine, and both
 engines at a small A+E tilt), before-F, dither and photons (seed 7), the
 last two at sample_rate=2400, into a temporary directory, and prints one
-"sha256  preset/run/file" line per output file.  The package is imported
+"sha256  preset/run/file" line per output file.  Each preset then gets one
+"sha256  preset/sample_photons/positions" line: the bytes of 100,000 photon
+positions drawn at seed 7 from the preset's numeric detector field.  The package is imported
 from the checkout that holds this script, so byte identity between two
 checkouts is one diff:
 
@@ -20,7 +22,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from nested_mzi_lab import PRESET_NAMES, cli  # noqa: E402 - needs the path above
+from nested_mzi_lab import (  # noqa: E402 - needs the path above
+    PRESET_NAMES,
+    cli,
+    detector_field_numeric,
+    load_preset,
+    sample_photons,
+)
 
 SHORT = ["--set", "sample_rate=2400"]
 RUNS = {
@@ -48,6 +56,11 @@ def main() -> int:
                 for path in sorted(out.iterdir()):
                     digest = hashlib.sha256(path.read_bytes()).hexdigest()
                     print(f"{digest}  {preset}/{run}/{path.name}")
+            loaded = load_preset(preset)
+            field = detector_field_numeric(loaded.scenario, loaded.tilts)
+            positions = sample_photons(field, 100_000, seed=7).positions
+            digest = hashlib.sha256(positions.tobytes()).hexdigest()
+            print(f"{digest}  {preset}/sample_photons/positions")
     return 0
 
 

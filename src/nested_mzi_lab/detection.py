@@ -7,7 +7,10 @@ each dither frequency recovers the per-mirror response amplitudes, and a peak
 well above the noise floor at a mirror's frequency is that mirror's trace.
 The series comes from the interferometer's fold engine over chunks of
 consecutive samples: each row is one shared Gaussian envelope times a rank-3
-product of exponentials.  Photon counting is modeled on top of the signal.
+product of exponentials.  Photon counting is modeled on top of the signal:
+sample_photons draws single-photon positions by inverse-transform sampling,
+placing each uniform draw through a guide table over [0, 1) in chunks of
+bounded size, and returns bitwise what np.interp(u, cdf, edges) would.
 """
 
 from __future__ import annotations
@@ -47,6 +50,13 @@ MAX_PHOTONS_PER_SAMPLE = 2**63 - 1
 #: one time sample; its (T, n) temporaries hold 16 B x max(_CHUNK_WORK, grid_n).
 #: Smaller chunks pay more fixed Python cost per sample, larger ones more RSS.
 _CHUNK_WORK = 2**14
+#: Photons sample_photons draws and places at once: its per-chunk temporaries
+#: (bucket and cell indices, gathered knots) hold at most about 32 B x
+#: _PHOTON_CHUNK, 2 MiB, however many photons the draw holds.
+_PHOTON_CHUNK = 2**16
+#: Guide-table buckets per grid cell; the table is also capped near the photon
+#: count, so a small draw does not pay for a table larger than itself.
+_BUCKETS_PER_CELL = 4
 
 
 @dataclass(frozen=True)
@@ -137,14 +147,21 @@ class SpectrumReport:
 
 @dataclass(frozen=True)
 class PhotonSample:
-    """Detection positions drawn from a field's intensity distribution."""
+    """Detection positions drawn from a field's intensity distribution.
+
+    positions is frozen like a field's amplitude: a read-only float64 array
+    that owns its data is kept as it is, and any other buffer is copied.
+    """
 
     positions: np.ndarray
     seed: int
     count: int
 
     def __post_init__(self) -> None:
-        pos = np.array(self.positions, dtype=np.float64, copy=True)
+        pos = self.positions
+        if not (isinstance(pos, np.ndarray) and pos.dtype == np.float64
+                and pos.flags.owndata and not pos.flags.writeable):
+            pos = np.array(pos, dtype=np.float64)
         if pos.shape != (self.count,) or self.count < 1:
             raise ConfigError("positions must be a 1-D array of length count >= 1")
         pos.flags.writeable = False
@@ -241,6 +258,11 @@ def sample_photons(f: TransverseField, count: int, seed: int) -> PhotonSample:
     Inverse-transform sampling on the grid's cumulative distribution, with
     each sample's probability spread uniformly over its cell, so the sample
     mean is an unbiased estimate of the centroid.  Reproducible per seed.
+
+    The uniforms are drawn in chunks of _PHOTON_CHUNK into the positions
+    buffer (the same stream as one rng.random(count) call) and each chunk is
+    placed in place through a _GuideTable of about min(count, 4 n) buckets.
+    The positions are bitwise np.interp(rng.random(count), cdf, edges).
     """
     if count < 1:
         raise ConfigError(f"photon count must be >= 1, got {count}")
@@ -249,14 +271,64 @@ def sample_photons(f: TransverseField, count: int, seed: int) -> PhotonSample:
     a = f.amplitude
     weights = a.real**2 + a.imag**2
     total = float(weights.sum())
+    if not math.isfinite(total):  # np.interp's exactness argument needs a finite cdf
+        raise GuardError(f"field intensity sums to {total!r}; no photons drawn")
     if total * f.grid.spacing < ZERO_POWER:
         raise ZeroNormError("cannot sample photons from a zero-power field")
     dx = f.grid.spacing
     edges = np.concatenate([f.grid.xs - 0.5 * dx, [f.grid.xs[-1] + 0.5 * dx]])
     cdf = np.concatenate([[0.0], np.cumsum(weights)]) / total
+    buckets = 1 << (min(count, _BUCKETS_PER_CELL * f.grid.n) - 1).bit_length()
+    table = _GuideTable(cdf, edges, buckets)
     rng = np.random.default_rng(seed)
-    positions = np.interp(rng.random(count), cdf, edges)
+    positions = np.empty(count)
+    for start in range(0, count, _PHOTON_CHUNK):
+        chunk = positions[start : start + _PHOTON_CHUNK]
+        rng.random(out=chunk)
+        table.place(chunk)
+    positions.flags.writeable = False
     return PhotonSample(positions=positions, seed=seed, count=count)
+
+
+class _GuideTable:
+    """np.interp(u, cdf, edges) for uniforms u in [0, 1), bitwise, at O(1) per draw.
+
+    cdf is non-decreasing from cdf[0] = 0.  [0, 1) is split into `buckets`
+    equal buckets, a power of two so that floor(u * buckets) is exact.  Every
+    u in a bucket that holds no knot cdf[k] lies in one cell, the one holding
+    the bucket's left edge; a u in a bucket that holds a knot (a few percent
+    of them) takes its cell j from a binary search, as np.interp does.  The
+    value is then np.interp's own arithmetic: slope[j] * (u - cdf[j]) +
+    edges[j], edges[j] on a knot, and edges[-1] at or past cdf[-1].
+    """
+
+    def __init__(self, cdf: np.ndarray, edges: np.ndarray, buckets: int) -> None:
+        # Knots below each bucket bound: a bucket holds a knot where the counts
+        # at its two bounds differ; otherwise its cell is the last knot below it.
+        below = np.searchsorted(cdf, np.arange(buckets + 1) / buckets)
+        self.cell = below[:-1] - 1
+        self.knotted = below[1:] != below[:-1]
+        # A flat run of the cdf divides by zero; no draw lands in its cells.
+        with np.errstate(divide="ignore", over="ignore"):
+            slope = np.diff(edges) / np.diff(cdf)
+        self.slope = np.append(slope, 0.0)  # cell n: edges[-1] at or past cdf[-1]
+        self.cdf, self.edges, self.buckets = cdf, edges, buckets
+
+    def place(self, u: np.ndarray) -> None:
+        """Overwrite the uniforms u with np.interp(u, cdf, edges)."""
+        bucket = (u * self.buckets).astype(np.intp)
+        cell = self.cell[bucket]
+        hard = np.flatnonzero(self.knotted[bucket])
+        near = u[hard]
+        found = np.searchsorted(self.cdf, near, "right") - 1
+        cell[hard] = found
+        on_knot = near == self.cdf[found]
+        # np.interp is silent where a huge slope overflows or meets a knot (inf * 0).
+        with np.errstate(over="ignore", invalid="ignore"):
+            u -= self.cdf[cell]
+            u *= self.slope[cell]
+            u += self.edges[cell]
+        u[hard[on_knot]] = self.edges[found[on_knot]]
 
 
 def photon_dither_experiment(

@@ -138,8 +138,9 @@ def apply_tilt(f: TransverseField, alpha: float) -> TransverseField:
         raise RegimeError(f"tilt angle {alpha:g} rad outside |alpha| < {MAX_TILT:g}")
     if alpha == 0.0:
         return f
-    ramp = np.exp(1j * f.k * alpha * f.grid.xs)
-    return TransverseField(f.grid, f.amplitude * ramp, f.k)
+    out = f.amplitude * np.exp(1j * f.k * alpha * f.grid.xs)
+    out.flags.writeable = False
+    return TransverseField(f.grid, out, f.k)
 
 
 def apply_dove_x(f: TransverseField) -> TransverseField:

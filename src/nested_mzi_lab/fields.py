@@ -155,6 +155,7 @@ def make_gaussian(spec: GaussianSpec, grid: TransverseGrid) -> TransverseField:
     check_sampling(spec, grid)
     amp = np.exp(-(grid.xs**2) / spec.w0**2).astype(np.complex128)
     amp /= math.sqrt(float(np.sum(np.abs(amp) ** 2) * grid.spacing))
+    amp.flags.writeable = False
     return TransverseField(grid, amp, spec.k)
 
 
@@ -240,7 +241,10 @@ def parity_x(f: TransverseField) -> TransverseField:
     Pure sample permutation on the symmetric grid (index i -> (n - i) mod n),
     hence an exact involution.
     """
-    return TransverseField(f.grid, np.roll(f.amplitude[::-1], 1), f.k)
+    a = f.amplitude
+    out = np.concatenate((a[:1], a[:0:-1]))  # a fresh buffer, unlike np.roll's view
+    out.flags.writeable = False
+    return TransverseField(f.grid, out, f.k)
 
 
 def centroid(f: TransverseField) -> float:

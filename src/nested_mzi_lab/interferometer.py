@@ -240,6 +240,7 @@ def _port_sum(
     for path in paths:
         term = amps[path] * _trace(scenario, tilts, path, stop_z).amplitude
         total = term if total is None else total + term
+    total.flags.writeable = False
     return TransverseField(scenario.grid, total, scenario.beam.k)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,12 +11,15 @@ from nested_mzi_lab import (
     AliasingError,
     ConfigError,
     DitherProtocol,
+    GuardError,
     PRESET_NAMES,
     Dove,
     Mirror,
     MirrorTable,
+    PhotonSample,
     TiltSet,
     TransverseField,
+    TransverseGrid,
     ZeroNormError,
     centroid,
     default_scenario,
@@ -39,6 +43,20 @@ def shifted_gaussian(grid, beam, d):
     amp = np.exp(-((grid.xs - d) ** 2) / beam.w0**2).astype(complex)
     amp /= math.sqrt(float(np.sum(np.abs(amp) ** 2) * grid.spacing))
     return TransverseField(grid, amp, beam.k)
+
+
+def knots(f):
+    """The cdf and cell edges sample_photons inverts, by the same expressions."""
+    weights = f.amplitude.real**2 + f.amplitude.imag**2
+    dx = f.grid.spacing
+    edges = np.concatenate([f.grid.xs - 0.5 * dx, [f.grid.xs[-1] + 0.5 * dx]])
+    return np.concatenate([[0.0], np.cumsum(weights)]) / float(weights.sum()), edges
+
+
+def interp_positions(f, count, seed):
+    """The positions sample_photons drew by one np.interp over one rng.random(count)."""
+    cdf, edges = knots(f)
+    return np.interp(np.random.default_rng(seed).random(count), cdf, edges)
 
 
 def detector_waist(scenario):
@@ -245,6 +263,118 @@ class TestSamplePhotons:
         s4, s5 = se(10_000), se(100_000)
         ratio = s4 / s5
         assert math.sqrt(10.0) / 1.5 <= ratio <= math.sqrt(10.0) * 1.5
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_intensity_refused(self, grid, beam, value):
+        amp = make_gaussian(beam, grid).amplitude.copy()
+        amp[grid.n // 2] = value
+        with pytest.raises(GuardError, match="no photons drawn"):
+            sample_photons(TransverseField(grid, amp, beam.k), 10, seed=1)
+
+
+CHUNK = detection._PHOTON_CHUNK
+
+
+class TestGuideTableSampling:
+    @pytest.mark.parametrize("preset_name", PRESET_NAMES)
+    def test_positions_equal_one_interp_bitwise(self, preset_name):
+        preset = load_preset(preset_name)
+        f = detector_field_numeric(preset.scenario, preset.tilts)
+        for seed in (0, 7, 2**63 - 1):
+            for count in (1, CHUNK - 1, CHUNK, CHUNK + 1, 1_000_003):
+                got = sample_photons(f, count, seed).positions
+                assert got.tobytes() == interp_positions(f, count, seed).tobytes(), (seed, count)
+
+    def test_small_draw_on_the_largest_grid_equals_interp(self, beam):
+        grid = TransverseGrid(n=2**16, half_width=default_scenario().grid.half_width)
+        f = random_field(grid, beam, 5)
+        for count in (1, 10, 1000):
+            got = sample_photons(f, count, seed=3).positions
+            assert got.tobytes() == interp_positions(f, count, 3).tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_crafted_uniforms_on_flat_runs(self, grid, beam, seed):
+        # Zero tails make flat runs of the cdf; one lone cell in the left tail
+        # carries a subnormal share, so its slope overflows to inf.
+        amp = random_field(grid, beam, seed).amplitude.copy()
+        amp[np.abs(grid.xs) > 3.0 * beam.w0] = 0.0
+        tiny = grid.n // 8
+        amp[tiny] = math.sqrt(float(np.sum(np.abs(amp) ** 2)) * 1e-315)
+        cdf, edges = knots(TransverseField(grid, amp, beam.k))
+        assert cdf[tiny] == 0.0 and 0.0 < cdf[tiny + 1] < 1e-300
+        assert cdf[-2] == cdf[-1]
+        u = np.concatenate([
+            [0.0, np.nextafter(1.0, 0.0), 5e-324],
+            cdf, np.nextafter(cdf, 1.0), np.nextafter(cdf, 0.0),
+            np.linspace(min(cdf[-1], 1.0), 1.0, 17),
+            np.random.default_rng(seed).random(5000),
+        ])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        expected = np.interp(u, cdf, edges)
+        for buckets in (1, 8, 4 * grid.n):
+            got = u.copy()
+            table = detection._GuideTable(cdf, edges, buckets)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table.place(got)
+            assert got.tobytes() == expected.tobytes(), buckets
+
+    def test_knots_on_bucket_bounds(self, grid, beam):
+        # Eight unit-weight cells put every knot on a multiple of 1/8, so they
+        # sit exactly on the left bounds of buckets that hold no other knot.
+        amp = np.zeros(grid.n, dtype=complex)
+        amp[grid.n // 2 - 4 : grid.n // 2 + 4] = 1.0
+        cdf, edges = knots(TransverseField(grid, amp, beam.k))
+        assert set(np.unique(cdf)) == {k / 8 for k in range(9)}
+        u = np.arange(64) / 64
+        u = np.concatenate([u, np.nextafter(u, 1.0), np.nextafter(u[1:], 0.0)])
+        expected = np.interp(u, cdf, edges)
+        for buckets in (1, 8, 16, 64, 4 * grid.n):
+            got = u.copy()
+            detection._GuideTable(cdf, edges, buckets).place(got)
+            assert got.tobytes() == expected.tobytes(), buckets
+
+    def test_crafted_cases_reach_both_ends_of_the_last_knot(self, grid, beam):
+        # cdf[-1] is a rounded cumulative sum over a rounded total: the crafted
+        # test must meet fields where it falls short of 1 and where it reaches it.
+        ends = set()
+        for seed in range(6):
+            amp = random_field(grid, beam, seed).amplitude.copy()
+            amp[np.abs(grid.xs) > 3.0 * beam.w0] = 0.0
+            cdf, _ = knots(TransverseField(grid, amp, beam.k))
+            ends.add(cdf[-1] < 1.0)
+        assert ends == {True, False}
+
+
+class TestPhotonSampleBuffer:
+    def test_keeps_a_frozen_buffer_it_can_own(self):
+        pos = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        pos.flags.writeable = False
+        assert PhotonSample(pos, seed=1, count=5).positions is pos
+
+    def test_copies_a_writeable_buffer(self):
+        pos = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        sample = PhotonSample(pos, seed=1, count=5)
+        pos[0] = 7.0
+        assert sample.positions is not pos
+        assert not sample.positions.flags.writeable
+        assert sample.positions[0] == -1.0
+
+    def test_copies_a_frozen_view(self):
+        # A read-only view can still change through its writeable base.
+        base = np.zeros((2, 5))
+        view = base[0]
+        view.flags.writeable = False
+        sample = PhotonSample(view, seed=1, count=5)
+        base[0, 0] = 1.0
+        assert sample.positions is not view
+        assert sample.positions[0] == 0.0
+
+    def test_drawn_positions_refuse_in_place_writes(self, grid, beam):
+        positions = sample_photons(make_gaussian(beam, grid), 100, seed=2).positions
+        assert positions.flags.owndata
+        with pytest.raises(ValueError):
+            positions[0] = positions[0]
 
 
 class TestPhotonDitherExperiment:

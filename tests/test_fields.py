@@ -130,6 +130,38 @@ class TestGridAndSpecs:
         # Frozen before the reshape: the envelope's owner cannot be written either.
         assert not envelope.base.flags.writeable
 
+    def test_producers_hand_over_a_buffer_the_field_keeps(self, monkeypatch):
+        # Each producer freezes the fresh array it made, so its field keeps that
+        # array uncopied; the last field a producer builds is the one it returns.
+        scenario = load_preset("fig1c").scenario
+        tilts = TiltSet.single(Mirror.E, 5e-7)
+        source = make_gaussian(scenario.beam, scenario.grid)
+        kept = []
+        post_init = TransverseField.__post_init__
+
+        def spy(field):
+            handed = field.amplitude
+            post_init(field)
+            kept.append(field.amplitude is handed and handed.flags.owndata)
+
+        monkeypatch.setattr(TransverseField, "__post_init__", spy)
+        producers = {
+            "make_gaussian": lambda: make_gaussian(scenario.beam, scenario.grid),
+            "propagate": lambda: propagate(source, 0.5),
+            "apply_tilt": lambda: apply_tilt(source, 1e-6),
+            "parity_x": lambda: parity_x(source),
+            "apply_dove_x": lambda: apply_dove_x(source),
+            "_port_sum (detector_field_numeric)": lambda: detector_field_numeric(scenario, tilts),
+            "_port_sum (field_before_F)": lambda: field_before_F(scenario, tilts),
+        }
+        copied = []
+        for name, produce in producers.items():
+            kept.clear()
+            produce()
+            if not kept[-1]:
+                copied.append(name)
+        assert copied == []
+
     def test_spec_rejects_nonparaxial_waist(self):
         with pytest.raises(ConfigError):
             GaussianSpec(w0=5e-6, wavelength=633e-9)  # k*w0 < 100
