@@ -50,7 +50,6 @@ from .fields import (
     centroid,
     gaussian_profile,
     make_gaussian,
-    norm,
     parity_x,
     power,
     propagate,

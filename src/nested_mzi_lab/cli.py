@@ -231,8 +231,10 @@ def _write_csv(path: FsPath, comments: list[str], header: str, *columns) -> None
         cells.append(values.tolist() if text else map(repr, values.tolist()))
     if not finite:
         raise GuardError(f"{path.name} would hold non-finite values; not written")
-    lines = [header, *map(",".join, zip(*cells))]
-    path.write_text("".join(f"# {c}\n" for c in comments) + "\n".join(lines) + "\n")
+    with path.open("w") as f:  # row by row: a 10,000-row series is never one string
+        f.writelines(f"# {c}\n" for c in comments)
+        f.write(header + "\n")
+        f.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def write_field_csv(

@@ -5,9 +5,8 @@ to the beam centroid for small displacements.  Every mirror oscillates at its
 own frequency; a lock-in style single-bin Fourier projection of the signal at
 each dither frequency recovers the per-mirror response amplitudes, and a peak
 well above the noise floor at a mirror's frequency is that mirror's trace.
-The series comes from the interferometer's fold engine over chunks of
-consecutive samples: each row is one shared Gaussian envelope times a rank-3
-product of exponentials.  Photon counting is modeled on top of the signal:
+The series reads the interferometer's fold from half-grid moments of the beam,
+without building fields.  Photon counting is modeled on top of the signal:
 sample_photons draws single-photon positions by inverse-transform sampling,
 placing each uniform draw through a guide table over [0, 1) in chunks of
 bounded size, and returns bitwise what np.interp(u, cdf, edges) would.
@@ -17,13 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .elements import Mirror, MirrorTable, TiltSet
 from .errors import ConfigError, GuardError, ZeroNormError
-from .fields import TransverseField, ZERO_POWER
-from .interferometer import Scenario, check_small_angle_regime, detector_rows
+from .fields import GaussianSpec, TransverseField, TransverseGrid, ZERO_POWER, gaussian_profile
+from .interferometer import Scenario, _fold_paths, check_small_angle_regime
+from .interferometer import detector_field_analytic
 
 #: A mirror leaves a trace where its dither peak exceeds this multiple of the noise floor.
 PEAK_FACTOR = 5.0
@@ -40,16 +41,15 @@ DEFAULT_DITHER_AMPLITUDE = 1e-6  # rad, keeps k*alpha*w0 = 1e-2 for the default 
 DEFAULT_FREQUENCIES = MirrorTable((307.0, 367.0, 433.0, 509.0, 577.0), "freq")
 DEFAULT_SAMPLE_RATE = 10_000.0
 DEFAULT_DURATION = 1.0
-#: Work bound on one dither run, in field samples (sample_count x grid_n):
-#: checked before anything is allocated.  The default run is 1e4 x 1024,
-#: about 1e7, so the bound leaves some 400x headroom.
+#: Bound on sample_count x grid_n, checked before anything is allocated; not the
+#: work (O((sample_count + grid_n) M)), it caps the series at 2^24 samples (128 MiB).
 MAX_DITHER_WORK = 2**32
 #: Largest photons_per_sample: the binomial draw takes a 64-bit count.
 MAX_PHOTONS_PER_SAMPLE = 2**63 - 1
-#: Field samples (time samples x grid_n) the dither evaluates at once, at least
-#: one time sample; its (T, n) temporaries hold 16 B x max(_CHUNK_WORK, grid_n).
-#: Smaller chunks pay more fixed Python cost per sample, larger ones more RSS.
-_CHUNK_WORK = 2**14
+#: Dither samples per chunk: (2, T) temporaries under 0.1 MiB whatever the grid.
+_SAMPLE_CHUNK = 2**10
+#: _moments' bound on |b w0| (interferometer._fold_paths), truncation and rounding gain.
+_SERIES_RADIUS, _SERIES_TOLERANCE, _SERIES_GAIN = math.hypot(0.05, 0.2), 2.0**-60, 2.0**10
 #: Photons sample_photons draws and places at once: its per-chunk temporaries
 #: (bucket and cell indices, gathered knots) hold at most about 32 B x
 #: _PHOTON_CHUNK, 2 MiB, however many photons the draw holds.
@@ -114,13 +114,8 @@ class DitherProtocol:
     def times(self) -> np.ndarray:
         return np.arange(self.sample_count) / self.sample_rate
 
-    def tilts_at(self, t: float) -> TiltSet:
-        """The tilt set at one time t: alpha_j(t) = A_j sin(2 pi f_j t)."""
-        phase = 2.0 * math.pi * t
-        return TiltSet(a * math.sin(phase * f) for a, f in zip(self.amplitudes, self.frequencies))
-
     def tilts(self, times: np.ndarray) -> dict[Mirror, np.ndarray]:
-        """Each mirror's (T,) column of angles at times; entry r is tilts_at(times[r])."""
+        """Each mirror's (T,) column of angles alpha_j(t) = A_j sin(2 pi f_j t) at times."""
         phase = 2.0 * math.pi * times
         return {
             m: a * np.sin(phase * f) for m, a, f in zip(Mirror, self.amplitudes, self.frequencies)
@@ -174,29 +169,51 @@ def split_signal(f: TransverseField) -> float:
     The x = 0 sample and the periodic boundary sample are split evenly
     between the halves, so the signal is exactly antisymmetric under parity.
     """
-    return float(_split(f.amplitude, f.grid.spacing))
-
-
-def _split(amplitude: np.ndarray, spacing: float) -> np.ndarray:
-    """split_signal of each (n,) row of amplitude, along its last axis."""
-    intensity = amplitude.real**2 + amplitude.imag**2
-    mid = intensity.shape[-1] // 2
-    right = np.sum(intensity[..., mid + 1 :], axis=-1)
-    left = np.sum(intensity[..., 1:mid], axis=-1)
-    total = right + left + intensity[..., 0] + intensity[..., mid]
-    if np.count_nonzero(total * spacing < ZERO_POWER):
+    intensity = f.amplitude.real**2 + f.amplitude.imag**2
+    mid = f.grid.n // 2
+    right, left = np.sum(intensity[mid + 1 :]), np.sum(intensity[1:mid])
+    total = right + left + intensity[0] + intensity[mid]
+    if total * f.grid.spacing < ZERO_POWER:
         raise ZeroNormError("zero-power field has no split signal")
-    return (right - left) / total
+    return float((right - left) / total)
+
+
+@lru_cache(maxsize=2)
+def _moments(grid: TransverseGrid, beam: GaussianSpec, length: float) -> np.ndarray | None:
+    """(M + 1, 2) moments sum_x w |G|^2 (x / w0)^m / m!, or None past the series' reach.
+
+    G is the source Gaussian over length; w is split_signal's sign(x), 0 at the boundary, in
+    column 0 and 1 in column 1, so sum_x w |G|^2 e^{b x} = sum_m mu_m (b w0)^m.  As |b w0| <=
+    R = _SERIES_RADIUS, term m is at most t_m = R^m sum_x |G|^2 |x / w0|^m / m!, whose ratios
+    fall with m under |G|^2's decay: M is the first m with t_m below _SERIES_TOLERANCE t_0 and
+    t_{m-1} / 2 (14 by default).  None where sum_m t_m / t_0, the Horner pass's rounding gain,
+    passes _SERIES_GAIN: beams some 35 waists wide at the detector.
+    """
+    g = np.abs(gaussian_profile(grid.xs, beam, length)) ** 2
+    halves = np.sign(grid.xs) * g
+    halves[0] = 0.0
+    power, scaled = np.ones(grid.n), grid.xs / beam.w0  # power is (x / w0)^m / m!
+    moments, terms = [], []
+    while True:  # the gain test stops a slow series long before a power overflows
+        moments.append((np.sum(halves * power), np.sum(g * power)))
+        terms.append(_SERIES_RADIUS ** len(terms) * np.sum(g * abs(power)))
+        if not sum(terms) <= _SERIES_GAIN * terms[0]:
+            return None
+        if len(terms) > 1 and terms[-1] <= min(_SERIES_TOLERANCE * terms[0], terms[-2] / 2):
+            break
+        power *= scaled / len(moments)
+    moments = np.array(moments)
+    moments.flags.writeable = False
+    return moments
 
 
 def run_dither(scenario: Scenario, protocol: DitherProtocol) -> np.ndarray:
     """Split-detector time series while every mirror oscillates at its frequency.
 
-    Each time sample is the fold engine's detector field at the
-    instantaneous tilt set alpha_j(t) = A_j sin(2 pi f_j t), evaluated for a
-    chunk of consecutive samples at once.  The worst-case simultaneous crest
-    must sit inside the small-angle regime, and sample_count x grid_n must
-    not exceed MAX_DITHER_WORK.
+    Sample t is split_signal of the fold's field at alpha_j(t) = A_j sin(2 pi f_j t), whose
+    sums are Re sum_{p <= q} w_pq A_p conj(A_q) S(beta_p + conj(beta_q)), A_p = a_p e^{gamma_p},
+    w_pq = 2 for p != q, S a Horner pass over _moments (or each field split, past their
+    reach).  The crest must sit in the small-angle regime, within MAX_DITHER_WORK.
     """
     work = protocol.sample_count * scenario.grid.n
     if work > MAX_DITHER_WORK:
@@ -204,15 +221,26 @@ def run_dither(scenario: Scenario, protocol: DitherProtocol) -> np.ndarray:
             f"dither work sample_count {protocol.sample_count} x grid_n {scenario.grid.n}"
             f" = {work} exceeds the bound {MAX_DITHER_WORK}"
         )
-    check_small_angle_regime(scenario, TiltSet(protocol.amplitudes))
+    check_small_angle_regime(scenario, TiltSet(protocol.amplitudes, "amp"))
+    moments = _moments(scenario.grid, scenario.beam, scenario.path_length)
     times = protocol.times()
+    if moments is None:
+        tilt_sets = map(TiltSet, zip(*protocol.tilts(times).values()))
+        return np.array([split_signal(detector_field_analytic(scenario, t)) for t in tilt_sets])
     series = np.empty(protocol.sample_count)
-    rows = max(1, _CHUNK_WORK // scenario.grid.n)
-    out = np.empty((rows, scenario.grid.n), dtype=np.complex128)  # reused, not re-faulted per chunk
-    for start in range(0, times.size, rows):
-        span = times[start : start + rows]
-        chunk = detector_rows(scenario, protocol.tilts(span), out[: span.size])
-        series[start : start + rows] = _split(chunk, scenario.grid.spacing)
+    for start in range(0, times.size, _SAMPLE_CHUNK):
+        span = times[start : start + _SAMPLE_CHUNK]
+        paths = [(a * np.exp(g), b) for a, b, g in _fold_paths(scenario, protocol.tilts(span))]
+        sums = 0.0
+        for p, (ap, bp) in enumerate(paths):
+            for q, (aq, bq) in enumerate(paths[p:], p):
+                u = (bp + np.conj(bq)) * scenario.beam.w0
+                pair = np.full((2, span.size), moments[-1][:, None], dtype=np.complex128)
+                for mu in moments[-2::-1]:
+                    pair *= u
+                    pair += mu[:, None]
+                sums = sums + ((1.0 if p == q else 2.0) * ap * np.conj(aq) * pair).real
+        series[start : start + span.size] = sums[0] / sums[1]
     return series
 
 

@@ -80,7 +80,7 @@ class TiltSet(MirrorTable):
         if not max(map(abs, tilts)) < MAX_TILT:
             mirror, value = next((m, v) for m, v in tilts.items() if not abs(v) < MAX_TILT)
             raise ConfigError(
-                f"tilt of mirror {mirror.value} is {value:g} rad, "
+                f"{name}_{mirror.value} = {value:g} rad is "
                 f"outside the paraxial guard |alpha| < {MAX_TILT:g}"
             )
         return tilts
@@ -174,6 +174,8 @@ class PathState:
 
     def __post_init__(self) -> None:
         amps = tuple(complex(a) for a in self.amplitudes)
+        if len(amps) != len(Path):
+            raise ConfigError(f"path state needs one amplitude per path, got {len(amps)}")
         object.__setattr__(self, "amplitudes", amps)
         nrm = math.sqrt(sum(abs(a) ** 2 for a in amps))
         if abs(nrm - 1.0) > 1e-12:

@@ -142,11 +142,6 @@ def power(f: TransverseField) -> float:
     return float(np.sum(a.real**2 + a.imag**2) * f.grid.spacing)
 
 
-def norm(f: TransverseField) -> float:
-    """L2 norm of the field."""
-    return math.sqrt(power(f))
-
-
 def make_gaussian(spec: GaussianSpec, grid: TransverseGrid) -> TransverseField:
     """Prepare the normalized even Gaussian mode exp(-x^2/w0^2) on the grid.
 

@@ -5,12 +5,9 @@ distances z_j and a common total path length), the beam, where the Dove
 prisms sit (a Dove value) and the collected output port.  Both engines read
 the same path table: each unfolded path's ordered elements (mirror tilts,
 and the x-oriented Dove prism in the leg through A) from
-elements.path_elements.  The analytic engine folds each path's elements
-exactly into a closed-form shifted and ramped Gaussian, for one tilt set or,
-behind the dither, for columns of them; a row is one Gaussian envelope times
-a rank-3 product of exponentials on a sqrt(n) x sqrt(n) split of the grid.
-The numeric engine traces the sampled input mode along each path for one
-TiltSet and is the reference the fold is tested against.
+elements.path_elements.  The analytic engine walks each path once into a
+closed form (_fold_paths), as the dither does; the numeric engine traces the
+sampled input mode for one TiltSet, the reference the fold is tested against.
 """
 
 from __future__ import annotations
@@ -114,58 +111,34 @@ def check_small_angle_regime(scenario: Scenario, tilts: TiltSet) -> None:
         )
 
 
-@lru_cache(maxsize=2)
-def _fold_grid(grid: TransverseGrid, beam: GaussianSpec, length: float) -> tuple:
-    """Row-independent factors of the fold: c, the envelope G(x) as (n/m, m), x_hi, x_lo.
-
-    G(x) = peak / sqrt(q) e^{c x^2} with q = 1 + i L / z_R and c = -1 / (w0^2 q),
-    and sample j m + l of the grid sits at x_hi[j] + x_lo[l], m = 2^floor(log2(n) / 2).
-    Scenarios that differ only in prisms or port share an entry; a run reads one.
-    """
-    m = 1 << (grid.n.bit_length() - 1) // 2
-    profile = gaussian_profile(grid.xs, beam, length)
-    x_lo = np.arange(m) * grid.spacing
-    profile.flags.writeable = x_lo.flags.writeable = False
-    envelope = profile.reshape(-1, m)  # a view of the frozen profile, so frozen too
-    c = -1.0 / (beam.w0**2 * (1.0 + 1j * length / beam.rayleigh_range))
-    return c, envelope, grid.xs[::m], x_lo
-
-
 def detector_field_analytic(scenario: Scenario, tilts: TiltSet) -> TransverseField:
-    """Detector field of the fold at one tilt set inside the small-angle regime."""
+    """The fold's field G(x) sum_p a_p e^{beta_p x + gamma_p} at one tilt set in the regime."""
     check_small_angle_regime(scenario, tilts)
-    return TransverseField(scenario.grid, detector_rows(scenario, tilts), scenario.beam.k)
+    xs = scenario.grid.xs
+    total = sum(a * np.exp(beta * xs + gamma) for a, beta, gamma in _fold_paths(scenario, tilts))
+    amp = gaussian_profile(xs, scenario.beam, scenario.path_length) * total
+    amp.flags.writeable = False
+    return TransverseField(scenario.grid, amp, scenario.beam.k)
 
 
-def detector_rows(scenario: Scenario, tilts: Mapping[Mirror, object], out=None) -> np.ndarray:
-    """Detector amplitude of the fold, after propagate's edge guard in closed form.
+def _fold_paths(scenario: Scenario, tilts: Mapping[Mirror, object]) -> list[tuple]:
+    """Each path's (a, beta, gamma) of the fold, after propagate's edge guard in closed form.
 
-    Free propagation over d maps e^{ik theta x} h(x - s) exactly to
-    e^{ik theta x - ik theta^2 d/2} (P(d)h)(x - s - theta d).  Summed over a
-    path's segments, a tilt alpha_j at z_j from the detector adds z_j alpha_j
-    to s, alpha_j to the ramp angle theta and -k z_j alpha_j (2 theta + alpha_j) / 2
-    to the phase phi, and the prism negates s and theta.  The path then adds
-    a e^{i phi + ik theta x} G(x - s) = G(x) a e^{beta x + gamma}, G the source
-    Gaussian propagated over path_length, beta = -2 c s + ik theta and
-    gamma = c s^2 + i phi: a row is G(x) times the rank-3 product of the
-    (n/m, 3) factors a e^{beta x_hi + gamma} and the (3, m) e^{beta x_lo}.
-
-    No factor overflows on inputs that pass check_small_angle_regime:
-    |Re beta| = 2 |s| / (w0^2 (1 + u^2)), u = L / z_R, and |s| <= min(0.1, 0.025 u) w0
-    (five tilts at z <= L with k alpha w0 <= 1e-2), so |Re beta| <= 0.025 / w0;
-    |x| <= half_width <= n w0 / 8 <= 8192 w0 (check_sampling, MAX_SAMPLES), so
-    |Re beta x| <= 205 < 709, exp's overflow.  Where G(x) underflows the row
-    is 0.  The caller checks the small-angle regime.
-
-    The edge guard makes the fold fail where the numeric engine would:
-    |G(x - s)| falls off with |x - s|, so a path's largest magnitude in the
-    guard band sits at the band edge nearest its peak.  Float tilts give one
-    (n,) row, (T,) columns (T, n) rows, into out if given.
+    Propagation over d maps e^{ik theta x} h(x - s) to e^{ik theta x - ik theta^2 d/2}
+    (P(d)h)(x - s - theta d), so a tilt alpha_j at z_j adds z_j alpha_j to the walk-off s,
+    alpha_j to the ramp theta and -k z_j alpha_j (2 theta + alpha_j) / 2 to the phase phi,
+    and the prism negates s and theta.  The path adds a e^{i phi + ik theta x} G(x - s) =
+    G(x) a e^{beta x + gamma}, G(x) = G(0) e^{c x^2} the source Gaussian over L = path_length,
+    c = -1 / (w0^2 (1 + iu)), u = L / z_R, beta = -2 c s + ik theta, gamma = c s^2 + i phi.
+    In the regime |s| <= min(0.1, 0.025 u) w0 gives |Re beta| <= 0.025 / w0, |Im beta| <=
+    0.1 / w0, so |Re beta x| <= 205 < 709 over |x| <= 8192 w0 (check_sampling, MAX_SAMPLES)
+    and a pair's b = beta_p + conj(beta_q) has |Re b| <= 0.05 / w0, |Im b| <= 0.2 / w0
+    (detection._moments).  The guard checks the largest walk-off's profile at the band
+    edge nearest its peak.  Tilts, floats or (T,) columns, must sit in the regime.
     """
-    k, z = scenario.beam.k, scenario.distances
-    c, envelope, x_hi, x_lo = _fold_grid(scenario.grid, scenario.beam, scenario.path_length)
-    edge = (1.0 - EDGE_BAND) * scenario.grid.half_width
-    his, los, walk = [], [], 0.0
+    beam, z, length, k = scenario.beam, scenario.distances, scenario.path_length, scenario.beam.k
+    c = -1.0 / (beam.w0**2 * (1.0 + 1j * length / beam.rayleigh_range))
+    terms, walk = [], 0.0
     with np.errstate(all="ignore"):  # the guard reports a non-finite value itself
         for path, amp in port_amplitudes(scenario.output_port).items():
             shift = ramp = phase = 0.0
@@ -177,20 +150,13 @@ def detector_rows(scenario: Scenario, tilts: Mapping[Mirror, object], out=None) 
                     shift = shift + z[mirror] * alpha
                     phase = phase - 0.5 * k * z[mirror] * alpha * (2.0 * ramp + alpha)
                     ramp = ramp + alpha
-            shift, ramp, phase = (np.asarray(v)[..., None] for v in (shift, ramp, phase))
-            beta = 1j * k * ramp - 2.0 * c * shift
-            his.append(amp * np.exp(beta * x_hi + (c * shift**2 + 1j * phase)))
-            los.append(np.exp(beta * x_lo))
+            terms.append((amp, 1j * k * ramp - 2.0 * c * shift, c * shift**2 + 1j * phase))
             walk = np.maximum(walk, np.abs(shift).max())
-        # einsum, not BLAS's matmul, which lifts a run's peak RSS by about 0.3 MiB.
-        rows = np.einsum("...jp,...pl->...jl", np.stack(his, -1), np.stack(los, -2),
-                         out=None if out is None else out.reshape(*out.shape[:-1], *envelope.shape))
-        np.multiply(envelope, rows, out=rows)  # envelope first: the order sets a product's last bit
-        near = np.maximum(edge - walk, 0.0)
-        profile = gaussian_profile(np.array([near, 0.0]), scenario.beam, scenario.path_length)
+        near = np.maximum((1.0 - EDGE_BAND) * scenario.grid.half_width - walk, 0.0)
+        profile = gaussian_profile(np.array([near, 0.0]), beam, length)
     worst, peak = np.abs(profile)
     check_edges(float(peak), float(worst))
-    return rows.reshape(*rows.shape[:-2], -1)
+    return terms
 
 
 @lru_cache(maxsize=32)

@@ -9,13 +9,14 @@ from nested_mzi_lab import (
     DitherProtocol,
     GaussianSpec,
     MirrorTable,
+    TiltSet,
     TransverseField,
     TransverseGrid,
     ZeroNormError,
     default_beam,
     default_grid,
 )
-from nested_mzi_lab.fields import ZERO_POWER
+from nested_mzi_lab.fields import ZERO_POWER, power
 
 #: Selected with --hypothesis-profile=ci: every run draws the same examples.
 settings.register_profile("ci", derandomize=True, database=None)
@@ -42,6 +43,13 @@ def fast_protocol() -> DitherProtocol:
     )
 
 
+def tilts_at(protocol: DitherProtocol, t: float) -> TiltSet:
+    """The protocol's tilt set at one time t: alpha_j(t) = A_j sin(2 pi f_j t)."""
+    phase = 2.0 * math.pi * t
+    pairs = zip(protocol.amplitudes, protocol.frequencies)
+    return TiltSet(a * math.sin(phase * f) for a, f in pairs)
+
+
 def with_value(table: MirrorTable, mirror, value: float) -> MirrorTable:
     """Copy of a per-mirror table with one mirror's entry changed."""
     return type(table)(value if m is mirror else v for m, v in table.items())
@@ -63,6 +71,11 @@ def random_field(grid: TransverseGrid, beam: GaussianSpec, seed: int) -> Transve
 
 # Field functions only the tests use: parity parts, overlaps and the mean
 # transverse momentum, checks on the engines' building blocks.
+
+
+def norm(f: TransverseField) -> float:
+    """L2 norm of the field."""
+    return math.sqrt(power(f))
 
 
 class GridMismatchError(ConfigError):

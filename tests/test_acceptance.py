@@ -26,7 +26,6 @@ from nested_mzi_lab import (
     field_before_F,
     load_preset,
     make_gaussian,
-    norm,
     paper_two_state_vector,
     path_projector,
     photon_dither_experiment,
@@ -39,7 +38,7 @@ from nested_mzi_lab import (
     weak_value_report,
     PRESET_NAMES,
 )
-from conftest import random_field
+from conftest import norm, random_field
 
 BEAM = default_beam()
 GRID = default_grid()

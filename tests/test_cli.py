@@ -362,6 +362,13 @@ class TestExitCodes:
     def test_missing_command_is_2(self, tmp_path):
         assert main(["--out", str(tmp_path)]) == 2
 
+    def test_dither_amplitude_past_the_paraxial_guard_names_its_key(self, tmp_path, capsys):
+        args = ["dither", "--preset", "fig1c", "--set", "amp_A=2e-3", "--out", str(tmp_path)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error category=config")
+        assert "amp_A = 0.002 rad" in err
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_float_is_2(self, tmp_path, capsys, key, value):

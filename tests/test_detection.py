@@ -11,6 +11,7 @@ from nested_mzi_lab import (
     AliasingError,
     ConfigError,
     DitherProtocol,
+    GaussianSpec,
     GuardError,
     PRESET_NAMES,
     Dove,
@@ -25,6 +26,7 @@ from nested_mzi_lab import (
     default_scenario,
     detector_field_analytic,
     detector_field_numeric,
+    gaussian_profile,
     load_preset,
     make_gaussian,
     parity_x,
@@ -34,8 +36,9 @@ from nested_mzi_lab import (
     spectrum,
     split_signal,
 )
-from conftest import FAST_FREQS, random_field, with_value
+from conftest import FAST_FREQS, random_field, tilts_at, with_value
 from nested_mzi_lab import detection
+from nested_mzi_lab.elements import path_elements, port_amplitudes
 from nested_mzi_lab.detection import MAX_DITHER_WORK, MAX_PHOTONS_PER_SAMPLE
 
 
@@ -414,7 +417,7 @@ class TestPhotonDitherExperiment:
 
 
 class TestFoldDither:
-    # 1001 samples: the last chunk of samples is a partial one.
+    # 1001 samples: in chunks of 100 samples, the last chunk is a partial one.
     ODD = DitherProtocol(frequencies=MirrorTable(FAST_FREQS), sample_rate=4004.0, duration=0.25)
 
     @pytest.mark.parametrize("preset_name", PRESET_NAMES)
@@ -423,7 +426,7 @@ class TestFoldDither:
         protocol = self.ODD
         assert protocol.sample_count == 1001
         loop = np.array([
-            split_signal(detector_field_numeric(scenario, protocol.tilts_at(t)))
+            split_signal(detector_field_numeric(scenario, tilts_at(protocol, t)))
             for t in protocol.times()
         ])
         series = run_dither(scenario, protocol)
@@ -437,7 +440,7 @@ class TestFoldDither:
 
         def loop(engine):
             for t in fast_protocol.times():
-                engine(scenario, fast_protocol.tilts_at(t))
+                engine(scenario, tilts_at(fast_protocol, t))
 
         for run in (
             lambda: run_dither(scenario, fast_protocol),
@@ -454,19 +457,21 @@ class TestFoldDither:
         times = fast_protocol.times()[:50]
         columns = fast_protocol.tilts(times)
         for r, t in enumerate(times):
-            assert tuple(columns[m][r] for m in Mirror) == fast_protocol.tilts_at(t)
+            assert tuple(columns[m][r] for m in Mirror) == tilts_at(fast_protocol, t)
 
-    def test_split_rows_equal_split_signal(self, grid, beam):
-        rows = np.stack([random_field(grid, beam, seed).amplitude for seed in range(4)])
-        signals = detection._split(rows, grid.spacing)
-        assert signals.shape == (4,)
-        for signal, amp in zip(signals, rows):
-            assert signal == split_signal(TransverseField(grid, amp, beam.k))
+    def test_split_weights_match_split_signal(self, grid, beam):
+        # The right-minus-left weights that _moments folds into its first column.
+        weights = np.sign(grid.xs)
+        weights[0] = 0.0
+        for seed in range(4):
+            f = random_field(grid, beam, seed)
+            intensity = np.abs(f.amplitude) ** 2
+            expected = np.sum(weights * intensity) / np.sum(intensity)
+            assert split_signal(f) == pytest.approx(expected, rel=1e-13, abs=1e-16)
 
-    def test_split_zero_power_row(self, grid, beam):
-        rows = np.stack([random_field(grid, beam, 1).amplitude, np.zeros(grid.n)])
+    def test_split_signal_refuses_zero_power(self, grid, beam):
         with pytest.raises(ZeroNormError):
-            detection._split(rows, grid.spacing)
+            split_signal(TransverseField(grid, np.zeros(grid.n), beam.k))
 
     def test_work_bound_refused_before_allocation(self):
         scenario = default_scenario()
@@ -476,3 +481,104 @@ class TestFoldDither:
             run_dither(scenario, huge)
         with pytest.raises(ConfigError, match="exceeds the bound"):
             photon_dither_experiment(scenario, huge, 10, seed=1)
+
+    def test_chunking_leaves_the_series_bitwise(self, monkeypatch):
+        scenario = load_preset("fig1c").scenario
+        whole = run_dither(scenario, self.ODD)
+        monkeypatch.setattr(detection, "_SAMPLE_CHUNK", 100)
+        assert np.array_equal(run_dither(scenario, self.ODD), whole)
+
+
+def longdouble_dither(scenario, protocol, every):
+    """Every every-th sample of the dither series, from the fold's rows in np.longdouble.
+
+    Repeats the per-path walk of interferometer._fold_paths on the float64
+    inputs (tilt columns, k, w0, grid), builds each row on the grid and sums
+    its intensity over split_signal's weights, all in extended precision.
+    """
+    ld = np.longdouble
+    beam, z = scenario.beam, scenario.distances
+    k, w0 = ld(beam.k), ld(beam.w0)
+    c = -1 / (w0**2 * (1 + 1j * ld(scenario.path_length) / (k * w0**2 / 2)))
+    xs = scenario.grid.xs.astype(ld)
+    envelope = np.abs(np.exp(c * xs**2)) ** 2
+    halves = np.sign(xs) * envelope
+    halves[0] = 0
+    columns = protocol.tilts(protocol.times())
+    series = []
+    for i in range(0, protocol.sample_count, every):
+        row = 0
+        for path, a in port_amplitudes(scenario.output_port).items():
+            shift = ramp = phase = ld(0)
+            for mirror, prism in path_elements(scenario.dove, path):
+                if prism:
+                    shift, ramp = -shift, -ramp
+                else:
+                    alpha, zj = ld(columns[mirror][i]), ld(z[mirror])
+                    shift = shift + zj * alpha
+                    phase = phase - k * zj * alpha * (2 * ramp + alpha) / 2
+                    ramp = ramp + alpha
+            beta = 1j * k * ramp - 2 * c * shift
+            row = row + ld(a) * np.exp(beta * xs + c * shift**2 + 1j * phase)
+        intensity = np.abs(row) ** 2
+        series.append(np.sum(halves * intensity) / np.sum(envelope * intensity))
+    return np.array(series, dtype=np.float64)
+
+
+def at_kaw(scenario, kaw=1e-2):
+    """The fast protocol with every amplitude at k alpha w0 = kaw."""
+    amp = kaw / (scenario.beam.k * scenario.beam.w0)
+    return DitherProtocol(
+        amplitudes=MirrorTable((amp,) * len(Mirror), "amp"),
+        frequencies=MirrorTable(FAST_FREQS), sample_rate=4000.0, duration=0.25,
+    )
+
+
+MOMENT_CASES = {
+    **{name: load_preset(name).scenario for name in PRESET_NAMES},
+    # A wide waist, where the old grid fold lost 2e-12 of the maximum to right - left.
+    "waist-5mm": replace(
+        load_preset("fig1c").scenario,
+        beam=GaussianSpec(5e-3, 633e-9), grid=TransverseGrid(n=4096, half_width=0.08),
+    ),
+    "path_length-40": replace(
+        load_preset("fig1c").scenario,
+        path_length=40.0, grid=TransverseGrid(n=1024, half_width=0.1),
+    ),
+}
+
+
+class TestMomentSeries:
+    @pytest.mark.parametrize("case", sorted(MOMENT_CASES))
+    def test_matches_the_longdouble_fold(self, case):
+        scenario = MOMENT_CASES[case]
+        protocol = at_kaw(scenario)
+        assert detection._moments(scenario.grid, scenario.beam, scenario.path_length) is not None
+        oracle = longdouble_dither(scenario, protocol, every=10)
+        series = run_dither(scenario, protocol)[::10]
+        assert np.abs(series - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    def test_order_follows_the_bound(self, grid, beam):
+        moments = detection._moments(grid, beam, default_scenario().path_length)
+        assert moments.shape == (15, 2)  # M = 14, as _moments states
+        # The last term kept is under the tolerance at the series radius.
+        nu = np.sum(np.abs(gaussian_profile(grid.xs, beam, 2.0)) ** 2)
+        last = abs(moments[-1, 1]) * detection._SERIES_RADIUS ** (len(moments) - 1)
+        assert last <= detection._SERIES_TOLERANCE * nu
+
+    def test_too_wide_a_beam_splits_each_field(self):
+        # At L = 40 z_R the beam is 40 waists wide: the series' rounding gain
+        # passes its bound, and each sample's analytic field is split instead.
+        base = load_preset("fig1c").scenario
+        scenario = replace(
+            base, path_length=40.0 * base.beam.rayleigh_range,
+            grid=TransverseGrid(n=2048, half_width=0.25),
+        )
+        assert detection._moments(scenario.grid, scenario.beam, scenario.path_length) is None
+        protocol = at_kaw(scenario)
+        oracle = longdouble_dither(scenario, protocol, every=10)
+        series = run_dither(scenario, protocol)[::10]
+        # split_signal's right - left cancels two sums near 1/2 to a signal of
+        # at most 2e-4: its error is a few rounding steps of 1, not of the signal.
+        assert np.abs(series - oracle).max() <= 1e-15
+        assert np.abs(oracle).max() > 1e-4

@@ -17,10 +17,9 @@ from nested_mzi_lab import (
     apply_tilt,
     centroid,
     make_gaussian,
-    norm,
     port_amplitudes,
 )
-from conftest import momentum_centroid, random_field
+from conftest import momentum_centroid, norm, random_field
 
 
 class TestApplyTilt:

@@ -23,18 +23,19 @@ from nested_mzi_lab import (
     field_before_F,
     load_preset,
     make_gaussian,
-    norm,
     parity_x,
     power,
     propagate,
 )
 from nested_mzi_lab import fields
-from nested_mzi_lab.interferometer import _fold_grid, _outer_prefix, _reference_prefix
+from nested_mzi_lab.detection import _moments
+from nested_mzi_lab.interferometer import _outer_prefix, _reference_prefix
 from conftest import (
     GridMismatchError,
     decompose_parity,
     inner_product,
     momentum_centroid,
+    norm,
     random_field,
 )
 
@@ -103,14 +104,12 @@ class TestGridAndSpecs:
         tilts = TiltSet.single(Mirror.E, 5e-7)
         grid, beam = scenario.grid, scenario.beam
         source = make_gaussian(beam, grid)
-        _, envelope, _, x_lo = _fold_grid(grid, beam, scenario.path_length)
         buffers = {
             "grid.xs": grid.xs,
             "_transfer_function": fields._transfer_function(grid, beam.k, 0.5),
             "_outer_prefix": _outer_prefix(scenario).amplitude,
             "_reference_prefix": _reference_prefix(scenario).amplitude,
-            "_fold_grid envelope": envelope,
-            "_fold_grid x_lo": x_lo,
+            "_moments": _moments(grid, beam, scenario.path_length),
             "make_gaussian": source.amplitude,
             "propagate": propagate(source, 0.5).amplitude,
             "apply_tilt": apply_tilt(source, 1e-6).amplitude,
@@ -127,8 +126,8 @@ class TestGridAndSpecs:
                 continue
             accepted.append(name)
         assert accepted == []
-        # Frozen before the reshape: the envelope's owner cannot be written either.
-        assert not envelope.base.flags.writeable
+        # The moment cache owns its data: no writeable base array lies behind it.
+        assert buffers["_moments"].base is None
 
     def test_producers_hand_over_a_buffer_the_field_keeps(self, monkeypatch):
         # Each producer freezes the fresh array it made, so its field keeps that

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nested_mzi_lab import (
     ConfigError,
+    DitherProtocol,
     Dove,
     GuardError,
     Mirror,
@@ -28,12 +29,14 @@ from nested_mzi_lab import (
     field_before_F,
     gaussian_profile,
     load_preset,
-    norm,
     power,
+    run_dither,
+    split_signal,
     PRESET_NAMES,
 )
-from nested_mzi_lab.interferometer import detector_rows
-from conftest import with_value
+from nested_mzi_lab.detection import _moments
+from nested_mzi_lab.interferometer import _fold_paths
+from conftest import FAST_FREQS, norm, tilts_at, with_value
 
 W0 = default_beam().w0
 STEP = alpha_step(default_beam())
@@ -256,46 +259,39 @@ def tilt_columns(seed, count, scale=3e-7):
     return columns, [TiltSet(row.tolist()) for row in rows]
 
 
-class TestDetectorRows:
+class TestFoldPaths:
     @pytest.mark.parametrize("preset_name", PRESET_NAMES)
-    def test_rows_equal_the_fold_at_each_tilt_set(self, preset_name):
+    def test_columns_walk_each_tilt_set_alone(self, preset_name):
+        # The walk over (T,) columns gives, at each entry, the walk at that tilt set, bitwise.
         scenario = load_preset(preset_name).scenario
         columns, singles = tilt_columns(7, 5)
-        rows = detector_rows(scenario, columns)
-        assert rows.shape == (5, scenario.grid.n)
-        for row, tilts in zip(rows, singles):
-            single = detector_field_analytic(scenario, tilts).amplitude
-            assert np.abs(row - single).max() <= 1e-15 * np.abs(single).max()
+        batch = _fold_paths(scenario, columns)
+        for r, tilts in enumerate(singles):
+            for (a, beta, gamma), (a1, beta1, gamma1) in zip(batch, _fold_paths(scenario, tilts)):
+                assert (a, beta[r], gamma[r]) == (a1, beta1, gamma1)
 
     @pytest.mark.parametrize("preset_name", PRESET_NAMES)
     def test_zero_columns_give_the_untilted_field(self, preset_name):
         scenario = load_preset(preset_name).scenario
-        rows = detector_rows(scenario, {mirror: np.zeros(3) for mirror in Mirror})
+        terms = _fold_paths(scenario, {mirror: np.zeros(3) for mirror in Mirror})
+        envelope = gaussian_profile(scenario.grid.xs, scenario.beam, scenario.path_length)
         untilted = detector_field_numeric(scenario, TiltSet()).amplitude
-        assert rows.shape == (3, scenario.grid.n)
-        for row in rows:
+        for r in range(3):
+            row = envelope * sum(a * np.exp(beta[r] * scenario.grid.xs + gamma[r])
+                                 for a, beta, gamma in terms)
             assert np.abs(row - untilted).max() <= 1e-13 * np.abs(untilted).max()
 
     def test_one_non_finite_tilt_raises_guard(self, dove):
         columns, _ = tilt_columns(3, 4)
         columns[Mirror.E][2] = np.nan
         with pytest.raises(GuardError, match="not finite"):
-            detector_rows(dove, columns)
-
-    @pytest.mark.parametrize("preset_name", PRESET_NAMES)
-    def test_a_row_alone_equals_its_row_in_a_batch(self, preset_name):
-        scenario = load_preset(preset_name).scenario
-        columns, singles = tilt_columns(5, 6)
-        rows = detector_rows(scenario, columns)
-        for r, tilts in enumerate(singles):
-            alone = detector_rows(scenario, {m: col[r : r + 1] for m, col in columns.items()})
-            assert np.array_equal(alone[0], rows[r])
-            assert np.array_equal(detector_field_analytic(scenario, tilts).amplitude, rows[r])
+            _fold_paths(dove, columns)
 
     def test_widest_accepted_grid_stays_finite_and_exact(self):
         # The corner of the fold's exponent bound: the largest grid and half
         # width, L = z_R (where |Re beta| peaks), every z near L and every
-        # tilt at k alpha w0 = 1e-2, signed so the walk-offs add up.
+        # tilt at k alpha w0 = 1e-2, signed so the walk-offs add up.  The
+        # dither's moments hold on this grid too.
         beam = default_beam()
         length = beam.rayleigh_range
         scenario = Scenario(
@@ -309,11 +305,22 @@ class TestDetectorRows:
         signs = np.array(
             [[1, 1, 1, -1, 1], [-1, -1, -1, 1, -1], [1, -1, 1, 1, 1], [1, 1, -1, -1, -1]]
         )
-        columns = {mirror: alpha * signs[:, i] for i, mirror in enumerate(Mirror)}
-        rows = detector_rows(scenario, columns)
-        assert np.isfinite(rows).all()
-        for row, angles in zip(rows, alpha * signs):
+        for angles in alpha * signs:
             tilts = TiltSet(angles.tolist())
             check_small_angle_regime(scenario, tilts)
             numeric = detector_field_numeric(scenario, tilts).amplitude
-            assert np.abs(row - numeric).max() <= 1e-13 * np.abs(numeric).max()
+            analytic = detector_field_analytic(scenario, tilts).amplitude
+            assert np.isfinite(analytic).all()
+            assert np.abs(analytic - numeric).max() <= 1e-13 * np.abs(numeric).max()
+        moments = _moments(scenario.grid, beam, length)
+        assert moments is not None and np.isfinite(moments).all()
+        protocol = DitherProtocol(
+            amplitudes=MirrorTable((alpha,) * len(Mirror), "amp"),
+            frequencies=MirrorTable(FAST_FREQS), sample_rate=4000.0, duration=0.25,
+        )
+        series = run_dither(scenario, protocol)[::100]
+        loop = np.array([
+            split_signal(detector_field_numeric(scenario, tilts_at(protocol, t)))
+            for t in protocol.times()[::100]
+        ])
+        assert np.abs(series - loop).max() <= 1e-12 * np.abs(loop).max()

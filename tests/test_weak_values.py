@@ -86,6 +86,10 @@ class TestWeakValue:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ConfigError):
             weak_value(paper_two_state_vector(), np.eye(2))
+        # A state over other than three paths never reaches weak_value's matmul.
+        for amplitudes in [(1.0,), (0.6, 0.8, 0.0, 0.0)]:
+            with pytest.raises(ConfigError, match="one amplitude per path"):
+                PathState(amplitudes)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), op_seed=st.integers(0, 2**32 - 1))
