@@ -7,10 +7,14 @@ Both engines are swept so their agreement is visible in the output.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from nested_mzi_lab import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from nested_mzi_lab import (  # noqa: E402 - needs the path above
     Mirror,
     TiltSet,
     alpha_step,

@@ -8,10 +8,13 @@ weak value stays put.
 """
 
 import argparse
+import sys
 from dataclasses import replace
 from pathlib import Path
 
-from nested_mzi_lab import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from nested_mzi_lab import (  # noqa: E402 - needs the path above
     Dove,
     Mirror,
     MirrorTable,
@@ -21,7 +24,7 @@ from nested_mzi_lab import (
     run_dither,
     spectrum,
 )
-from nested_mzi_lab.cli import write_series_csv, write_spectrum_csv
+from nested_mzi_lab.cli import write_series_csv, write_spectrum_csv  # noqa: E402
 
 
 def describe(tag, report):

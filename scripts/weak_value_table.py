@@ -9,8 +9,12 @@ with weak value 2 and no response at all).
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from nested_mzi_lab import Mirror, PRESET_NAMES, load_preset, weak_value_report
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from nested_mzi_lab import Mirror, PRESET_NAMES, load_preset, weak_value_report  # noqa: E402
 
 
 def main() -> None:

@@ -2,9 +2,10 @@
 
 The measured signal is the normalized split-detector difference, proportional
 to the beam centroid for small displacements.  Every mirror oscillates at its
-own frequency; a lock-in style single-bin Fourier projection of the signal at
-each dither frequency recovers the per-mirror response amplitudes, and a peak
-well above the noise floor at a mirror's frequency is that mirror's trace.
+own frequency, an integer number of cycles over the window, so one real FFT
+of the signal holds every mirror's lock-in amplitude in its own bin and the
+noise floor in the others; a peak well above the noise floor at a mirror's
+frequency is that mirror's trace.
 The series reads the interferometer's fold from half-grid moments of the beam,
 without building fields.  Photon counting is modeled on top of the signal:
 sample_photons draws single-photon positions by inverse-transform sampling,
@@ -21,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .elements import Mirror, MirrorTable, TiltSet
-from .errors import ConfigError, GuardError, ZeroNormError
-from .fields import GaussianSpec, TransverseField, TransverseGrid, ZERO_POWER, gaussian_profile
+from .errors import ConfigError, GuardError
+from .fields import GaussianSpec, TransverseField, TransverseGrid, _intensity, gaussian_profile
 from .interferometer import Scenario, _fold_paths, check_small_angle_regime
 from .interferometer import detector_field_analytic
 
@@ -163,35 +164,39 @@ class PhotonSample:
         object.__setattr__(self, "positions", pos)
 
 
+def _split_weights(grid: TransverseGrid) -> np.ndarray:
+    """The split detector's weight per sample: sign(x), 0 at the boundary sample.
+
+    The x = 0 sample and the periodic boundary sample count to neither half,
+    so the split signal is exactly antisymmetric under parity.
+    """
+    weights = np.sign(grid.xs)
+    weights[0] = 0.0
+    return weights
+
+
 def split_signal(f: TransverseField) -> float:
     """Normalized split-detector difference (P_right - P_left) / P_total.
 
-    The x = 0 sample and the periodic boundary sample are split evenly
-    between the halves, so the signal is exactly antisymmetric under parity.
+    One weighted sum over _split_weights, sum_x w |f|^2 / sum_x |f|^2.
     """
-    intensity = f.amplitude.real**2 + f.amplitude.imag**2
-    mid = f.grid.n // 2
-    right, left = np.sum(intensity[mid + 1 :]), np.sum(intensity[1:mid])
-    total = right + left + intensity[0] + intensity[mid]
-    if total * f.grid.spacing < ZERO_POWER:
-        raise ZeroNormError("zero-power field has no split signal")
-    return float((right - left) / total)
+    intensity, total = _intensity(f)
+    return float(np.sum(_split_weights(f.grid) * intensity) / total)
 
 
 @lru_cache(maxsize=2)
 def _moments(grid: TransverseGrid, beam: GaussianSpec, length: float) -> np.ndarray | None:
     """(M + 1, 2) moments sum_x w |G|^2 (x / w0)^m / m!, or None past the series' reach.
 
-    G is the source Gaussian over length; w is split_signal's sign(x), 0 at the boundary, in
-    column 0 and 1 in column 1, so sum_x w |G|^2 e^{b x} = sum_m mu_m (b w0)^m.  As |b w0| <=
-    R = _SERIES_RADIUS, term m is at most t_m = R^m sum_x |G|^2 |x / w0|^m / m!, whose ratios
-    fall with m under |G|^2's decay: M is the first m with t_m below _SERIES_TOLERANCE t_0 and
-    t_{m-1} / 2 (14 by default).  None where sum_m t_m / t_0, the Horner pass's rounding gain,
+    G is the source Gaussian over length; w is _split_weights in column 0 and 1 in column 1,
+    so sum_x w |G|^2 e^{b x} = sum_m mu_m (b w0)^m.  As |b w0| <= R = _SERIES_RADIUS, term m
+    is at most t_m = R^m sum_x |G|^2 |x / w0|^m / m!, whose ratios fall with m under |G|^2's
+    decay: M is the first m with t_m below _SERIES_TOLERANCE t_0 and t_{m-1} / 2 (14 by
+    default).  None where sum_m t_m / t_0, the Horner pass's rounding gain,
     passes _SERIES_GAIN: beams some 35 waists wide at the detector.
     """
     g = np.abs(gaussian_profile(grid.xs, beam, length)) ** 2
-    halves = np.sign(grid.xs) * g
-    halves[0] = 0.0
+    halves = _split_weights(grid) * g
     power, scaled = np.ones(grid.n), grid.xs / beam.w0  # power is (x / w0)^m / m!
     moments, terms = [], []
     while True:  # the gain test stops a slow series long before a power overflows
@@ -245,12 +250,14 @@ def run_dither(scenario: Scenario, protocol: DitherProtocol) -> np.ndarray:
 
 
 def spectrum(series: np.ndarray, protocol: DitherProtocol) -> SpectrumReport:
-    """Single-bin Fourier projection of the signal at each dither frequency.
+    """Each mirror's lock-in amplitude, read from one real FFT of the signal.
 
-    amplitude_j = (2/T) * sum series(t) exp(-2 pi i f_j t) dt, so a pure
-    sinusoid A sin(2 pi f_j t) reports |amplitude_j| = A.  The noise floor is
-    the median off-bin magnitude of the full spectrum, regularized from below
-    by the detector dynamic range (DYNAMIC_RANGE_FLOOR of the top peak).
+    Mirror j's amplitude is (2/N) rfft(series)[b_j], its bin b_j = f_j * duration
+    an integer: (2/N) sum_n series_n exp(-2 pi i b_j n / N), so a pure sinusoid
+    A sin(2 pi f_j t) reports |amplitude_j| = A.  sample_rate > 4 f_max keeps
+    every b_j inside the rfft.  The noise floor is the median magnitude of the
+    other bins but DC, regularized from below by the detector dynamic range
+    (DYNAMIC_RANGE_FLOOR of the top peak).
     """
     series = np.asarray(series, dtype=np.float64)
     count = protocol.sample_count
@@ -258,25 +265,17 @@ def spectrum(series: np.ndarray, protocol: DitherProtocol) -> SpectrumReport:
         raise ConfigError(
             f"series length {series.shape} does not match protocol samples ({count},)"
         )
-    times = protocol.times()
-    amplitudes: dict[Mirror, complex] = {}
-    for mirror, freq in protocol.frequencies.items():
-        phase = np.exp(-2j * math.pi * freq * times)
-        amplitudes[mirror] = complex(2.0 / count * np.sum(series * phase))
-    full = np.abs(np.fft.rfft(series)) * (2.0 / count)
-    signal_bins = {round(f * protocol.duration) for f in protocol.frequencies}
-    mask = np.ones(full.shape, dtype=bool)
-    mask[0] = False  # DC carries the mean, not noise
-    for b in signal_bins:
-        if b < full.size:
-            mask[b] = False
-    median_off = float(np.median(full[mask])) if mask.any() else 0.0
-    top = max(abs(a) for a in amplitudes.values())
-    floor = max(median_off, DYNAMIC_RANGE_FLOOR * top)
+    full = np.fft.rfft(series) * (2.0 / count)
+    bins = [round(f * protocol.duration) for f in protocol.frequencies]
+    magnitudes = np.abs(full)
+    off = np.ones(full.shape, dtype=bool)
+    off[0] = False  # DC carries the mean, not noise
+    off[bins] = False
+    floor = max(float(np.median(magnitudes[off])), DYNAMIC_RANGE_FLOOR * magnitudes[bins].max())
     return SpectrumReport(
         frequencies=protocol.frequencies,
-        amplitudes=amplitudes,
-        noise_floor=floor,
+        amplitudes={m: complex(full[b]) for m, b in zip(Mirror, bins)},
+        noise_floor=float(floor),
     )
 
 
@@ -296,13 +295,9 @@ def sample_photons(f: TransverseField, count: int, seed: int) -> PhotonSample:
         raise ConfigError(f"photon count must be >= 1, got {count}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    a = f.amplitude
-    weights = a.real**2 + a.imag**2
-    total = float(weights.sum())
+    weights, total = _intensity(f)
     if not math.isfinite(total):  # np.interp's exactness argument needs a finite cdf
         raise GuardError(f"field intensity sums to {total!r}; no photons drawn")
-    if total * f.grid.spacing < ZERO_POWER:
-        raise ZeroNormError("cannot sample photons from a zero-power field")
     dx = f.grid.spacing
     edges = np.concatenate([f.grid.xs - 0.5 * dx, [f.grid.xs[-1] + 0.5 * dx]])
     cdf = np.concatenate([[0.0], np.cumsum(weights)]) / total

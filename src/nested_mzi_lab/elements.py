@@ -206,31 +206,28 @@ class TwoStateVector:
         return complex(np.dot(self.post.as_array(), self.pre.as_array()))
 
 
-def paper_two_state_vector() -> TwoStateVector:
-    """The canonical pre/post pair of the bright-port experiment.
-
-    Pre and post both read (1, i, -1)/sqrt(3) over (A, B, C); their overlap
-    is 1/3.
-    """
-    r = 1.0 / math.sqrt(3.0)
-    state = PathState((r, 1j * r, -r))
-    return TwoStateVector(pre=state, post=state)
+_R = 1.0 / math.sqrt(3.0)
+_PREPARED = (_R, 1j * _R, -_R)
+#: (pre, post) amplitudes over (A, B, C) per collected port.  Both ports keep
+#: the prepared state (1, i, -1)/sqrt(3); the bright port's bra is that same
+#: row, and the alternate port's flips the sign of the B and C coefficients,
+#: so its path products post_j * pre_j give same-sign inner arms and an
+#: opposite-sign reference leg.
+_PORT_STATES = {
+    OutputPort.BRIGHT: (_PREPARED, _PREPARED),
+    OutputPort.ALTERNATE_INNER_PORT: (_PREPARED, (_R, -1j * _R, _R)),
+}
 
 
 def two_state_vector_for_port(port: OutputPort) -> TwoStateVector:
-    """Two-state vector implied by the collected output port.
+    """Two-state vector implied by the collected output port (_PORT_STATES)."""
+    pre, post = _PORT_STATES[port]
+    return TwoStateVector(pre=PathState(pre), post=PathState(post))
 
-    The alternate port keeps the prepared state; its bra flips the sign of
-    the B and C coefficients, so its path products post_j * pre_j give
-    same-sign inner arms and an opposite-sign reference leg.
-    """
-    if port is OutputPort.BRIGHT:
-        return paper_two_state_vector()
-    r = 1.0 / math.sqrt(3.0)
-    return TwoStateVector(
-        pre=PathState((r, 1j * r, -r)),
-        post=PathState((r, -1j * r, r)),
-    )
+
+def paper_two_state_vector() -> TwoStateVector:
+    """The canonical pre/post pair of the bright-port experiment; overlap 1/3."""
+    return two_state_vector_for_port(OutputPort.BRIGHT)
 
 
 @cache

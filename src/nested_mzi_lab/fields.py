@@ -242,12 +242,19 @@ def parity_x(f: TransverseField) -> TransverseField:
     return TransverseField(f.grid, out, f.k)
 
 
-def centroid(f: TransverseField) -> float:
-    """Intensity centroid <x> of the field, by midpoint rule on the grid."""
+def _intensity(f: TransverseField) -> tuple[np.ndarray, float]:
+    """|amplitude|^2 per sample and its sum; ZeroNormError where the power is below ZERO_POWER."""
     a = f.amplitude
     intensity = a.real**2 + a.imag**2
-    total = float(np.sum(intensity) * f.grid.spacing)
-    if total < ZERO_POWER:
-        raise ZeroNormError(f"total power {total:.3g} below {ZERO_POWER:g}")
-    return float(np.sum(f.grid.xs * intensity) * f.grid.spacing / total)
+    total = float(np.sum(intensity))
+    if total * f.grid.spacing < ZERO_POWER:
+        raise ZeroNormError(f"total power {total * f.grid.spacing:.3g} below {ZERO_POWER:g}")
+    return intensity, total
+
+
+def centroid(f: TransverseField) -> float:
+    """Intensity centroid <x> of the field, by midpoint rule on the grid."""
+    intensity, total = _intensity(f)
+    dx = f.grid.spacing
+    return float(np.sum(f.grid.xs * intensity) * dx / (total * dx))
 

@@ -259,16 +259,13 @@ def default_grid() -> TransverseGrid:
 
 
 def default_scenario(
-    dove: Dove = Dove.OFF,
-    output_port: OutputPort = OutputPort.BRIGHT,
-    beam: GaussianSpec | None = None,
-    grid: TransverseGrid | None = None,
+    dove: Dove = Dove.OFF, output_port: OutputPort = OutputPort.BRIGHT
 ) -> Scenario:
     return Scenario(
         distances=DEFAULT_DISTANCES,
         path_length=DEFAULT_PATH_LENGTH,
-        beam=beam if beam is not None else default_beam(),
-        grid=grid if grid is not None else default_grid(),
+        beam=default_beam(),
+        grid=default_grid(),
         dove=dove,
         output_port=output_port,
     )

@@ -23,19 +23,19 @@ from .elements import (
     TwoStateVector,
     two_state_vector_for_port,
 )
-from .errors import ConfigError, PostSelectionError
+from .errors import ConfigError
 from .fields import GaussianSpec, centroid
 from .interferometer import SMALL_ANGLE_KAW, Scenario, detector_field_numeric
 
 def weak_value(tsv: TwoStateVector, op: np.ndarray) -> complex:
-    """Weak value <Phi|op|Psi> / <Phi|Psi> of a 3x3 operator on the path basis."""
+    """Weak value <Phi|op|Psi> / <Phi|Psi> of a 3x3 operator on the path basis.
+
+    TwoStateVector refuses an overlap at or below 1e-12, so the division is safe.
+    """
     matrix = np.asarray(op, dtype=np.complex128)
     if matrix.shape != (3, 3):
         raise ConfigError(f"operator must be 3x3 on the path basis, got shape {matrix.shape}")
-    overlap = tsv.overlap
-    if abs(overlap) <= 1e-12:
-        raise PostSelectionError("post-selection orthogonal to the prepared state")
-    return complex(tsv.post.as_array() @ matrix @ tsv.pre.as_array() / overlap)
+    return complex(tsv.post.as_array() @ matrix @ tsv.pre.as_array() / tsv.overlap)
 
 
 def path_projector(mirror: Mirror) -> np.ndarray:

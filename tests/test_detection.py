@@ -23,6 +23,7 @@ from nested_mzi_lab import (
     TransverseGrid,
     ZeroNormError,
     centroid,
+    default_protocol,
     default_scenario,
     detector_field_analytic,
     detector_field_numeric,
@@ -202,6 +203,24 @@ class TestSpectrum:
         expected_ratio = 2.0 * z[Mirror.E] * amps[Mirror.E] / (z[Mirror.A] * amps[Mirror.A])
         ratio = report.magnitude(Mirror.E) / report.magnitude(Mirror.A)
         assert ratio == pytest.approx(expected_ratio, rel=2e-2)
+
+    @pytest.mark.parametrize("preset_name", PRESET_NAMES)
+    def test_amplitudes_match_the_longdouble_projection(self, preset_name):
+        # The lock-in projection (2/N) sum_n s_n exp(-2 pi i b n / N), in extended
+        # precision with the phase reduced exactly to 2 pi (b n mod N) / N.
+        protocol = default_protocol()
+        series = run_dither(load_preset(preset_name).scenario, protocol)
+        report = spectrum(series, protocol)
+        count, s = protocol.sample_count, series.astype(np.longdouble)
+        n = np.arange(count)
+        oracle = {}
+        for mirror, freq in protocol.frequencies.items():
+            turns = (round(freq * protocol.duration) * n % count).astype(np.longdouble) / count
+            phase = 8 * np.arctan(np.longdouble(1)) * turns
+            oracle[mirror] = 2 * np.sum(s * (np.cos(phase) - 1j * np.sin(phase))) / count
+        top = max(abs(a) for a in oracle.values())
+        for mirror in Mirror:
+            assert abs(report.amplitudes[mirror] - oracle[mirror]) <= 1e-15 * top
 
     def test_doubling_amplitudes_doubles_peaks(self, fast_protocol):
         small = replace(fast_protocol, amplitudes=MirrorTable((0.4e-6,) * 5))
@@ -578,7 +597,8 @@ class TestMomentSeries:
         protocol = at_kaw(scenario)
         oracle = longdouble_dither(scenario, protocol, every=10)
         series = run_dither(scenario, protocol)[::10]
-        # split_signal's right - left cancels two sums near 1/2 to a signal of
-        # at most 2e-4: its error is a few rounding steps of 1, not of the signal.
+        # split_signal's error is a few rounding steps of 1, not of the signal
+        # (at most 2e-4): each sample's intensity carries its own rounding, which
+        # the sign-weighted sum passes on rather than cancels.
         assert np.abs(series - oracle).max() <= 1e-15
         assert np.abs(oracle).max() > 1e-4
