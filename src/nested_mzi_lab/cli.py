@@ -214,6 +214,10 @@ def parse_config(text: str) -> RunConfig:
 # CSV writers (the serialization surface for fields, series and spectra)
 
 
+#: Rows formatted by one %-format string at a time.
+_CSV_BLOCK = 1024
+
+
 def _write_csv(path: FsPath, comments: list[str], header: str, *columns) -> None:
     """The one CSV writer: comment lines, a header, then one row per entry of the columns.
 
@@ -223,18 +227,25 @@ def _write_csv(path: FsPath, comments: list[str], header: str, *columns) -> None
     value reads nan or inf, raises GuardError and nothing is written.
     """
     finite = all(c.rpartition("=")[2] not in ("nan", "inf", "-inf") for c in comments)
-    cells = []
+    cells, formats = [], []
     for column in columns:
         values = np.asarray(column)
         text = values.dtype.kind == "U"
         finite = finite and (text or bool(np.isfinite(values).all()))
-        cells.append(values.tolist() if text else map(repr, values.tolist()))
+        cells.append(values.tolist())
+        formats.append("%s" if text else "%r")
     if not finite:
         raise GuardError(f"{path.name} would hold non-finite values; not written")
-    with path.open("w") as f:  # row by row: a 10,000-row series is never one string
+    row, width = ",".join(formats) + "\n", len(cells)
+    flat = [None] * (width * len(cells[0]))  # row-major: a block of rows is one slice
+    for i, cell in enumerate(cells):
+        flat[i::width] = cell
+    with path.open("w") as f:  # a block at a time: a 10,000-row series is never one string
         f.writelines(f"# {c}\n" for c in comments)
         f.write(header + "\n")
-        f.writelines(",".join(row) + "\n" for row in zip(*cells))
+        for start in range(0, len(flat), _CSV_BLOCK * width):
+            block = flat[start : start + _CSV_BLOCK * width]
+            f.write(row * (len(block) // width) % tuple(block))
 
 
 def write_field_csv(

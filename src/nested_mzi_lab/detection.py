@@ -10,12 +10,19 @@ The series reads the interferometer's fold from half-grid moments of the beam,
 without building fields.  Photon counting is modeled on top of the signal:
 sample_photons draws single-photon positions by inverse-transform sampling,
 placing each uniform draw through a guide table over [0, 1) in chunks of
-bounded size, and returns bitwise what np.interp(u, cdf, edges) would.
+bounded size, and returns bitwise what np.interp(u, cdf, edges) would.  A
+large draw is shared by up to one thread per core: each thread claims the
+next chunk and reads it from the seed's one PCG64 stream, advanced to the
+chunk's first photon, so the positions are the same bits whatever the number
+of cores or the order in which the threads ran.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,6 +62,13 @@ _SERIES_RADIUS, _SERIES_TOLERANCE, _SERIES_GAIN = math.hypot(0.05, 0.2), 2.0**-6
 #: (bucket and cell indices, gathered knots) hold at most about 32 B x
 #: _PHOTON_CHUNK, 2 MiB, however many photons the draw holds.
 _PHOTON_CHUNK = 2**16
+#: A draw is shared by one thread per this many photons, up to one per core:
+#: a 1e5-photon draw by two, a 65,535-photon draw by one.
+_SPLIT_MIN = 2**15
+#: Cores this process may run on: the most threads a draw is shared by.
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 #: Guide-table buckets per grid cell; the table is also capped near the photon
 #: count, so a small draw does not pay for a table larger than itself.
 _BUCKETS_PER_CELL = 4
@@ -286,10 +300,20 @@ def sample_photons(f: TransverseField, count: int, seed: int) -> PhotonSample:
     each sample's probability spread uniformly over its cell, so the sample
     mean is an unbiased estimate of the centroid.  Reproducible per seed.
 
-    The uniforms are drawn in chunks of _PHOTON_CHUNK into the positions
-    buffer (the same stream as one rng.random(count) call) and each chunk is
-    placed in place through a _GuideTable of about min(count, 4 n) buckets.
-    The positions are bitwise np.interp(rng.random(count), cdf, edges).
+    The positions are bitwise np.interp(rng.random(count), cdf, edges) with
+    rng = np.random.default_rng(seed), whatever the number of cores.  The
+    draw is cut into chunks of _PHOTON_CHUNK // w photons and shared by w =
+    min(_WORKERS, count // _SPLIT_MIN) threads, at least one: the caller and
+    w - 1 persistent helper threads.  Each thread claims the next unclaimed
+    chunk until none is left, advancing its own default_rng(seed) to the
+    chunk's first photon with bit_generator.advance: Generator.random takes
+    one 64-bit draw per double, so every chunk reads its part of the one
+    stream of rng.random(count).  The uniforms go straight into the positions
+    buffer and each chunk is placed in place through one read-only
+    _GuideTable of about min(count, 4 n) buckets, so the temporaries in
+    flight stay near 2 MiB.  A thread that is late or slow simply claims
+    fewer chunks; the caller waits for every helper and raises a helper's
+    error.
     """
     if count < 1:
         raise ConfigError(f"photon count must be >= 1, got {count}")
@@ -303,14 +327,72 @@ def sample_photons(f: TransverseField, count: int, seed: int) -> PhotonSample:
     cdf = np.concatenate([[0.0], np.cumsum(weights)]) / total
     buckets = 1 << (min(count, _BUCKETS_PER_CELL * f.grid.n) - 1).bit_length()
     table = _GuideTable(cdf, edges, buckets)
-    rng = np.random.default_rng(seed)
     positions = np.empty(count)
-    for start in range(0, count, _PHOTON_CHUNK):
-        chunk = positions[start : start + _PHOTON_CHUNK]
-        rng.random(out=chunk)
-        table.place(chunk)
+    workers = max(1, min(_WORKERS, count // _SPLIT_MIN))
+    step = _PHOTON_CHUNK // workers
+    starts, claim = iter(range(0, count, step)), threading.Lock()
+
+    def fill() -> None:
+        rng, at = np.random.default_rng(seed), 0
+        while True:
+            with claim:
+                lo = next(starts, None)
+            if lo is None:
+                return
+            rng.bit_generator.advance(lo - at)
+            chunk = positions[lo : lo + step]
+            rng.random(out=chunk)
+            table.place(chunk)
+            at = lo + chunk.size
+
+    done = queue.SimpleQueue()
+    for _ in range(workers - 1):
+        _TASKS.put((fill, done))
+    with _HELPERS_LOCK:  # concurrent draws start no more helpers than the largest needs
+        while len(_HELPERS) < workers - 1:
+            _HELPERS.append(threading.Thread(target=_serve, args=(_TASKS,), daemon=True))
+            _HELPERS[-1].start()
+    fill()
+    for error in [done.get() for _ in range(workers - 1)]:
+        if error is not None:
+            raise error
     positions.flags.writeable = False
     return PhotonSample(positions=positions, seed=seed, count=count)
+
+
+#: Shares of draws for the helpers, (fill, done) each, and the daemon threads
+#: that take them: started as draws first need them, one per extra core.
+_TASKS = queue.SimpleQueue()
+_HELPERS: list[threading.Thread] = []
+_HELPERS_LOCK = threading.Lock()
+
+
+def _forget_helpers() -> None:
+    """In a forked child, which has none of its parent's threads: start its own."""
+    _HELPERS.clear()
+    _HELPERS_LOCK.release()
+
+
+if hasattr(os, "register_at_fork"):  # the lock is held across a fork, so no start is cut
+    os.register_at_fork(
+        before=_HELPERS_LOCK.acquire,
+        after_in_parent=_HELPERS_LOCK.release,
+        after_in_child=_forget_helpers,
+    )
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    """A helper thread's loop: take a share of each draw and report None or the error."""
+    while True:
+        fill, done = tasks.get()
+        error = None
+        try:
+            fill()
+        except BaseException as exc:  # raised again in the caller, which would wait forever
+            error = exc
+        del fill  # the draw's buffers go before the caller hears back
+        done.put(error)
+        del error, done  # nothing of this draw is held while waiting for the next
 
 
 class _GuideTable:

@@ -1,5 +1,10 @@
 import math
+import os
+import signal
+import sys
+import threading
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -366,6 +371,117 @@ class TestGuideTableSampling:
             cdf, _ = knots(TransverseField(grid, amp, beam.k))
             ends.add(cdf[-1] < 1.0)
         assert ends == {True, False}
+
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_split_draws_equal_one_interp_bitwise(self, monkeypatch, workers):
+        monkeypatch.setattr(detection, "_WORKERS", workers)
+        preset = load_preset("fig1c")
+        f = detector_field_numeric(preset.scenario, preset.tilts)
+        split, step = detection._SPLIT_MIN * workers, CHUNK // workers
+        # One thread fewer just below split; odd counts end on a part chunk.
+        counts = (split - 1, split, split + 12_345, split + step // 2 + 1, 3 * split + 7)
+        for seed in (0, 7, 2**63 - 1):
+            for count in counts:
+                got = sample_photons(f, count, seed).positions
+                assert got.tobytes() == interp_positions(f, count, seed).tobytes(), (seed, count)
+
+    def test_interleaved_chunks_equal_one_interp_bitwise(self, monkeypatch, grid, beam):
+        # A barrier makes the caller and its helper place one chunk each in turn,
+        # so each claims chunks with gaps and advances its stream across them.
+        monkeypatch.setattr(detection, "_WORKERS", 2)
+        f = random_field(grid, beam, 6)
+        count = 4 * (CHUNK // 2) - 5  # four chunks, the last one short
+        place, turns, placed = detection._GuideTable.place, threading.Barrier(2), []
+
+        def place_in_turn(table, u):
+            turns.wait(timeout=30)
+            placed.append((threading.get_ident(), (u.ctypes.data - u.base.ctypes.data) // 8))
+            place(table, u)
+
+        monkeypatch.setattr(detection._GuideTable, "place", place_in_turn)
+        got = sample_photons(f, count, seed=8).positions
+        assert got.tobytes() == interp_positions(f, count, 8).tobytes()
+        by_thread = {}
+        for thread, lo in placed:
+            by_thread.setdefault(thread, []).append(lo)
+        assert len(by_thread) == 2 and all(len(los) == 2 for los in by_thread.values())
+        assert any(los[1] - los[0] > CHUNK // 2 for los in by_thread.values())
+
+    def test_a_helper_failure_is_raised_in_the_caller(self, monkeypatch, grid, beam):
+        monkeypatch.setattr(detection, "_WORKERS", 2)
+        f = random_field(grid, beam, 1)
+        count = 4 * detection._SPLIT_MIN
+        place, helper_failed = detection._GuideTable.place, threading.Event()
+
+        def fail_in_a_helper(table, u):
+            if threading.current_thread() is not threading.main_thread():
+                helper_failed.set()
+                raise RuntimeError("a helper failed")
+            assert helper_failed.wait(timeout=30)  # the helper claims a chunk first
+            place(table, u)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(detection._GuideTable, "place", fail_in_a_helper)
+            with pytest.raises(RuntimeError, match="a helper failed"):
+                sample_photons(f, count, seed=4)
+        # The helper that failed is still serving draws.
+        assert all(helper.is_alive() for helper in detection._HELPERS)
+        got = sample_photons(f, count, seed=4).positions
+        assert got.tobytes() == interp_positions(f, count, 4).tobytes()
+
+    def test_a_split_draw_is_not_retained(self, monkeypatch, grid, beam):
+        monkeypatch.setattr(detection, "_WORKERS", 2)
+        sample = sample_photons(random_field(grid, beam, 2), 2 * detection._SPLIT_MIN, seed=5)
+        positions = weakref.ref(sample.positions)
+        del sample
+        assert positions() is None
+
+    def test_concurrent_split_draws_share_the_helpers(self, monkeypatch, grid, beam):
+        # More workers than cores, callers racing to start the helpers, fast switching.
+        monkeypatch.setattr(detection, "_WORKERS", 4)
+        before = len(detection._HELPERS)
+        f = random_field(grid, beam, 4)
+        count = 4 * detection._SPLIT_MIN + 3
+        expected = {seed: interp_positions(f, count, seed).tobytes() for seed in range(4)}
+        results = {}
+
+        def draw(seed):
+            results[seed] = [sample_photons(f, count, seed).positions.tobytes() for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=draw, args=(seed,)) for seed in expected]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == {seed: [got] * 3 for seed, got in expected.items()}
+        assert len(detection._HELPERS) == max(before, 3)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_helpers(self, monkeypatch, grid, beam):
+        monkeypatch.setattr(detection, "_WORKERS", 2)
+        f = random_field(grid, beam, 3)
+        count = 2 * detection._SPLIT_MIN
+        sample_photons(f, count, seed=6)  # the parent's helper is running
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(60)  # a child waiting on its parent's helper would hang
+                got = sample_photons(f, count, seed=6).positions
+                code = int(got.tobytes() != interp_positions(f, count, 6).tobytes())
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestPhotonSampleBuffer:
