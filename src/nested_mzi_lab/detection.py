@@ -30,7 +30,8 @@ import numpy as np
 
 from .elements import Mirror, MirrorTable, TiltSet
 from .errors import ConfigError, GuardError
-from .fields import GaussianSpec, TransverseField, TransverseGrid, _intensity, gaussian_profile
+from .fields import GaussianSpec, TransverseField, TransverseGrid, _frozen, _intensity
+from .fields import gaussian_profile
 from .interferometer import Scenario, _fold_paths, check_small_angle_regime
 from .interferometer import detector_field_analytic
 
@@ -159,8 +160,7 @@ class SpectrumReport:
 class PhotonSample:
     """Detection positions drawn from a field's intensity distribution.
 
-    positions is frozen like a field's amplitude: a read-only float64 array
-    that owns its data is kept as it is, and any other buffer is copied.
+    positions is frozen like a field's amplitude, by the same rule (fields._frozen).
     """
 
     positions: np.ndarray
@@ -168,13 +168,9 @@ class PhotonSample:
     count: int
 
     def __post_init__(self) -> None:
-        pos = self.positions
-        if not (isinstance(pos, np.ndarray) and pos.dtype == np.float64
-                and pos.flags.owndata and not pos.flags.writeable):
-            pos = np.array(pos, dtype=np.float64)
+        pos = _frozen(self.positions, np.float64)
         if pos.shape != (self.count,) or self.count < 1:
             raise ConfigError("positions must be a 1-D array of length count >= 1")
-        pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
 
 
@@ -271,7 +267,7 @@ def spectrum(series: np.ndarray, protocol: DitherProtocol) -> SpectrumReport:
     A sin(2 pi f_j t) reports |amplitude_j| = A.  sample_rate > 4 f_max keeps
     every b_j inside the rfft.  The noise floor is the median magnitude of the
     other bins but DC, regularized from below by the detector dynamic range
-    (DYNAMIC_RANGE_FLOOR of the top peak).
+    (DYNAMIC_RANGE_FLOOR of the top peak) and float64 epsilon, the signal's rounding level.
     """
     series = np.asarray(series, dtype=np.float64)
     count = protocol.sample_count
@@ -285,7 +281,8 @@ def spectrum(series: np.ndarray, protocol: DitherProtocol) -> SpectrumReport:
     off = np.ones(full.shape, dtype=bool)
     off[0] = False  # DC carries the mean, not noise
     off[bins] = False
-    floor = max(float(np.median(magnitudes[off])), DYNAMIC_RANGE_FLOOR * magnitudes[bins].max())
+    noise = float(np.median(magnitudes[off]))
+    floor = max(noise, DYNAMIC_RANGE_FLOOR * magnitudes[bins].max(), np.finfo(np.float64).eps)
     return SpectrumReport(
         frequencies=protocol.frequencies,
         amplitudes={m: complex(full[b]) for m, b in zip(Mirror, bins)},
@@ -447,10 +444,10 @@ def photon_dither_experiment(
     Per time sample, the number of right-half detections out of
     photons_per_sample follows the binomial law of the field's right-half
     probability; drawing that count directly is statistically identical to
-    drawing individual positions (sample_photons) and counting sides.  Each
-    time sample uses an independent, order-insensitive substream of the seed,
-    and the empirical split signal converges to the deterministic series as
-    photons_per_sample grows.
+    drawing individual positions (sample_photons) and counting sides.  Every
+    sample's count comes, in sample order, from one binomial draw on the one
+    stream np.random.default_rng(seed), and the empirical split signal
+    converges to the deterministic series as photons_per_sample grows.
     """
     if photons_per_sample < 1:
         raise ConfigError(f"photons_per_sample must be >= 1, got {photons_per_sample}")
@@ -465,10 +462,7 @@ def photon_dither_experiment(
     if not np.isfinite(series).all():
         raise GuardError("split-detector series is not finite; no photon counts drawn")
     p_right = np.clip(0.5 * (1.0 + series), 0.0, 1.0)
-    counts = np.empty_like(series)
-    for i, p in enumerate(p_right):
-        rng = np.random.default_rng([seed, i])
-        counts[i] = rng.binomial(photons_per_sample, p)
+    counts = np.random.default_rng(seed).binomial(photons_per_sample, p_right)
     empirical = 2.0 * counts / photons_per_sample - 1.0
     return spectrum(empirical, protocol)
 

@@ -122,18 +122,23 @@ class TransverseField:
     k: float
 
     def __post_init__(self) -> None:
-        amp = self.amplitude
-        if not (isinstance(amp, np.ndarray) and amp.dtype == np.complex128
-                and amp.flags.owndata and not amp.flags.writeable):
-            amp = np.array(amp, dtype=np.complex128)
+        amp = _frozen(self.amplitude, np.complex128)
         if amp.shape != (self.grid.n,):
             raise ConfigError(
                 f"amplitude shape {amp.shape} does not match grid n = {self.grid.n} as (n,)"
             )
         if not self.k > 0.0:
             raise ConfigError(f"wavenumber k must be positive, got {self.k}")
-        amp.flags.writeable = False
         object.__setattr__(self, "amplitude", amp)
+
+
+def _frozen(values: object, dtype: type) -> np.ndarray:
+    """values if a read-only dtype array that owns its data, else a frozen dtype copy."""
+    if not (isinstance(values, np.ndarray) and values.dtype == dtype
+            and values.flags.owndata and not values.flags.writeable):
+        values = np.array(values, dtype=dtype)
+        values.flags.writeable = False
+    return values
 
 
 def power(f: TransverseField) -> float:

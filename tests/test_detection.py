@@ -168,7 +168,14 @@ class TestSpectrum:
     def test_zero_series(self, fast_protocol):
         report = spectrum(np.zeros(fast_protocol.sample_count), fast_protocol)
         assert all(report.magnitude(m) == 0.0 for m in Mirror)
-        assert report.noise_floor == 0.0
+        assert report.noise_floor == np.finfo(np.float64).eps
+
+    @pytest.mark.parametrize("preset_name", PRESET_NAMES)
+    def test_no_mirror_moving_leaves_no_trace(self, fast_protocol, preset_name):
+        # The series is rounding residue; no peak may stand out of it.
+        protocol = replace(fast_protocol, amplitudes=MirrorTable())
+        report = spectrum(run_dither(load_preset(preset_name).scenario, protocol), protocol)
+        assert report.peak_mirrors() == set()
 
     def test_length_mismatch(self, fast_protocol):
         with pytest.raises(ConfigError):
@@ -534,6 +541,20 @@ class TestPhotonDitherExperiment:
             assert abs(
                 empirical.amplitudes[mirror] - deterministic.amplitudes[mirror]
             ) <= 0.01 * top
+
+    def test_counts_come_from_one_binomial_draw(self, fast_protocol):
+        scenario = default_scenario(dove=Dove.BEFORE)
+        p_right = np.clip(0.5 * (1.0 + run_dither(scenario, fast_protocol)), 0.0, 1.0)
+        counts = np.random.default_rng(7).binomial(1000, p_right)
+        expected = spectrum(2.0 * counts / 1000 - 1.0, fast_protocol)
+        assert photon_dither_experiment(scenario, fast_protocol, 1000, seed=7) == expected
+
+    def test_the_largest_count_gives_a_finite_report(self, fast_protocol):
+        report = photon_dither_experiment(
+            default_scenario(), fast_protocol, MAX_PHOTONS_PER_SAMPLE, seed=3
+        )
+        assert all(math.isfinite(abs(a)) for a in report.amplitudes.values())
+        assert math.isfinite(report.noise_floor)
 
     def test_count_guard(self, fast_protocol):
         with pytest.raises(ConfigError):
