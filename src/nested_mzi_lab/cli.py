@@ -291,7 +291,10 @@ def run(config: RunConfig) -> int:
     if config.out is None:
         raise ConfigError("out directory missing")
     out_dir = FsPath(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make out directory {config.out!r}: {exc}") from None
     stamp = [f"manifest_sha256={config.manifest_hash()}"]
     (out_dir / "manifest.txt").write_text(config.manifest())
 
@@ -342,7 +345,10 @@ def run(config: RunConfig) -> int:
 
 def _assemble_text(args: argparse.Namespace) -> str:
     """--config, then the --set pairs, then the flags: a later key overrides, so a flag wins."""
-    lines = [FsPath(args.config).read_text()] if args.config else []
+    try:
+        lines = [FsPath(args.config).read_text()] if args.config else []
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
     lines += args.set or []
     flags = {key: getattr(args, key) for key in _RUN_KEYS}
     lines += [f"{key}={value}" for key, value in flags.items() if value not in (None, "")]

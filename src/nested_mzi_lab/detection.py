@@ -11,17 +11,18 @@ without building fields.  Photon counting is modeled on top of the signal:
 sample_photons draws single-photon positions by inverse-transform sampling,
 placing each uniform draw through a guide table over [0, 1) in chunks of
 bounded size, and returns bitwise what np.interp(u, cdf, edges) would.  A
-large draw is shared by up to one thread per core: each thread claims the
-next chunk and reads it from the seed's one PCG64 stream, advanced to the
+large draw is shared by up to one thread per core, the caller and the threads
+of one standard thread pool (made anew in a forked child): each thread claims
+the next chunk and reads it from the seed's one PCG64 stream, advanced to the
 chunk's first photon, so the positions are the same bits whatever the number
 of cores or the order in which the threads ran.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import os
-import queue
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -301,15 +302,16 @@ def sample_photons(f: TransverseField, count: int, seed: int) -> PhotonSample:
     rng = np.random.default_rng(seed), whatever the number of cores.  The
     draw is cut into chunks of _PHOTON_CHUNK // w photons and shared by w =
     min(_WORKERS, count // _SPLIT_MIN) threads, at least one: the caller and
-    w - 1 persistent helper threads.  Each thread claims the next unclaimed
-    chunk until none is left, advancing its own default_rng(seed) to the
-    chunk's first photon with bit_generator.advance: Generator.random takes
+    w - 1 shares run by _POOL, a concurrent.futures.ThreadPoolExecutor of one
+    thread per extra core.  Each thread claims the next unclaimed chunk until
+    none is left, advancing its own default_rng(seed) to the chunk's first
+    photon with bit_generator.advance: Generator.random takes
     one 64-bit draw per double, so every chunk reads its part of the one
     stream of rng.random(count).  The uniforms go straight into the positions
     buffer and each chunk is placed in place through one read-only
     _GuideTable of about min(count, 4 n) buckets, so the temporaries in
     flight stay near 2 MiB.  A thread that is late or slow simply claims
-    fewer chunks; the caller waits for every helper and raises a helper's
+    fewer chunks; the caller waits for every share and raises a helper's
     error.
     """
     if count < 1:
@@ -342,54 +344,27 @@ def sample_photons(f: TransverseField, count: int, seed: int) -> PhotonSample:
             table.place(chunk)
             at = lo + chunk.size
 
-    done = queue.SimpleQueue()
-    for _ in range(workers - 1):
-        _TASKS.put((fill, done))
-    with _HELPERS_LOCK:  # concurrent draws start no more helpers than the largest needs
-        while len(_HELPERS) < workers - 1:
-            _HELPERS.append(threading.Thread(target=_serve, args=(_TASKS,), daemon=True))
-            _HELPERS[-1].start()
+    helpers = [_POOL.submit(fill) for _ in range(workers - 1)]
     fill()
-    for error in [done.get() for _ in range(workers - 1)]:
-        if error is not None:
-            raise error
+    for helper in helpers:
+        helper.result()  # raises a helper's error in the caller
     positions.flags.writeable = False
-    return PhotonSample(positions=positions, seed=seed, count=count)
+    sample = PhotonSample(positions=positions, seed=seed, count=count)
+    del positions  # fill's closure, which a pool thread may still hold, lets go of the buffer
+    return sample
 
 
-#: Shares of draws for the helpers, (fill, done) each, and the daemon threads
-#: that take them: started as draws first need them, one per extra core.
-_TASKS = queue.SimpleQueue()
-_HELPERS: list[threading.Thread] = []
-_HELPERS_LOCK = threading.Lock()
-
-
-def _forget_helpers() -> None:
-    """In a forked child, which has none of its parent's threads: start its own."""
-    _HELPERS.clear()
-    _HELPERS_LOCK.release()
-
-
-if hasattr(os, "register_at_fork"):  # the lock is held across a fork, so no start is cut
-    os.register_at_fork(
-        before=_HELPERS_LOCK.acquire,
-        after_in_parent=_HELPERS_LOCK.release,
-        after_in_child=_forget_helpers,
+def _start_pool() -> None:
+    """Bind _POOL: a thread per extra core for the shares of draws, started as draws need them."""
+    global _POOL
+    _POOL = concurrent.futures.ThreadPoolExecutor(
+        max(1, _WORKERS - 1), thread_name_prefix="sample_photons"
     )
 
 
-def _serve(tasks: queue.SimpleQueue) -> None:
-    """A helper thread's loop: take a share of each draw and report None or the error."""
-    while True:
-        fill, done = tasks.get()
-        error = None
-        try:
-            fill()
-        except BaseException as exc:  # raised again in the caller, which would wait forever
-            error = exc
-        del fill  # the draw's buffers go before the caller hears back
-        done.put(error)
-        del error, done  # nothing of this draw is held while waiting for the next
+_start_pool()
+if hasattr(os, "register_at_fork"):  # a pool inherited across fork never runs the child's tasks
+    os.register_at_fork(after_in_child=_start_pool)
 
 
 class _GuideTable:

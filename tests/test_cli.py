@@ -362,6 +362,24 @@ class TestExitCodes:
     def test_missing_command_is_2(self, tmp_path):
         assert main(["--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("config", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_is_2(self, tmp_path, capsys, config):
+        (tmp_path / "directory").mkdir()
+        (tmp_path / "not_utf8").write_bytes(b"command=centroid\xff\n")
+        args = ["--config", str(tmp_path / config), "--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error category=config message=cannot read config")
+        assert "\n" not in err.strip()
+
+    @pytest.mark.parametrize("out", ["file", "file/below"])
+    def test_out_over_a_file_is_2(self, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("")
+        assert main(["centroid", "--preset", "fig1a", "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error category=config message=cannot make out directory")
+        assert "\n" not in err.strip()
+
     def test_dither_amplitude_past_the_paraxial_guard_names_its_key(self, tmp_path, capsys):
         args = ["dither", "--preset", "fig1c", "--set", "amp_A=2e-3", "--out", str(tmp_path)]
         assert main(args) == 2

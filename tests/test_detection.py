@@ -433,9 +433,35 @@ class TestGuideTableSampling:
             with pytest.raises(RuntimeError, match="a helper failed"):
                 sample_photons(f, count, seed=4)
         # The helper that failed is still serving draws.
-        assert all(helper.is_alive() for helper in detection._HELPERS)
+        helpers = [t for t in threading.enumerate() if t.name.startswith("sample_photons")]
+        assert helpers and all(helper.is_alive() for helper in helpers)
         got = sample_photons(f, count, seed=4).positions
         assert got.tobytes() == interp_positions(f, count, 4).tobytes()
+
+    def test_a_failure_in_the_callers_chunk_is_raised(self, monkeypatch, grid, beam):
+        monkeypatch.setattr(detection, "_WORKERS", 2)
+        f = random_field(grid, beam, 7)
+        count = 4 * detection._SPLIT_MIN
+        place, helper_claimed, caller_claimed = (
+            detection._GuideTable.place, threading.Event(), threading.Event()
+        )
+
+        def fail_in_the_caller(table, u):
+            # Each waits for the other, so both hold a chunk when the caller fails.
+            if threading.current_thread() is threading.main_thread():
+                caller_claimed.set()
+                assert helper_claimed.wait(timeout=30)
+                raise RuntimeError("the caller failed")
+            helper_claimed.set()
+            assert caller_claimed.wait(timeout=30)
+            place(table, u)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(detection._GuideTable, "place", fail_in_the_caller)
+            with pytest.raises(RuntimeError, match="the caller failed"):
+                sample_photons(f, count, seed=9)
+        got = sample_photons(f, count, seed=9).positions
+        assert got.tobytes() == interp_positions(f, count, 9).tobytes()
 
     def test_a_split_draw_is_not_retained(self, monkeypatch, grid, beam):
         monkeypatch.setattr(detection, "_WORKERS", 2)
@@ -446,8 +472,8 @@ class TestGuideTableSampling:
 
     def test_concurrent_split_draws_share_the_helpers(self, monkeypatch, grid, beam):
         # More workers than cores, callers racing to start the helpers, fast switching.
+        extra_cores = max(1, detection._WORKERS - 1)
         monkeypatch.setattr(detection, "_WORKERS", 4)
-        before = len(detection._HELPERS)
         f = random_field(grid, beam, 4)
         count = 4 * detection._SPLIT_MIN + 3
         expected = {seed: interp_positions(f, count, seed).tobytes() for seed in range(4)}
@@ -468,7 +494,8 @@ class TestGuideTableSampling:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         assert results == {seed: [got] * 3 for seed, got in expected.items()}
-        assert len(detection._HELPERS) == max(before, 3)
+        helpers = [t for t in threading.enumerate() if t.name.startswith("sample_photons")]
+        assert 1 <= len(helpers) <= extra_cores
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_starts_its_own_helpers(self, monkeypatch, grid, beam):
