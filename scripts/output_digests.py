@@ -1,24 +1,32 @@
 #!/usr/bin/env python3
 """Print a sha256 digest of every output of a fixed matrix of CLI runs.
 
-Runs every preset through weak-values, centroid (numeric engine, and both
-engines at a small A+E tilt), before-F, dither and photons (seed 7), the
-last two at sample_rate=2400, into a temporary directory, and prints one
-"sha256  preset/run/file" line per output file.  Each preset then gets one
-"sha256  preset/sample_photons/positions" line: the bytes of 100,000 photon
-positions drawn at seed 7 from the preset's numeric detector field.  The package is imported
-from the checkout that holds this script, so byte identity between two
-checkouts is one diff:
+The first line names the Python and numpy versions that ran it.  Then it runs
+every preset through weak-values, centroid (numeric engine, both engines at a
+small A+E tilt, and both engines at the preset's own tilt), before-F, dither
+and photons (seed 7), the last two at sample_rate=2400, into a temporary
+directory, and prints one "sha256  preset/run/file" line per output file.
+Each preset then gets one "sha256  preset/sample_photons/positions" line: the
+bytes of 100,000 photon positions drawn at seed 7 from the preset's numeric
+detector field.  The package is imported from the checkout that holds this
+script, so byte identity between two checkouts is one diff:
 
     python scripts/output_digests.py > new.txt
     python /path/to/other/checkout/scripts/output_digests.py > old.txt
     diff old.txt new.txt
+
+The printout of this checkout is committed as scripts/output_digests.txt, so
+`python scripts/output_digests.py | diff scripts/output_digests.txt -` shows
+every output a change moves.  A change that moves bytes rewrites that file.
 """
 
 import hashlib
+import platform
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -37,6 +45,7 @@ RUNS = {
     "centroid-both": [
         "centroid", "--engine", "both", "--set", "alpha_A=5e-7", "--set", "alpha_E=5e-7",
     ],
+    "centroid-preset": ["centroid", "--engine", "both"],
     "before-F": ["before-F"],
     "dither": ["dither", *SHORT],
     "photons": ["photons", "--seed", "7", *SHORT],
@@ -44,6 +53,7 @@ RUNS = {
 
 
 def main() -> int:
+    print(f"# python {platform.python_version()} numpy {np.__version__}")
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for preset in PRESET_NAMES:

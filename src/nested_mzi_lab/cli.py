@@ -365,8 +365,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one key")
     parser.add_argument("--config", help="file of key=value lines (for example a manifest)")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int, help="random seed (required for photons)")
-    parser.add_argument("--engine", choices=ENGINES, help="centroid engine selection")
+    parser.add_argument("--seed", help="random seed (required for photons)")
+    parser.add_argument("--engine", help=f"centroid engine, one of {', '.join(ENGINES)}")
     args = parser.parse_args(argv)
     try:
         config = parse_config(_assemble_text(args))

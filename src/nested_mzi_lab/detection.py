@@ -58,7 +58,7 @@ MAX_DITHER_WORK = 2**32
 MAX_PHOTONS_PER_SAMPLE = 2**63 - 1
 #: Dither samples per chunk: (2, T) temporaries under 0.1 MiB whatever the grid.
 _SAMPLE_CHUNK = 2**10
-#: _moments' bound on |b w0| (interferometer._fold_paths), truncation and rounding gain.
+#: _moments' bound on |b w0| (run_dither's crest check), truncation and rounding gain.
 _SERIES_RADIUS, _SERIES_TOLERANCE, _SERIES_GAIN = math.hypot(0.05, 0.2), 2.0**-60, 2.0**10
 #: Photons sample_photons draws and places at once: its per-chunk temporaries
 #: (bucket and cell indices, gathered knots) hold at most about 32 B x
@@ -226,10 +226,11 @@ def _moments(grid: TransverseGrid, beam: GaussianSpec, length: float) -> np.ndar
 def run_dither(scenario: Scenario, protocol: DitherProtocol) -> np.ndarray:
     """Split-detector time series while every mirror oscillates at its frequency.
 
-    Sample t is split_signal of the fold's field at alpha_j(t) = A_j sin(2 pi f_j t), whose
-    sums are Re sum_{p <= q} w_pq A_p conj(A_q) S(beta_p + conj(beta_q)), A_p = a_p e^{gamma_p},
-    w_pq = 2 for p != q, S a Horner pass over _moments (or each field split, past their
-    reach).  The crest must sit in the small-angle regime, within MAX_DITHER_WORK.
+    Sample t is split_signal of the fold's field at alpha_j(t) = A_j sin(2 pi f_j t), G(x) sum_p
+    A_p e^{beta_p x}, A_p = a_p e^{c s_p^2 + i phi_p}, beta_p = ik theta_p - 2 c s_p.  Its sums are
+    Re sum_{p <= q} w_pq A_p conj(A_q) S(b), b = beta_p + conj(beta_q), w_pq = 2 for p != q, S a
+    Horner pass over _moments (or each field split, past their reach).  The crest must sit in the
+    small-angle regime, within MAX_DITHER_WORK: then |Re b| <= 0.05 / w0, |Im b| <= 0.2 / w0.
     """
     work = protocol.sample_count * scenario.grid.n
     if work > MAX_DITHER_WORK:
@@ -243,10 +244,11 @@ def run_dither(scenario: Scenario, protocol: DitherProtocol) -> np.ndarray:
     if moments is None:
         tilt_sets = map(TiltSet, zip(*protocol.tilts(times).values()))
         return np.array([split_signal(detector_field_analytic(scenario, t)) for t in tilt_sets])
-    series = np.empty(protocol.sample_count)
+    series, c, ik = np.empty(protocol.sample_count), scenario.curvature, 1j * scenario.beam.k
     for start in range(0, times.size, _SAMPLE_CHUNK):
         span = times[start : start + _SAMPLE_CHUNK]
-        paths = [(a * np.exp(g), b) for a, b, g in _fold_paths(scenario, protocol.tilts(span))]
+        walk = _fold_paths(scenario, protocol.tilts(span))
+        paths = [(a * np.exp(c * s**2 + 1j * phi), ik * t - 2.0 * c * s) for a, s, t, phi in walk]
         sums = 0.0
         for p, (ap, bp) in enumerate(paths):
             for q, (aq, bq) in enumerate(paths[p:], p):

@@ -45,8 +45,7 @@ from .fields import (
     propagate,
 )
 
-# First-order validity regime: every tilt obeys k*alpha*w0 <= SMALL_ANGLE_KAW
-# and the summed walk-off stays below WALKOFF_FRACTION of the waist.
+# First-order regime (check_small_angle_regime): the centroid laws hold, the dither's crest sits.
 SMALL_ANGLE_KAW = 1e-2
 WALKOFF_FRACTION = 0.1
 _REGIME_SLACK = 1.0 + 1e-9
@@ -94,6 +93,11 @@ class Scenario:
                     raise ConfigError(f"path {path.value} needs z_{up.value} > z_{down.value}")
         check_sampling(self.beam, self.grid)
 
+    @property
+    def curvature(self) -> complex:
+        """c = -1 / (w0^2 q) of the source Gaussian over path_length, G(x) = G(0) e^{c x^2}."""
+        return -1.0 / (self.beam.w0**2 * (1.0 + 1j * self.path_length / self.beam.rayleigh_range))
+
 
 def check_small_angle_regime(scenario: Scenario, tilts: TiltSet) -> None:
     """Raise RegimeError unless tilts sit inside the first-order regime."""
@@ -112,33 +116,27 @@ def check_small_angle_regime(scenario: Scenario, tilts: TiltSet) -> None:
 
 
 def detector_field_analytic(scenario: Scenario, tilts: TiltSet) -> TransverseField:
-    """The fold's field G(x) sum_p a_p e^{beta_p x + gamma_p} at one tilt set in the regime."""
-    check_small_angle_regime(scenario, tilts)
-    xs = scenario.grid.xs
-    total = sum(a * np.exp(beta * xs + gamma) for a, beta, gamma in _fold_paths(scenario, tilts))
-    amp = gaussian_profile(xs, scenario.beam, scenario.path_length) * total
+    """The fold's field G(0) sum_p a_p e^{c (x - s_p)^2 + i (k theta_p x + phi_p)}, Re c <= 0."""
+    xs, k, c = scenario.grid.xs, scenario.beam.k, scenario.curvature
+    total = sum(a * np.exp(c * (xs - s) * (xs - s) + 1j * (k * t * xs + phi))
+                for a, s, t, phi in _fold_paths(scenario, tilts))  # c(x - s) first: no overflow
+    amp = gaussian_profile(0.0, scenario.beam, scenario.path_length) * total
     amp.flags.writeable = False
     return TransverseField(scenario.grid, amp, scenario.beam.k)
 
 
 def _fold_paths(scenario: Scenario, tilts: Mapping[Mirror, object]) -> list[tuple]:
-    """Each path's (a, beta, gamma) of the fold, after propagate's edge guard in closed form.
+    """Each path's (a, s, theta, phi) of the fold, after propagate's edge guard in closed form.
 
     Propagation over d maps e^{ik theta x} h(x - s) to e^{ik theta x - ik theta^2 d/2}
     (P(d)h)(x - s - theta d), so a tilt alpha_j at z_j adds z_j alpha_j to the walk-off s,
     alpha_j to the ramp theta and -k z_j alpha_j (2 theta + alpha_j) / 2 to the phase phi,
-    and the prism negates s and theta.  The path adds a e^{i phi + ik theta x} G(x - s) =
-    G(x) a e^{beta x + gamma}, G(x) = G(0) e^{c x^2} the source Gaussian over L = path_length,
-    c = -1 / (w0^2 (1 + iu)), u = L / z_R, beta = -2 c s + ik theta, gamma = c s^2 + i phi.
-    In the regime |s| <= min(0.1, 0.025 u) w0 gives |Re beta| <= 0.025 / w0, |Im beta| <=
-    0.1 / w0, so |Re beta x| <= 205 < 709 over |x| <= 8192 w0 (check_sampling, MAX_SAMPLES)
-    and a pair's b = beta_p + conj(beta_q) has |Re b| <= 0.05 / w0, |Im b| <= 0.2 / w0
-    (detection._moments).  The guard checks the largest walk-off's profile at the band
-    edge nearest its peak.  Tilts, floats or (T,) columns, must sit in the regime.
+    and the prism negates s and theta.  The path adds a e^{i phi + ik theta x} G(x - s), G the
+    source Gaussian over path_length.  The guard checks the largest walk-off's profile at the
+    band edge nearest its peak.  Tilts are floats or (T,) columns.
     """
     beam, z, length, k = scenario.beam, scenario.distances, scenario.path_length, scenario.beam.k
-    c = -1.0 / (beam.w0**2 * (1.0 + 1j * length / beam.rayleigh_range))
-    terms, walk = [], 0.0
+    paths, walk = [], 0.0
     with np.errstate(all="ignore"):  # the guard reports a non-finite value itself
         for path, amp in port_amplitudes(scenario.output_port).items():
             shift = ramp = phase = 0.0
@@ -150,13 +148,13 @@ def _fold_paths(scenario: Scenario, tilts: Mapping[Mirror, object]) -> list[tupl
                     shift = shift + z[mirror] * alpha
                     phase = phase - 0.5 * k * z[mirror] * alpha * (2.0 * ramp + alpha)
                     ramp = ramp + alpha
-            terms.append((amp, 1j * k * ramp - 2.0 * c * shift, c * shift**2 + 1j * phase))
+            paths.append((amp, shift, ramp, phase))
             walk = np.maximum(walk, np.abs(shift).max())
         near = np.maximum((1.0 - EDGE_BAND) * scenario.grid.half_width - walk, 0.0)
         profile = gaussian_profile(np.array([near, 0.0]), beam, length)
     worst, peak = np.abs(profile)
     check_edges(float(peak), float(worst))
-    return terms
+    return paths
 
 
 @lru_cache(maxsize=32)

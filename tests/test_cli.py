@@ -275,6 +275,17 @@ class TestCliRuns:
         notes = read_comments(out / "before_f.csv")
         assert float(notes["power_ratio"]) < 1e-6
 
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_both_engines_run_at_the_preset_tilt(self, tmp_path, preset):
+        # 50 urad is k alpha w0 = 0.5, past the first-order regime; the fold is exact there.
+        args = ["centroid", "--preset", preset, "--engine", "both", "--out", str(tmp_path)]
+        assert main(args) == 0
+        rows = {r[0]: [float(v) for v in r[1:]] for r in read_rows(tmp_path / "centroid.csv")}
+        centroid, split, power = rows["analytic"]
+        assert centroid == pytest.approx(rows["numeric"][0], rel=1e-9, abs=1e-15)  # 1e-12 w0
+        assert split == pytest.approx(rows["numeric"][1], rel=1e-9, abs=1e-12)
+        assert power == pytest.approx(rows["numeric"][2], rel=1e-12)
+
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         args = ["centroid", "--preset", "fig1c", "--seed", "3"]
@@ -350,6 +361,9 @@ class TestExitCodes:
             ["--preset", "fig9z"],
             ["--preset", "fig1c", "--set", "dove=sideways"],
             ["--preset", "fig1c", "--set", "port=dark"],
+            # A flag is the same key=value as --set: one config line, not argparse's usage.
+            ["--preset", "fig1c", "--engine", "bogus"],
+            ["--preset", "fig1c", "--seed", "abc"],
         ],
         ids=" ".join,
     )
@@ -386,6 +400,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error category=config")
         assert "amp_A = 0.002 rad" in err
+
+    def test_dither_crest_past_the_regime_is_3(self, tmp_path, capsys):
+        # The moment series' radius rests on the crest check, which stays.
+        args = ["dither", "--preset", "fig1c", "--set", "amp_E=5e-5", "--out", str(tmp_path)]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error category=guard message=k*alpha*w0 = 0.496 exceeds")
+        assert "\n" not in err.strip()
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
@@ -451,11 +473,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args",
         [
-            # preset tilt (50 urad) is outside the analytic engine's regime
-            ["--engine", "analytic"],
             # finite geometry whose transfer function overflows to nan
             ["--set", "z_E=1e308", "--set", "path_length=1.7e308"],
-            # inside the regime, but the fold reaches the grid edge
+            # the fold reaches the grid edge
             ["--engine", "analytic", "--set", "alpha_E=1e-7", "--set", "path_length=17"],
         ],
         ids=" ".join,
