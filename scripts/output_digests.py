@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print a sha256 digest of every output of a fixed matrix of CLI runs.
 
-The first line names the Python and numpy versions that ran it.  Then it runs
+The first line names the numpy version and Python's major.minor that ran it
+(not Python's patch release, which does not change the bytes).  Then it runs
 every preset through weak-values, centroid (numeric engine, both engines at a
 small A+E tilt, and both engines at the preset's own tilt), before-F, dither
 and photons (seed 7), the last two at sample_rate=2400, into a temporary
@@ -21,7 +22,6 @@ every output a change moves.  A change that moves bytes rewrites that file.
 """
 
 import hashlib
-import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -53,7 +53,7 @@ RUNS = {
 
 
 def main() -> int:
-    print(f"# python {platform.python_version()} numpy {np.__version__}")
+    print(f"# python {sys.version_info.major}.{sys.version_info.minor} numpy {np.__version__}")
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for preset in PRESET_NAMES:
