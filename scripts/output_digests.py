@@ -5,8 +5,10 @@ The first line names the numpy version and Python's major.minor that ran it
 (not Python's patch release, which does not change the bytes).  Then it runs
 every preset through weak-values, centroid (numeric engine, both engines at a
 small A+E tilt, and both engines at the preset's own tilt), before-F, dither
-and photons (seed 7), the last two at sample_rate=2400, into a temporary
-directory, and prints one "sha256  preset/run/file" line per output file.
+and photons (seed 7), the last two at sample_rate=2400, then weak-values and
+centroid (both engines, all five mirrors tilted inside the small-angle
+regime) with unequal inner arms, into a temporary directory, and prints one
+"sha256  preset/run/file" line per output file.
 Each preset then gets one "sha256  preset/sample_photons/positions" line: the
 bytes of 100,000 photon positions drawn at seed 7 from the preset's numeric
 detector field.  The package is imported from the checkout that holds this
@@ -39,6 +41,8 @@ from nested_mzi_lab import (  # noqa: E402 - needs the path above
 )
 
 SHORT = ["--set", "sample_rate=2400"]
+#: z_A != z_B, so every path trace is its own: a cache keyed on too little gives wrong bytes.
+UNEQUAL = ["--set", "z_A=1.2", "--set", "z_B=0.8"]
 RUNS = {
     "weak-values": ["weak-values"],
     "centroid-numeric": ["centroid", "--engine", "numeric"],
@@ -49,6 +53,11 @@ RUNS = {
     "before-F": ["before-F"],
     "dither": ["dither", *SHORT],
     "photons": ["photons", "--seed", "7", *SHORT],
+    "weak-values-unequal": ["weak-values", *UNEQUAL],
+    "centroid-both-unequal": [
+        "centroid", "--engine", "both", *UNEQUAL, "--set", "alpha_A=5e-7", "--set", "alpha_B=-3e-7",
+        "--set", "alpha_C=4e-7", "--set", "alpha_E=-6e-7", "--set", "alpha_F=2e-7",
+    ],
 }
 
 

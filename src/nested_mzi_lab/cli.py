@@ -288,7 +288,7 @@ def write_spectrum_csv(
 
 def run(config: RunConfig) -> int:
     """Execute the configured command, writing CSV outputs and a manifest."""
-    if config.out is None:
+    if not config.out:  # an empty out would write into the working directory
         raise ConfigError("out directory missing")
     out_dir = FsPath(config.out)
     try:

@@ -27,7 +27,7 @@ EDGE_RATIO = 1e-8
 
 MIN_SAMPLES = 256
 #: Largest grid: at this bound one row of complex samples takes 1 MiB, and the
-#: prefix and transfer-function caches alone keep up to 320 such arrays.
+#: engine's caches (16 transfer functions, 2 + 2 prefixes, 8 traces) keep up to 28 rows.
 MAX_SAMPLES = 2**16
 #: Waist sampling bound: the grid spacing is at most w0 / MIN_WAIST_SAMPLES, so
 #: the mode's spectrum has fallen below 1e-17 of its peak at the Nyquist edge.
@@ -192,7 +192,7 @@ def gaussian_profile(
     return peak / np.sqrt(q) * np.exp(-(xs**2) / (spec.w0**2 * q))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=16)  # a scenario's at most 10 distances, with room for a second
 def _transfer_function(grid: TransverseGrid, k: float, z: float) -> np.ndarray:
     kx = 2.0 * math.pi * np.fft.fftfreq(grid.n, grid.spacing)
     # A phase that overflows gives nan here; check_edges reports it as a

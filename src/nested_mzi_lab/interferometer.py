@@ -157,27 +157,30 @@ def _fold_paths(scenario: Scenario, tilts: Mapping[Mirror, object]) -> list[tupl
     return paths
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=2)
 def _outer_prefix(scenario: Scenario) -> TransverseField:
     """Source field propagated up to (just before) mirror E."""
     source = make_gaussian(scenario.beam, scenario.grid)
     return propagate(source, scenario.path_length - scenario.distances[Mirror.E])
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=2)
 def _reference_prefix(scenario: Scenario) -> TransverseField:
     """Source field propagated up to (just before) mirror C."""
     source = make_gaussian(scenario.beam, scenario.grid)
     return propagate(source, scenario.path_length - scenario.distances[Mirror.C])
 
 
+@lru_cache(maxsize=8)
 def _trace(scenario: Scenario, tilts: TiltSet, path: Path, stop_z: float) -> TransverseField:
     """Element-by-element trace of one unfolded path, unweighted.
 
     Starts from the cached source field just before the path's first mirror,
     propagates between element planes, applying each mirror's tilt and the
     prism's parity, and ends at the plane stop_z from the detector; elements
-    past that plane are not applied.
+    past that plane are not applied.  Cached: _port_sum keys it on the path's
+    own tilts (the other mirrors' set to 0.0), so the untilted traces that a
+    weak-values call reads again between at most four new ones stay in it.
     """
     z = scenario.distances
     plane = PATH_MIRRORS[path][0]
@@ -202,7 +205,8 @@ def _port_sum(
     """Sum of amps[path] times each path's trace."""
     total = None  # not sum(), whose int 0 start turns a -0.0 sample into 0.0
     for path in paths:
-        term = amps[path] * _trace(scenario, tilts, path, stop_z).amplitude
+        own = TiltSet(a if m in PATH_MIRRORS[path] else 0.0 for m, a in tilts.items())
+        term = amps[path] * _trace(scenario, own, path, stop_z).amplitude
         total = term if total is None else total + term
     total.flags.writeable = False
     return TransverseField(scenario.grid, total, scenario.beam.k)

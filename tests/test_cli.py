@@ -386,6 +386,23 @@ class TestExitCodes:
         assert err.startswith("error category=config message=cannot read config")
         assert "\n" not in err.strip()
 
+    @pytest.mark.parametrize("spelling", ["--out ''", "--set out=", "out= in --config"])
+    def test_empty_out_is_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch, spelling):
+        config = tmp_path / "run.txt"
+        config.write_text("command=centroid\npreset=fig1a\nout=\n")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        args = {
+            "--out ''": ["centroid", "--preset", "fig1a", "--out", ""],
+            "--set out=": ["centroid", "--preset", "fig1a", "--set", "out="],
+            "out= in --config": ["--config", str(config)],
+        }[spelling]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == "error category=config message=out directory missing\n"
+        assert list(work.iterdir()) == []
+
     @pytest.mark.parametrize("out", ["file", "file/below"])
     def test_out_over_a_file_is_2(self, tmp_path, capsys, out):
         (tmp_path / "file").write_text("")

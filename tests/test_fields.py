@@ -11,6 +11,7 @@ from nested_mzi_lab import (
     GaussianSpec,
     GuardError,
     Mirror,
+    Path,
     TiltSet,
     TransverseField,
     TransverseGrid,
@@ -29,7 +30,7 @@ from nested_mzi_lab import (
 )
 from nested_mzi_lab import fields
 from nested_mzi_lab.detection import _moments
-from nested_mzi_lab.interferometer import _outer_prefix, _reference_prefix
+from nested_mzi_lab.interferometer import _outer_prefix, _reference_prefix, _trace
 from conftest import (
     GridMismatchError,
     decompose_parity,
@@ -109,6 +110,7 @@ class TestGridAndSpecs:
             "_transfer_function": fields._transfer_function(grid, beam.k, 0.5),
             "_outer_prefix": _outer_prefix(scenario).amplitude,
             "_reference_prefix": _reference_prefix(scenario).amplitude,
+            "_trace": _trace(scenario, tilts, Path.EAF, 0.0).amplitude,
             "_moments": _moments(grid, beam, scenario.path_length),
             "make_gaussian": source.amplitude,
             "propagate": propagate(source, 0.5).amplitude,

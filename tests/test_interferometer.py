@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,17 +33,21 @@ from nested_mzi_lab import (
     power,
     run_dither,
     split_signal,
+    weak_value_report,
     PRESET_NAMES,
 )
+from nested_mzi_lab import fields, interferometer
 from nested_mzi_lab.detection import _moments
 from nested_mzi_lab.elements import MAX_TILT
-from nested_mzi_lab.interferometer import PRESET_TILT, _fold_paths
+from nested_mzi_lab.interferometer import PRESET_TILT, _fold_paths, _trace
 from conftest import FAST_FREQS, norm, tilts_at, with_value
 
 W0 = default_beam().w0
 STEP = alpha_step(default_beam())
 #: k alpha w0 at the regime's edge, at the presets' own 50 urad, and four times that.
 KAWS = (1e-2, 0.5, 2.0)
+#: z over A, B, C, E, F with z_A != z_B: the inner arms part at E.
+UNEQUAL_INNER_ARMS = MirrorTable((1.2, 0.8, 1.0, 1.5, 0.5), "z")
 
 
 def assert_engines_agree(scenario, rows, tolerance=1e-12):
@@ -121,7 +127,7 @@ class TestAnalyticEngine:
         [pytest.param(name, None, id=name) for name in PRESET_NAMES]
         + [
             # z_A != z_B: the inner arms part at E, as in the benchmark's interactive calls.
-            pytest.param(name, (1.2, 0.8, 1.0, 1.5, 0.5), id=f"{name}-unequal-inner-arms")
+            pytest.param(name, UNEQUAL_INNER_ARMS, id=f"{name}-unequal-inner-arms")
             for name in ("fig1c", "alt-port")
         ],
     )
@@ -130,7 +136,7 @@ class TestAnalyticEngine:
         # by rounding only, at any tilts inside the regime.
         scenario = load_preset(preset_name).scenario
         if distances is not None:
-            scenario = replace(scenario, distances=MirrorTable(distances, "z"))
+            scenario = replace(scenario, distances=distances)
         rng = np.random.default_rng(11)
         for _ in range(10):
             tilts = TiltSet(rng.uniform(-STEP, STEP, size=len(Mirror)))
@@ -273,6 +279,81 @@ class TestAlternatePort:
         scenario = load_preset("alt-port").scenario
         f = detector_field_numeric(scenario, TiltSet.single(Mirror.E, STEP))
         assert abs(centroid(f)) < 1e-2 * scenario.distances[Mirror.E] * STEP
+
+
+#: The numeric engine's caches and the rows they may keep: 16 transfer functions,
+#: 2 + 2 prefixes and 8 path traces.
+ENGINE_CACHES = (
+    fields._transfer_function, interferometer._outer_prefix,
+    interferometer._reference_prefix, _trace,
+)
+CACHED_ROWS = 16 + 2 + 2 + 8
+
+
+def clear_engine_caches():
+    for cache in ENGINE_CACHES:
+        cache.cache_clear()
+
+
+class TestEngineCaches:
+    def test_weak_value_report_traces_each_distinct_path_once(self):
+        # Ten fields of three paths: 3 untilted traces, read again across mirrors,
+        # and 14 tilted ones.
+        clear_engine_caches()
+        weak_value_report(replace(load_preset("fig1c").scenario, distances=UNEQUAL_INNER_ARMS))
+        info = _trace.cache_info()
+        assert (info.misses, info.hits) == (17, 13)
+
+    @pytest.mark.parametrize("unequal", [False, True], ids=["preset", "unequal-inner-arms"])
+    @pytest.mark.parametrize("preset_name", PRESET_NAMES)
+    def test_reused_traces_give_the_cold_field_bitwise(self, preset_name, unequal):
+        preset = load_preset(preset_name)
+        scenario = preset.scenario
+        if unequal:
+            scenario = replace(scenario, distances=UNEQUAL_INNER_ARMS)
+        rows = [preset.tilts, TiltSet((3e-7, -2e-7, 4e-7, -5e-7, 1e-7))]
+        rows += [TiltSet.single(m, sign * STEP) for m in Mirror for sign in (1, -1)]
+        cold = []
+        for tilts in rows:
+            clear_engine_caches()
+            cold.append(detector_field_numeric(scenario, tilts).amplitude)
+        clear_engine_caches()
+        weak_value_report(scenario)
+        for tilts, expected in zip(rows, cold):
+            assert np.array_equal(detector_field_numeric(scenario, tilts).amplitude, expected)
+
+    def test_a_tilt_at_c_reuses_the_outer_traces_only(self):
+        scenario = replace(load_preset("fig1c").scenario, distances=UNEQUAL_INNER_ARMS)
+        first = TiltSet((3e-7, -2e-7, 4e-7, -5e-7, 1e-7))
+        second = with_value(first, Mirror.C, -4e-7)
+        clear_engine_caches()
+        cold = detector_field_numeric(scenario, second).amplitude
+        clear_engine_caches()
+        detector_field_numeric(scenario, first)
+        warm = detector_field_numeric(scenario, second).amplitude
+        info = _trace.cache_info()
+        assert (info.misses, info.hits) == (4, 2)  # EAF and EBF hit, C misses
+        assert np.array_equal(warm, cold)
+
+    def test_retained_memory_is_bounded_by_the_cache_sizes(self):
+        # Every fresh scenario misses the prefix caches; what stays after the
+        # calls is at most the cached rows, plus 1 MiB for keys and small objects.
+        base = load_preset("fig1c").scenario
+        grid = TransverseGrid(n=4096, half_width=base.grid.half_width)
+        tilts = TiltSet.single(Mirror.E, STEP)
+        clear_engine_caches()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for i in range(40):
+                detector_field_numeric(replace(base, grid=grid, path_length=2.0 + 0.01 * i), tilts)
+            weak_value_report(replace(base, grid=grid, path_length=3.0))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert held < CACHED_ROWS * grid.n * 16 + 2**20
 
 
 #: Signs that add up the walk-offs of the widest grid's paths.
