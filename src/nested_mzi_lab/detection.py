@@ -12,15 +12,15 @@ sample_photons draws single-photon positions by inverse-transform sampling,
 placing each uniform draw through a guide table over [0, 1) in chunks of
 bounded size, and returns bitwise what np.interp(u, cdf, edges) would.  A
 large draw is shared by up to one thread per core, the caller and the threads
-of one standard thread pool (made anew in a forked child): each thread claims
-the next chunk and reads it from the seed's one PCG64 stream, advanced to the
-chunk's first photon, so the positions are the same bits whatever the number
-of cores or the order in which the threads ran.
+of one standard thread pool, made by the first shared draw (and again in a
+forked child): each thread claims the next chunk and reads it from the seed's
+one PCG64 stream, advanced to the chunk's first photon, so the positions are
+the same bits whatever the number of cores or the order in which the threads
+ran.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import os
 import threading
@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elements import Mirror, MirrorTable, TiltSet
+from .elements import Mirror, MirrorTable, Path, TiltSet
 from .errors import ConfigError, GuardError
 from .fields import GaussianSpec, TransverseField, TransverseGrid, _frozen, _intensity
 from .fields import gaussian_profile
@@ -56,7 +56,8 @@ DEFAULT_DURATION = 1.0
 MAX_DITHER_WORK = 2**32
 #: Largest photons_per_sample: the binomial draw takes a 64-bit count.
 MAX_PHOTONS_PER_SAMPLE = 2**63 - 1
-#: Dither samples per chunk: (2, T) temporaries under 0.1 MiB whatever the grid.
+#: Dither samples per chunk: the Horner pass's (2, 6, T) complex arrays take 192 KiB each,
+#: whatever the grid.
 _SAMPLE_CHUNK = 2**10
 #: _moments' bound on |b w0| (run_dither's crest check), truncation and rounding gain.
 _SERIES_RADIUS, _SERIES_TOLERANCE, _SERIES_GAIN = math.hypot(0.05, 0.2), 2.0**-60, 2.0**10
@@ -197,25 +198,26 @@ def split_signal(f: TransverseField) -> float:
 
 @lru_cache(maxsize=2)
 def _moments(grid: TransverseGrid, beam: GaussianSpec, length: float) -> np.ndarray | None:
-    """(M + 1, 2) moments sum_x w |G|^2 (x / w0)^m / m!, or None past the series' reach.
+    """(M + 1, 3) moments sum_x w |G|^2 (x / w0)^m / m! and their bounds, or None past reach.
 
     G is the source Gaussian over length; w is _split_weights in column 0 and 1 in column 1,
-    so sum_x w |G|^2 e^{b x} = sum_m mu_m (b w0)^m.  As |b w0| <= R = _SERIES_RADIUS, term m
-    is at most t_m = R^m sum_x |G|^2 |x / w0|^m / m!, whose ratios fall with m under |G|^2's
-    decay: M is the first m with t_m below _SERIES_TOLERANCE t_0 and t_{m-1} / 2 (14 by
-    default).  None where sum_m t_m / t_0, the Horner pass's rounding gain,
-    passes _SERIES_GAIN: beams some 35 waists wide at the detector.
+    so sum_x w |G|^2 e^{b x} = sum_m mu_m (b w0)^m.  Column 2 holds nu_m = sum_x |G|^2 |x / w0|^m
+    / m!: as |b w0| <= r, term m is at most t_m = r^m nu_m (_series_terms), whose ratios fall with
+    m under |G|^2's decay.  M is _first_small_term at r = R = _SERIES_RADIUS (14 by default);
+    run_dither applies the same test at each chunk's own radius.  None where sum_m t_m / t_0 at
+    R, the Horner pass's rounding gain, passes _SERIES_GAIN: beams some 35 waists wide at the
+    detector.
     """
     g = np.abs(gaussian_profile(grid.xs, beam, length)) ** 2
     halves = _split_weights(grid) * g
     power, scaled = np.ones(grid.n), grid.xs / beam.w0  # power is (x / w0)^m / m!
-    moments, terms = [], []
+    moments = []
     while True:  # the gain test stops a slow series long before a power overflows
-        moments.append((np.sum(halves * power), np.sum(g * power)))
-        terms.append(_SERIES_RADIUS ** len(terms) * np.sum(g * abs(power)))
+        moments.append((np.sum(halves * power), np.sum(g * power), np.sum(g * abs(power))))
+        terms = _series_terms(np.array(moments), _SERIES_RADIUS)
         if not sum(terms) <= _SERIES_GAIN * terms[0]:
             return None
-        if len(terms) > 1 and terms[-1] <= min(_SERIES_TOLERANCE * terms[0], terms[-2] / 2):
+        if _first_small_term(terms) < len(terms):
             break
         power *= scaled / len(moments)
     moments = np.array(moments)
@@ -223,14 +225,31 @@ def _moments(grid: TransverseGrid, beam: GaussianSpec, length: float) -> np.ndar
     return moments
 
 
+def _series_terms(moments: np.ndarray, radius: float) -> list[float]:
+    """t_m = radius^m moments[m, 2]: bounds on the series' terms wherever |b w0| <= radius."""
+    return [radius**m * nu for m, nu in enumerate(moments[:, 2].tolist())]
+
+
+def _first_small_term(terms: list[float]) -> int:
+    """First m >= 1 with t_m <= min(_SERIES_TOLERANCE t_0, t_{m-1} / 2); len(terms) if none."""
+    for m in range(1, len(terms)):
+        if terms[m] <= min(_SERIES_TOLERANCE * terms[0], terms[m - 1] / 2):
+            return m
+    return len(terms)
+
+
 def run_dither(scenario: Scenario, protocol: DitherProtocol) -> np.ndarray:
     """Split-detector time series while every mirror oscillates at its frequency.
 
     Sample t is split_signal of the fold's field at alpha_j(t) = A_j sin(2 pi f_j t), G(x) sum_p
     A_p e^{beta_p x}, A_p = a_p e^{c s_p^2 + i phi_p}, beta_p = ik theta_p - 2 c s_p.  Its sums are
-    Re sum_{p <= q} w_pq A_p conj(A_q) S(b), b = beta_p + conj(beta_q), w_pq = 2 for p != q, S a
-    Horner pass over _moments (or each field split, past their reach).  The crest must sit in the
-    small-angle regime, within MAX_DITHER_WORK: then |Re b| <= 0.05 / w0, |Im b| <= 0.2 / w0.
+    Re sum_{p <= q} w_pq A_p conj(A_q) S(b), b = beta_p + conj(beta_q), w_pq = 2 for p != q, S
+    the series over _moments (or each field split, past their reach).  Per chunk of samples, one
+    Horner pass evaluates S at u = b w0 for all six pairs at once, from the degree that the
+    chunk's own radius max |u| needs (_first_small_term, 9 at the presets' dither against M = 14);
+    the pair terms are then added in order from 0.0.  The crest must sit in the small-angle
+    regime, within MAX_DITHER_WORK: then |Re b| <= 0.05 / w0, |Im b| <= 0.2 / w0, |u| <= R =
+    _SERIES_RADIUS.
     """
     work = protocol.sample_count * scenario.grid.n
     if work > MAX_DITHER_WORK:
@@ -245,19 +264,24 @@ def run_dither(scenario: Scenario, protocol: DitherProtocol) -> np.ndarray:
         tilt_sets = map(TiltSet, zip(*protocol.tilts(times).values()))
         return np.array([split_signal(detector_field_analytic(scenario, t)) for t in tilt_sets])
     series, c, ik = np.empty(protocol.sample_count), scenario.curvature, 1j * scenario.beam.k
+    p, q = np.triu_indices(len(Path))  # the pairs p <= q: (0, 0), (0, 1), ..., (2, 2)
+    # Complex once, x + 0j, the values a real operand is cast to in every mixed ufunc call.
+    weights, coefficients = np.where(p == q, 1.0, 2.0)[:, None] + 0j, moments[:, :2] + 0j
     for start in range(0, times.size, _SAMPLE_CHUNK):
         span = times[start : start + _SAMPLE_CHUNK]
-        walk = _fold_paths(scenario, protocol.tilts(span))
-        paths = [(a * np.exp(c * s**2 + 1j * phi), ik * t - 2.0 * c * s) for a, s, t, phi in walk]
-        sums = 0.0
-        for p, (ap, bp) in enumerate(paths):
-            for q, (aq, bq) in enumerate(paths[p:], p):
-                u = (bp + np.conj(bq)) * scenario.beam.w0
-                pair = np.full((2, span.size), moments[-1][:, None], dtype=np.complex128)
-                for mu in moments[-2::-1]:
-                    pair *= u
-                    pair += mu[:, None]
-                sums = sums + ((1.0 if p == q else 2.0) * ap * np.conj(aq) * pair).real
+        a, s, t, phi = map(np.array, zip(*_fold_paths(scenario, protocol.tilts(span))))
+        amps, betas = a[:, None] * np.exp(c * s**2 + 1j * phi), ik * t - 2.0 * c * s
+        u = (betas[p] + np.conj(betas[q])) * scenario.beam.w0
+        radius = float(np.abs(u).max())
+        degree = min(_first_small_term(_series_terms(moments, radius)), len(moments) - 1)
+        horner = np.full((2, *u.shape), coefficients[degree, :, None, None])
+        for mu in coefficients[degree - 1 :: -1]:
+            horner *= u
+            horner += mu[:, None, None]
+        terms = (weights * amps[p] * np.conj(amps[q]) * horner).real
+        sums = 0.0  # pair by pair from 0.0: a reduction would keep a sum of -0.0 terms at -0.0
+        for term in terms.transpose(1, 0, 2):
+            sums = sums + term
         series[start : start + span.size] = sums[0] / sums[1]
     return series
 
@@ -304,7 +328,7 @@ def sample_photons(f: TransverseField, count: int, seed: int) -> PhotonSample:
     rng = np.random.default_rng(seed), whatever the number of cores.  The
     draw is cut into chunks of _PHOTON_CHUNK // w photons and shared by w =
     min(_WORKERS, count // _SPLIT_MIN) threads, at least one: the caller and
-    w - 1 shares run by _POOL, a concurrent.futures.ThreadPoolExecutor of one
+    w - 1 shares run by _pool(), a concurrent.futures.ThreadPoolExecutor of one
     thread per extra core.  Each thread claims the next unclaimed chunk until
     none is left, advancing its own default_rng(seed) to the chunk's first
     photon with bit_generator.advance: Generator.random takes
@@ -346,7 +370,7 @@ def sample_photons(f: TransverseField, count: int, seed: int) -> PhotonSample:
             table.place(chunk)
             at = lo + chunk.size
 
-    helpers = [_POOL.submit(fill) for _ in range(workers - 1)]
+    helpers = [_pool().submit(fill) for _ in range(workers - 1)]
     fill()
     for helper in helpers:
         helper.result()  # raises a helper's error in the caller
@@ -356,17 +380,32 @@ def sample_photons(f: TransverseField, count: int, seed: int) -> PhotonSample:
     return sample
 
 
-def _start_pool() -> None:
-    """Bind _POOL: a thread per extra core for the shares of draws, started as draws need them."""
+#: The thread pool that runs the shares of shared draws: None until the first such draw.
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool():
+    """_POOL, made on first use: a thread per extra core for the shares of draws."""
     global _POOL
-    _POOL = concurrent.futures.ThreadPoolExecutor(
-        max(1, _WORKERS - 1), thread_name_prefix="sample_photons"
-    )
+    with _POOL_LOCK:
+        if _POOL is None:
+            import concurrent.futures  # only a shared draw pays for the import
+
+            _POOL = concurrent.futures.ThreadPoolExecutor(
+                max(1, _WORKERS - 1), thread_name_prefix="sample_photons"
+            )
+        return _POOL
 
 
-_start_pool()
-if hasattr(os, "register_at_fork"):  # a pool inherited across fork never runs the child's tasks
-    os.register_at_fork(after_in_child=_start_pool)
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool threads are gone, so the next shared draw makes one."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 class _GuideTable:

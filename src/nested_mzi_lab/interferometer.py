@@ -172,17 +172,19 @@ def _reference_prefix(scenario: Scenario) -> TransverseField:
 
 
 @lru_cache(maxsize=8)
-def _trace(scenario: Scenario, tilts: TiltSet, path: Path, stop_z: float) -> TransverseField:
+def _trace(
+    scenario: Scenario, own: tuple[float, ...], path: Path, stop_z: float
+) -> TransverseField:
     """Element-by-element trace of one unfolded path, unweighted.
 
     Starts from the cached source field just before the path's first mirror,
-    propagates between element planes, applying each mirror's tilt and the
-    prism's parity, and ends at the plane stop_z from the detector; elements
-    past that plane are not applied.  Cached: _port_sum keys it on the path's
-    own tilts (the other mirrors' set to 0.0), so the untilted traces that a
+    propagates between element planes, applying each mirror's tilt (own holds
+    them in PATH_MIRRORS[path] order) and the prism's parity, and ends at the
+    plane stop_z from the detector; elements past that plane are not applied.
+    Cached on the path's own tilts alone, so the untilted traces that a
     weak-values call reads again between at most four new ones stay in it.
     """
-    z = scenario.distances
+    z, tilts = scenario.distances, dict(zip(PATH_MIRRORS[path], own))
     plane = PATH_MIRRORS[path][0]
     f = _outer_prefix(scenario) if plane is Mirror.E else _reference_prefix(scenario)
     for mirror, prism in path_elements(scenario.dove, path):
@@ -205,7 +207,7 @@ def _port_sum(
     """Sum of amps[path] times each path's trace."""
     total = None  # not sum(), whose int 0 start turns a -0.0 sample into 0.0
     for path in paths:
-        own = TiltSet(a if m in PATH_MIRRORS[path] else 0.0 for m, a in tilts.items())
+        own = tuple(tilts[m] for m in PATH_MIRRORS[path])  # already validated
         term = amps[path] * _trace(scenario, own, path, stop_z).amplitude
         total = term if total is None else total + term
     total.flags.writeable = False

@@ -1,6 +1,7 @@
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import warnings
@@ -46,6 +47,7 @@ from conftest import FAST_FREQS, random_field, tilts_at, with_value
 from nested_mzi_lab import detection
 from nested_mzi_lab.elements import path_elements, port_amplitudes
 from nested_mzi_lab.detection import MAX_DITHER_WORK, MAX_PHOTONS_PER_SAMPLE
+from nested_mzi_lab.interferometer import SMALL_ANGLE_KAW, WALKOFF_FRACTION, _fold_paths
 
 
 def shifted_gaussian(grid, beam, d):
@@ -517,6 +519,17 @@ class TestGuideTableSampling:
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
 
+    def test_importing_the_cli_starts_no_pool(self):
+        # The executor is imported, and its pool made, by the first shared draw only.
+        src = os.path.dirname(os.path.dirname(detection.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, nested_mzi_lab.cli; print('concurrent.futures' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
 
 class TestPhotonSampleBuffer:
     def test_keeps_a_frozen_buffer_it_can_own(self):
@@ -743,7 +756,7 @@ class TestMomentSeries:
 
     def test_order_follows_the_bound(self, grid, beam):
         moments = detection._moments(grid, beam, default_scenario().path_length)
-        assert moments.shape == (15, 2)  # M = 14, as _moments states
+        assert moments.shape == (15, 3)  # M = 14, as _moments states
         # The last term kept is under the tolerance at the series radius.
         nu = np.sum(np.abs(gaussian_profile(grid.xs, beam, 2.0)) ** 2)
         last = abs(moments[-1, 1]) * detection._SERIES_RADIUS ** (len(moments) - 1)
@@ -766,3 +779,113 @@ class TestMomentSeries:
         # the sign-weighted sum passes on rather than cancels.
         assert np.abs(series - oracle).max() <= 1e-15
         assert np.abs(oracle).max() > 1e-4
+
+
+def per_pair_dither(scenario, protocol, cut=False):
+    """The series by one Horner pass per path pair, each from degree M, as run_dither once did.
+
+    With cut, each chunk's passes start at the degree run_dither picks from the chunk's radius
+    max |u| over every pair.  Also returns, per sample, sum_pq |pair term| / total, the scale
+    of the rounding in the split sum.
+    """
+    moments = detection._moments(scenario.grid, scenario.beam, scenario.path_length)
+    c, ik, w0 = scenario.curvature, 1j * scenario.beam.k, scenario.beam.w0
+    times = protocol.times()
+    series, scale = np.empty(times.size), np.empty(times.size)
+    for start in range(0, times.size, detection._SAMPLE_CHUNK):
+        span = times[start : start + detection._SAMPLE_CHUNK]
+        walk = _fold_paths(scenario, protocol.tilts(span))
+        paths = [(a * np.exp(c * s**2 + 1j * phi), ik * t - 2.0 * c * s) for a, s, t, phi in walk]
+        us = {(p, q): (bp + np.conj(bq)) * w0
+              for p, (_, bp) in enumerate(paths) for q, (_, bq) in enumerate(paths[p:], p)}
+        degree = len(moments) - 1
+        if cut:
+            radius = max(float(np.abs(u).max()) for u in us.values())
+            terms = detection._series_terms(moments, radius)
+            degree = min(detection._first_small_term(terms), degree)
+        sums, size = 0.0, 0.0
+        for p, (ap, _) in enumerate(paths):
+            for q, (aq, _) in enumerate(paths[p:], p):
+                pair = np.full((2, span.size), moments[degree, :2, None], dtype=np.complex128)
+                for mu in moments[degree - 1 :: -1, :2]:
+                    pair *= us[p, q]
+                    pair += mu[:, None]
+                term = ((1.0 if p == q else 2.0) * ap * np.conj(aq) * pair).real
+                sums, size = sums + term, size + np.abs(term[0])
+        series[start : start + span.size] = sums[0] / sums[1]
+        scale[start : start + span.size] = size / sums[1]
+    return series, scale
+
+
+def record_cuts(monkeypatch):
+    """Patch run_dither's degree choice to log each chunk's (terms t_m at its radius, degree)."""
+    cuts, first_small_term = [], detection._first_small_term
+
+    def logged(terms):
+        cuts.append((terms, first_small_term(terms)))
+        return cuts[-1][1]
+
+    monkeypatch.setattr(detection, "_first_small_term", logged)
+    return cuts
+
+
+def regime_amplitudes(scenario, fractions):
+    """Dither amplitudes at the given fractions of the regime: k alpha w0 and the walk-off."""
+    beam = scenario.beam
+    amps = np.array(fractions) * SMALL_ANGLE_KAW / (beam.k * beam.w0)
+    walk = float(np.dot(scenario.distances, amps))
+    if walk > WALKOFF_FRACTION * beam.w0:
+        amps *= WALKOFF_FRACTION * beam.w0 / walk
+    return MirrorTable(amps, "amp")
+
+
+class TestOnePassOverPairs:
+    """run_dither's one Horner pass over all pairs, cut at each chunk's radius."""
+
+    @pytest.mark.parametrize("short", [False, True], ids=["default", "short"])
+    @pytest.mark.parametrize("preset_name", PRESET_NAMES)
+    def test_presets_equal_the_per_pair_loop_bitwise(self, fast_protocol, preset_name, short):
+        scenario = load_preset(preset_name).scenario
+        protocol = fast_protocol if short else default_protocol()
+        full, _ = per_pair_dither(scenario, protocol)
+        assert run_dither(scenario, protocol).tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("preset_name", PRESET_NAMES)
+    def test_presets_cut_below_the_cached_degree(self, monkeypatch, preset_name):
+        scenario = load_preset(preset_name).scenario
+        moments = detection._moments(scenario.grid, scenario.beam, scenario.path_length)
+        cuts = record_cuts(monkeypatch)
+        run_dither(scenario, default_protocol())
+        assert len(cuts) == 10  # one per chunk of 1024 samples
+        assert {degree for _, degree in cuts} == {9}
+        assert len(moments) - 1 == 14
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        preset_name=st.sampled_from(PRESET_NAMES),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+        count=st.integers(441, 3071).filter(lambda n: n % 1024 != 0),
+    )
+    def test_regime_amplitudes_and_partial_chunks(self, preset_name, fractions, count):
+        scenario = load_preset(preset_name).scenario
+        protocol = DitherProtocol(
+            amplitudes=regime_amplitudes(scenario, fractions),
+            frequencies=MirrorTable(FAST_FREQS), sample_rate=4.0 * count, duration=0.25,
+        )
+        assert protocol.sample_count == count
+        moments = detection._moments(scenario.grid, scenario.beam, scenario.path_length)
+        with pytest.MonkeyPatch.context() as patch:
+            cuts = record_cuts(patch)
+            series = run_dither(scenario, protocol)
+        assert len(cuts) == -(-count // detection._SAMPLE_CHUNK)
+        # The pass is the per-pair loop's arithmetic, stacked: bitwise at the same degree.
+        cut, _ = per_pair_dither(scenario, protocol, cut=True)
+        assert series.tobytes() == cut.tobytes()
+        # The terms past each chunk's degree are below the tolerance at its radius.
+        for terms, degree in cuts:
+            assert degree <= len(moments) - 1
+            assert sum(terms[degree + 1 :]) <= detection._SERIES_TOLERANCE * terms[0]
+        # Against the full degree, the cut moves a sample by rounding steps of the split
+        # sum's pair terms at most: the dropped terms are 2^-60 of the total or less.
+        full, scale = per_pair_dither(scenario, protocol)
+        assert np.all(np.abs(series - full) <= 8 * np.finfo(float).eps * scale)

@@ -110,7 +110,7 @@ class TestGridAndSpecs:
             "_transfer_function": fields._transfer_function(grid, beam.k, 0.5),
             "_outer_prefix": _outer_prefix(scenario).amplitude,
             "_reference_prefix": _reference_prefix(scenario).amplitude,
-            "_trace": _trace(scenario, tilts, Path.EAF, 0.0).amplitude,
+            "_trace": _trace(scenario, (5e-7, 0.0, 0.0), Path.EAF, 0.0).amplitude,  # E, A, F
             "_moments": _moments(grid, beam, scenario.path_length),
             "make_gaussian": source.amplitude,
             "propagate": propagate(source, 0.5).amplitude,
