@@ -11,8 +11,11 @@ regime) with unequal inner arms, into a temporary directory, and prints one
 "sha256  preset/run/file" line per output file.
 Each preset then gets one "sha256  preset/sample_photons/positions" line: the
 bytes of 100,000 photon positions drawn at seed 7 from the preset's numeric
-detector field.  The package is imported from the checkout that holds this
-script, so byte identity between two checkouts is one diff:
+detector field.  A "preset/sample_photons/positions-reused" line follows: 77,777
+positions drawn at seed 8 from the same field object, through the knots and
+guide table that the first draw left in the sampler.  The package is imported
+from the checkout that holds this script, so byte identity between two
+checkouts is one diff:
 
     python scripts/output_digests.py > new.txt
     python /path/to/other/checkout/scripts/output_digests.py > old.txt
@@ -77,9 +80,10 @@ def main() -> int:
                     print(f"{digest}  {preset}/{run}/{path.name}")
             loaded = load_preset(preset)
             field = detector_field_numeric(loaded.scenario, loaded.tilts)
-            positions = sample_photons(field, 100_000, seed=7).positions
-            digest = hashlib.sha256(positions.tobytes()).hexdigest()
-            print(f"{digest}  {preset}/sample_photons/positions")
+            for count, seed, name in ((100_000, 7, "positions"), (77_777, 8, "positions-reused")):
+                positions = sample_photons(field, count, seed).positions
+                digest = hashlib.sha256(positions.tobytes()).hexdigest()
+                print(f"{digest}  {preset}/sample_photons/{name}")
     return 0
 
 

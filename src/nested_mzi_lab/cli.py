@@ -13,6 +13,7 @@ import hashlib
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -109,15 +110,22 @@ class RunConfig:
             if value is not None
         )
 
+    @cached_property
+    def _text_and_hash(self) -> tuple[str, str]:
+        """to_text() and its SHA-256, made once per config."""
+        text = self.to_text()
+        return text, hashlib.sha256(text.encode()).hexdigest()
+
     def manifest(self) -> str:
+        text, digest = self._text_and_hash
         return (
             "# nested-mzi-lab run manifest\n"
             f"# version={__version__}\n"
-            f"# manifest_sha256={self.manifest_hash()}\n" + self.to_text()
+            f"# manifest_sha256={digest}\n" + text
         )
 
     def manifest_hash(self) -> str:
-        return hashlib.sha256(self.to_text().encode()).hexdigest()
+        return self._text_and_hash[1]
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:

@@ -314,6 +314,19 @@ class TestCliRuns:
         first_line = (out / "centroid.csv").read_text().splitlines()[0]
         assert first_line == f"# manifest_sha256={digest}"
 
+    def test_a_run_makes_its_manifest_text_and_hash_once(self, monkeypatch, tmp_path):
+        made, hashed = [], []
+        to_text, sha256 = cli.RunConfig.to_text, cli.hashlib.sha256
+        monkeypatch.setattr(cli.RunConfig, "to_text", lambda c: made.append(1) or to_text(c))
+        monkeypatch.setattr(cli.hashlib, "sha256", lambda b: hashed.append(1) or sha256(b))
+        out = tmp_path / "wv"
+        assert main(["weak-values", "--preset", "fig1c", "--out", str(out)]) == 0
+        assert (len(made), len(hashed)) == (1, 1)
+        manifest = (out / "manifest.txt").read_text()
+        digest = sha256(manifest.split("\n", 3)[3].encode()).hexdigest()
+        assert f"# manifest_sha256={digest}\n" in manifest
+        assert (out / "weak_values.txt").read_text().startswith(f"# manifest_sha256={digest}\n")
+
 
 class TestFlagsBeatSet:
     """A flag and a --set of the same key: the flag's value runs and reaches the manifest."""

@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -47,6 +48,7 @@ from conftest import FAST_FREQS, random_field, tilts_at, with_value
 from nested_mzi_lab import detection
 from nested_mzi_lab.elements import path_elements, port_amplitudes
 from nested_mzi_lab.detection import MAX_DITHER_WORK, MAX_PHOTONS_PER_SAMPLE
+from nested_mzi_lab.fields import MAX_SAMPLES
 from nested_mzi_lab.interferometer import SMALL_ANGLE_KAW, WALKOFF_FRACTION, _fold_paths
 
 
@@ -282,8 +284,30 @@ class TestSamplePhotons:
             sample_photons(make_gaussian(beam, grid), 0, seed=1)
 
     def test_negative_seed(self, grid, beam):
-        with pytest.raises(ConfigError, match="seed"):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             sample_photons(make_gaussian(beam, grid), 10, seed=-1)
+
+    def test_integer_likes_are_taken_as_ints(self, grid, beam):
+        f = make_gaussian(beam, grid)
+        sample = sample_photons(f, np.int64(10), seed=np.uint64(3))
+        assert type(sample.count) is int and type(sample.seed) is int
+        assert (sample.count, sample.seed) == (10, 3)
+        assert sample.positions.tobytes() == interp_positions(f, 10, 3).tobytes()
+
+    @pytest.mark.parametrize("count, seed, name", [
+        (10.0, 1, "photon count"), ("10", 1, "photon count"), (np.float64(10), 1, "photon count"),
+        (10, 1.5, "seed"), (10, None, "seed"), (10, np.float64(2), "seed"),
+    ])
+    def test_non_integers_are_config_errors(self, grid, beam, count, seed, name):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            sample_photons(make_gaussian(beam, grid), count, seed)
+
+    def test_integer_likes_keep_the_range_messages(self, grid, beam):
+        f = make_gaussian(beam, grid)
+        with pytest.raises(ConfigError, match="photon count must be >= 1, got 0"):
+            sample_photons(f, np.int32(0), seed=1)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -2"):
+            sample_photons(f, 10, seed=np.int64(-2))
 
     def test_standard_error_scaling(self, grid, beam):
         # SE of the sample mean must fall as 1/sqrt(N) within a factor 1.5.
@@ -347,9 +371,9 @@ class TestGuideTableSampling:
         ])
         u = u[(u >= 0.0) & (u < 1.0)]
         expected = np.interp(u, cdf, edges)
-        for buckets in (1, 8, 4 * grid.n):
+        for buckets in (1, 8, 4 * grid.n, detection._BUCKETS_PER_CELL * grid.n):
             got = u.copy()
-            table = detection._GuideTable(cdf, edges, buckets)
+            table = detection._GuideTable(detection._Knots(cdf, edges), buckets)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 table.place(got)
@@ -365,9 +389,9 @@ class TestGuideTableSampling:
         u = np.arange(64) / 64
         u = np.concatenate([u, np.nextafter(u, 1.0), np.nextafter(u[1:], 0.0)])
         expected = np.interp(u, cdf, edges)
-        for buckets in (1, 8, 16, 64, 4 * grid.n):
+        for buckets in (1, 8, 16, 64, 4 * grid.n, detection._BUCKETS_PER_CELL * grid.n):
             got = u.copy()
-            detection._GuideTable(cdf, edges, buckets).place(got)
+            detection._GuideTable(detection._Knots(cdf, edges), buckets).place(got)
             assert got.tobytes() == expected.tobytes(), buckets
 
     def test_crafted_cases_reach_both_ends_of_the_last_knot(self, grid, beam):
@@ -529,6 +553,162 @@ class TestGuideTableSampling:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
+
+
+class TestKnotCache:
+    """A field's knots and guide tables are built by its first draw and read by the next."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self, monkeypatch):
+        monkeypatch.setattr(detection, "_KNOTS", type(detection._KNOTS)(maxlen=2))
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The bucket counts of the guide tables built, in order."""
+        built = []
+
+        class Counted(detection._GuideTable):
+            def __init__(self, knots, buckets):
+                built.append(buckets)
+                super().__init__(knots, buckets)
+
+        monkeypatch.setattr(detection, "_GuideTable", Counted)
+        return built
+
+    def test_repeated_draws_build_the_tables_once(self, builds, grid, beam):
+        f = random_field(grid, beam, 11)
+        cap = detection._BUCKETS_PER_CELL * grid.n
+        for count in (1000, 1000, cap - 1, cap, cap + 1, 100_000, 1000, cap + 1):
+            for seed in (0, 5):
+                got = sample_photons(f, count, seed).positions
+                assert got.tobytes() == interp_positions(f, count, seed).tobytes(), count
+        assert builds == [1024, cap]
+        assert len(detection._KNOTS) == 1
+
+    def test_alternating_fields_equal_interp(self, builds, grid, beam):
+        fields = [random_field(grid, beam, seed) for seed in (12, 13)]
+        cap = detection._BUCKETS_PER_CELL * grid.n
+        counts = (10, cap // 2 + 1, cap, cap + 1, 2 * detection._SPLIT_MIN + 3, 10)
+        for seed, count in enumerate(counts):
+            for f in fields:
+                got = sample_photons(f, count, seed).positions
+                assert got.tobytes() == interp_positions(f, count, seed).tobytes(), count
+        assert builds == [16, 16, cap, cap]
+
+    def test_a_third_field_evicts_the_first(self, builds, grid, beam):
+        fields = [random_field(grid, beam, seed) for seed in (14, 15, 16)]
+        for f in (*fields, fields[0]):
+            got = sample_photons(f, 100, seed=1).positions
+            assert got.tobytes() == interp_positions(f, 100, 1).tobytes()
+        assert builds == [128] * 4
+        assert [entry[0]() for entry in detection._KNOTS] == [
+            fields[2].amplitude, fields[0].amplitude
+        ]
+
+    def test_a_shared_buffer_on_another_grid_gets_its_own_knots(self, builds, grid, beam):
+        f = random_field(grid, beam, 17)
+        wider = TransverseField(replace(grid, half_width=1.5 * grid.half_width), f.amplitude, f.k)
+        assert wider.amplitude is f.amplitude
+        for field in (f, wider, f, wider):
+            got = sample_photons(field, 5000, seed=2).positions
+            assert got.tobytes() == interp_positions(field, 5000, 2).tobytes()
+        assert builds == [8192, 8192]
+        assert sample_photons(f, 10, 3).positions.tobytes() != sample_photons(
+            wider, 10, 3).positions.tobytes()
+
+    def test_a_dropped_field_is_not_kept_alive(self, grid, beam):
+        f = random_field(grid, beam, 18)
+        sample_photons(f, 10, seed=1)
+        amplitude = weakref.ref(f.amplitude)
+        del f
+        assert amplitude() is None
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_a_non_finite_field_raises_on_every_call(self, builds, grid, beam, value):
+        amp = make_gaussian(beam, grid).amplitude.copy()
+        amp[grid.n // 2] = value
+        f = TransverseField(grid, amp, beam.k)
+        for _ in range(2):
+            with pytest.raises(GuardError, match="no photons drawn"):
+                sample_photons(f, 10, seed=1)
+        assert not detection._KNOTS and not builds
+
+    def test_concurrent_draws_on_two_fields(self, monkeypatch, grid, beam):
+        monkeypatch.setattr(detection, "_WORKERS", 3)
+        fields = [random_field(grid, beam, seed) for seed in (19, 20)]
+        count = 3 * detection._SPLIT_MIN + 5
+        expected = {
+            (i, seed): interp_positions(f, count, seed).tobytes()
+            for i, f in enumerate(fields) for seed in (4, 5)
+        }
+        results = {}
+
+        def draw(i, seed):
+            results[i, seed] = [
+                sample_photons(fields[i], count, seed).positions.tobytes() for _ in range(3)
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=draw, args=key) for key in expected]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == {key: [got] * 3 for key, got in expected.items()}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_reads_and_builds_knots(self, monkeypatch, grid, beam):
+        monkeypatch.setattr(detection, "_WORKERS", 2)
+        f, fresh = random_field(grid, beam, 21), random_field(grid, beam, 22)
+        count = 2 * detection._SPLIT_MIN + 1
+        sample_photons(f, count, seed=6)  # the parent's knots for f, and its helper
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(60)
+                same = [
+                    sample_photons(g, count, seed=7).positions.tobytes()
+                    == interp_positions(g, count, 7).tobytes()
+                    for g in (f, fresh, f)
+                ]
+                code = int(not all(same) or len(detection._KNOTS) != 2)
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_retained_memory_at_the_largest_grid_is_bounded(self, beam):
+        # Each fresh field gets a table per power of two up to _MAX_BUCKETS, the
+        # most a field can hold; only the last two fields' knots may stay.
+        grid = TransverseGrid(n=MAX_SAMPLES, half_width=default_scenario().grid.half_width)
+        counts = [2**b + 1 for b in range(detection._MAX_BUCKETS.bit_length())]
+        knots, tables = 3 * 8 * (grid.n + 1), 8 * (2 * detection._MAX_BUCKETS - 1)
+        bound = detection._KNOTS.maxlen * (knots + tables)
+        assert round(bound / 2**20) == 11  # the bound the module states
+        sample_photons(random_field(grid, beam, 0), 1, seed=0)  # grid.xs, and the pool
+        detection._pool()
+        detection._KNOTS.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for seed in range(3):
+                f = random_field(grid, beam, seed)
+                for count in counts:
+                    sample_photons(f, count, seed)
+                del f
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(detection._KNOTS) == 2
+        assert 2 * knots < retained <= bound + 2**16
 
 
 class TestPhotonSampleBuffer:
