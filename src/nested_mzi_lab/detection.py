@@ -10,20 +10,19 @@ The series reads the interferometer's fold from half-grid moments of the beam,
 without building fields.  Photon counting is modeled on top of the signal:
 sample_photons draws single-photon positions by inverse-transform sampling,
 placing each uniform draw through a guide table over [0, 1) in chunks of
-bounded size, and returns bitwise what np.interp(u, cdf, edges) would.  The
-knots and guide tables of the last two fields drawn from are kept, so many
-draws on one field build them once.  A large draw is shared by up to one
-thread per core, the caller and the threads of one standard thread pool, made
-by the first shared draw (and again in a forked child): each thread claims the
-next chunk and reads it from the seed's one PCG64 stream, advanced to the
-chunk's first photon, so the positions are the same bits whatever the number
-of cores or the order in which the threads ran.
+bounded size, and returns bitwise what np.interp(u, cdf, edges) would.  A
+field's guide table is built by its first draw and kept for the last two
+fields drawn from, so many draws on one field build it once.  A large draw is
+shared by up to one thread per core, the caller and the threads of one
+standard thread pool, made by the first shared draw (and again in a forked
+child): each thread claims the next chunk and reads it from the seed's one
+PCG64 stream, advanced to the chunk's first photon, so the positions are the
+same bits whatever the number of cores or the order in which the threads ran.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import os
 import threading
 import weakref
@@ -35,8 +34,8 @@ import numpy as np
 
 from .elements import Mirror, MirrorTable, Path, TiltSet
 from .errors import ConfigError, GuardError
-from .fields import GaussianSpec, TransverseField, TransverseGrid, _frozen, _intensity
-from .fields import gaussian_profile
+from .fields import GaussianSpec, TransverseField, TransverseGrid, _frozen, _integer
+from .fields import _intensity, gaussian_profile
 from .interferometer import Scenario, _fold_paths, check_small_angle_regime
 from .interferometer import detector_field_analytic
 
@@ -78,10 +77,9 @@ _WORKERS = (
 )
 #: Guide-table buckets per grid cell: 16 leaves under 1% of uniforms to a binary
 #: search (4 left 3%) and places a 32K chunk fastest at the presets' grid, now
-#: that a field's tables are built once for all its draws.  The count is also
-#: capped near the photon count, so a first small draw on a field does not pay
-#: for a table larger than itself, and at _MAX_BUCKETS, whose 8-byte cell
-#: indices take 2 MiB (4 buckets per cell on the largest grid).
+#: that a field's table is built once for all its draws.  The count is capped at
+#: _MAX_BUCKETS, whose 8-byte cell indices take 2 MiB (4 buckets per cell on the
+#: largest grid).
 _BUCKETS_PER_CELL = 16
 _MAX_BUCKETS = 2**18
 
@@ -304,6 +302,7 @@ def spectrum(series: np.ndarray, protocol: DitherProtocol) -> SpectrumReport:
     every b_j inside the rfft.  The noise floor is the median magnitude of the
     other bins but DC, regularized from below by the detector dynamic range
     (DYNAMIC_RANGE_FLOOR of the top peak) and float64 epsilon, the signal's rounding level.
+    A series that is not finite raises GuardError.
     """
     series = np.asarray(series, dtype=np.float64)
     count = protocol.sample_count
@@ -311,6 +310,8 @@ def spectrum(series: np.ndarray, protocol: DitherProtocol) -> SpectrumReport:
         raise ConfigError(
             f"series length {series.shape} does not match protocol samples ({count},)"
         )
+    if not np.isfinite(series).all():
+        raise GuardError("dither series is not finite; no spectrum taken")
     full = np.fft.rfft(series) * (2.0 / count)
     bins = [round(f * protocol.duration) for f in protocol.frequencies]
     magnitudes = np.abs(full)
@@ -343,21 +344,19 @@ def sample_photons(f: TransverseField, count: int, seed: int) -> PhotonSample:
     photon with bit_generator.advance: Generator.random takes
     one 64-bit draw per double, so every chunk reads its part of the one
     stream of rng.random(count).  The uniforms go straight into the positions
-    buffer and each chunk is placed in place through one read-only
-    _GuideTable of min(count, _BUCKETS_PER_CELL n, _MAX_BUCKETS) buckets,
-    rounded up to a power of two, so the temporaries in flight stay near
-    2 MiB.  The field's knots and that table are built by its first draw of
-    the bucket count and kept for the next ones (_knots).  A thread that is
-    late or slow simply claims fewer chunks; the caller waits for every share
-    and raises a helper's error.
+    buffer and each chunk is placed in place through the field's one
+    read-only _GuideTable of min(_BUCKETS_PER_CELL n, _MAX_BUCKETS) buckets,
+    so the temporaries in flight stay near 2 MiB.  The table is built by the
+    field's first draw, whatever its count, and kept for the next ones
+    (_table).  A thread that is late or slow simply claims fewer chunks; the
+    caller waits for every share and raises a helper's error.
     """
     count, seed = _integer(count, "photon count"), _integer(seed, "seed")
     if count < 1:
         raise ConfigError(f"photon count must be >= 1, got {count}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    buckets = 1 << (min(count, _BUCKETS_PER_CELL * f.grid.n, _MAX_BUCKETS) - 1).bit_length()
-    table = _knots(f).table(buckets)
+    table = _table(f)
     positions = np.empty(count)
     workers = max(1, min(_WORKERS, count // _SPLIT_MIN))
     step = _PHOTON_CHUNK // workers
@@ -414,67 +413,37 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _integer(value: object, name: str) -> int:
-    """value as a Python int (operator.index); ConfigError for anything not an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-
-
-#: (amplitude, grid, _Knots) of the last two fields drawn from, the amplitude by weak
+#: (amplitude, grid, _GuideTable) of the last two fields drawn from, the amplitude by weak
 #: reference.  A field's amplitude is a frozen buffer that owns its data (fields._frozen),
-#: so while it lives, the same buffer on the same grid means the same knots.  A lookup reads
+#: so while it lives, the same buffer on the same grid means the same table.  A lookup reads
 #: one snapshot of the deque and a miss appends, each one step under the GIL; two draws that
-#: miss on one field at once both build its knots, and either serves.  At MAX_SAMPLES a
-#: field's knots take 1.5 MiB and its tables at most 4 MiB (one per power of two up to
-#: _MAX_BUCKETS), so the two entries hold at most 11 MiB.
-_KNOTS: deque[tuple[weakref.ref, TransverseGrid, _Knots]] = deque(maxlen=2)
+#: miss on one field at once both build its table, and either serves.  At MAX_SAMPLES a
+#: field's knots and slopes take 1.5 MiB and its _MAX_BUCKETS cells 2 MiB, so the two
+#: entries hold at most 7 MiB.
+_TABLES: deque[tuple[weakref.ref, TransverseGrid, _GuideTable]] = deque(maxlen=2)
 
 
-def _knots(f: TransverseField) -> _Knots:
-    """f's _Knots, kept from an earlier draw or built; GuardError, never kept, where not finite."""
-    for amplitude, grid, knots in tuple(_KNOTS):
+def _table(f: TransverseField) -> _GuideTable:
+    """f's _GuideTable, kept from an earlier draw or built; never kept where _intensity raises."""
+    for amplitude, grid, table in tuple(_TABLES):
         if amplitude() is f.amplitude and grid == f.grid:
-            return knots
-    weights, total = _intensity(f)
-    if not math.isfinite(total):  # np.interp's exactness argument needs a finite cdf
-        raise GuardError(f"field intensity sums to {total!r}; no photons drawn")
+            return table
+    weights, total = _intensity(f)  # a finite total: np.interp's exactness needs a finite cdf
     dx = f.grid.spacing
     edges = np.concatenate([f.grid.xs - 0.5 * dx, [f.grid.xs[-1] + 0.5 * dx]])
-    knots = _Knots(np.concatenate([[0.0], np.cumsum(weights)]) / total, edges)
-    _KNOTS.append((weakref.ref(f.amplitude), f.grid, knots))
-    return knots
-
-
-class _Knots:
-    """np.interp's knots (cdf, edges), each cell's slope and a _GuideTable per bucket count.
-
-    cdf is non-decreasing from cdf[0] = 0.  slope[j] is np.interp's own (edges[j + 1] -
-    edges[j]) / (cdf[j + 1] - cdf[j]); a flat run of the cdf divides by zero, and no draw
-    lands in its cells.
-    """
-
-    def __init__(self, cdf: np.ndarray, edges: np.ndarray) -> None:
-        with np.errstate(divide="ignore", over="ignore"):
-            slope = np.diff(edges) / np.diff(cdf)
-        self.slope = np.append(slope, 0.0)  # cell n: edges[-1] at or past cdf[-1]
-        self.cdf, self.edges = cdf, edges
-        self.tables: dict[int, _GuideTable] = {}
-
-    def table(self, buckets: int) -> _GuideTable:
-        """The guide table of this many buckets, built on its first draw."""
-        table = self.tables.get(buckets)
-        if table is None:  # racing draws may both build it; either places the same bits
-            table = self.tables.setdefault(buckets, _GuideTable(self, buckets))
-        return table
+    cdf = np.concatenate([[0.0], np.cumsum(weights)]) / total
+    table = _GuideTable(cdf, edges, min(_BUCKETS_PER_CELL * f.grid.n, _MAX_BUCKETS))
+    _TABLES.append((weakref.ref(f.amplitude), f.grid, table))
+    return table
 
 
 class _GuideTable:
     """np.interp(u, cdf, edges) for uniforms u in [0, 1), bitwise, at O(1) per draw.
 
-    [0, 1) is split into `buckets` equal buckets, a power of two so that
-    floor(u * buckets) is exact.  Every u in a bucket that holds no knot cdf[k]
+    cdf is non-decreasing from cdf[0] = 0.  slope[j] is np.interp's own (edges[j + 1] -
+    edges[j]) / (cdf[j + 1] - cdf[j]); a flat run of the cdf divides by zero, and no draw
+    lands in its cells.  [0, 1) is split into `buckets` equal buckets, a power of two so
+    that floor(u * buckets) is exact.  Every u in a bucket that holds no knot cdf[k]
     lies in one cell j, the one holding the bucket's left edge, and takes
     np.interp's own arithmetic there: slope[j] * (u - cdf[j]) + edges[j], finite
     since the cell is wider than the bucket.  A bucket that holds a knot has
@@ -483,17 +452,18 @@ class _GuideTable:
     whose slope is 0, and then through np.interp itself.
     """
 
-    def __init__(self, knots: _Knots, buckets: int) -> None:
+    def __init__(self, cdf: np.ndarray, edges: np.ndarray, buckets: int) -> None:
+        with np.errstate(divide="ignore", over="ignore"):
+            slope = np.diff(edges) / np.diff(cdf)
+        self.slope = np.append(slope, 0.0)  # cell n: edges[-1] at or past cdf[-1]
         # Knots below each bucket bound b / buckets (np.searchsorted's count, the
         # first bound above knot c being floor(c * buckets) + 1): a bucket holds a
         # knot where the counts at its two bounds differ; otherwise its cell is
         # the last knot below it.
-        first = (knots.cdf * buckets).astype(np.intp) + 1
+        first = (cdf * buckets).astype(np.intp) + 1
         below = np.cumsum(np.bincount(first, minlength=buckets + 2)[: buckets + 1])
         self.cell = np.where(below[1:] != below[:-1], -1, below[:-1] - 1)
-        # The arrays, not knots, whose tables hold this one: no cycle outlives an eviction.
-        self.cdf, self.slope, self.edges = knots.cdf, knots.slope, knots.edges
-        self.buckets = buckets
+        self.cdf, self.edges, self.buckets = cdf, edges, buckets
 
     def place(self, u: np.ndarray) -> None:
         """Overwrite the uniforms u with np.interp(u, cdf, edges)."""
@@ -523,6 +493,8 @@ def photon_dither_experiment(
     stream np.random.default_rng(seed), and the empirical split signal
     converges to the deterministic series as photons_per_sample grows.
     """
+    photons_per_sample = _integer(photons_per_sample, "photons_per_sample")
+    seed = _integer(seed, "seed")
     if photons_per_sample < 1:
         raise ConfigError(f"photons_per_sample must be >= 1, got {photons_per_sample}")
     if photons_per_sample > MAX_PHOTONS_PER_SAMPLE:

@@ -13,6 +13,7 @@ shared and cached safely only because no code in this package re-enables it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -50,6 +51,7 @@ class TransverseGrid:
     half_width: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer(self.n, "grid n"))
         if self.n < MIN_SAMPLES or (self.n & (self.n - 1)) != 0:
             raise ConfigError(
                 f"grid n must be a power of two >= {MIN_SAMPLES}, got {self.n}"
@@ -139,6 +141,14 @@ def _frozen(values: object, dtype: type) -> np.ndarray:
         values = np.array(values, dtype=dtype)
         values.flags.writeable = False
     return values
+
+
+def _integer(value: object, name: str) -> int:
+    """value as a Python int (operator.index); ConfigError for anything not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def power(f: TransverseField) -> float:
@@ -248,10 +258,15 @@ def parity_x(f: TransverseField) -> TransverseField:
 
 
 def _intensity(f: TransverseField) -> tuple[np.ndarray, float]:
-    """|amplitude|^2 per sample and its sum; ZeroNormError where the power is below ZERO_POWER."""
+    """|amplitude|^2 per sample and its sum.
+
+    GuardError where the sum is not finite, ZeroNormError where the power is below ZERO_POWER.
+    """
     a = f.amplitude
     intensity = a.real**2 + a.imag**2
     total = float(np.sum(intensity))
+    if not math.isfinite(total):  # nan would pass the power test below
+        raise GuardError(f"field intensity sums to {total!r}; the field is not finite")
     if total * f.grid.spacing < ZERO_POWER:
         raise ZeroNormError(f"total power {total * f.grid.spacing:.3g} below {ZERO_POWER:g}")
     return intensity, total

@@ -132,6 +132,14 @@ class TestSplitSignal:
         with pytest.raises(ZeroNormError):
             split_signal(TransverseField(grid, np.zeros(grid.n), beam.k))
 
+    @pytest.mark.parametrize("observable", [split_signal, centroid])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_a_non_finite_field_raises_guard(self, grid, beam, observable, value):
+        amp = make_gaussian(beam, grid).amplitude.copy()
+        amp[grid.n // 2] = value
+        with pytest.raises(GuardError, match="field is not finite"):
+            observable(TransverseField(grid, amp, beam.k))
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_antisymmetric_under_parity(self, grid, beam, seed):
@@ -184,6 +192,13 @@ class TestSpectrum:
     def test_length_mismatch(self, fast_protocol):
         with pytest.raises(ConfigError):
             spectrum(np.zeros(17), fast_protocol)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_series_raises_guard(self, fast_protocol, value):
+        series = np.zeros(fast_protocol.sample_count)
+        series[3] = value
+        with pytest.raises(GuardError, match="dither series is not finite"):
+            spectrum(series, fast_protocol)
 
     def test_pure_tone_amplitude_calibration(self, fast_protocol):
         t = fast_protocol.times()
@@ -328,7 +343,7 @@ class TestSamplePhotons:
     def test_non_finite_intensity_refused(self, grid, beam, value):
         amp = make_gaussian(beam, grid).amplitude.copy()
         amp[grid.n // 2] = value
-        with pytest.raises(GuardError, match="no photons drawn"):
+        with pytest.raises(GuardError, match="field is not finite"):
             sample_photons(TransverseField(grid, amp, beam.k), 10, seed=1)
 
 
@@ -373,7 +388,7 @@ class TestGuideTableSampling:
         expected = np.interp(u, cdf, edges)
         for buckets in (1, 8, 4 * grid.n, detection._BUCKETS_PER_CELL * grid.n):
             got = u.copy()
-            table = detection._GuideTable(detection._Knots(cdf, edges), buckets)
+            table = detection._GuideTable(cdf, edges, buckets)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 table.place(got)
@@ -391,7 +406,7 @@ class TestGuideTableSampling:
         expected = np.interp(u, cdf, edges)
         for buckets in (1, 8, 16, 64, 4 * grid.n, detection._BUCKETS_PER_CELL * grid.n):
             got = u.copy()
-            detection._GuideTable(detection._Knots(cdf, edges), buckets).place(got)
+            detection._GuideTable(cdf, edges, buckets).place(got)
             assert got.tobytes() == expected.tobytes(), buckets
 
     def test_crafted_cases_reach_both_ends_of_the_last_knot(self, grid, beam):
@@ -555,12 +570,17 @@ class TestGuideTableSampling:
         assert done.stdout.strip() == "False"
 
 
+def table_buckets(grid):
+    """The bucket count of a field's one guide table on grid."""
+    return min(detection._BUCKETS_PER_CELL * grid.n, detection._MAX_BUCKETS)
+
+
 class TestKnotCache:
-    """A field's knots and guide tables are built by its first draw and read by the next."""
+    """A field's guide table is built by its first draw and read by the next."""
 
     @pytest.fixture(autouse=True)
     def fresh_cache(self, monkeypatch):
-        monkeypatch.setattr(detection, "_KNOTS", type(detection._KNOTS)(maxlen=2))
+        monkeypatch.setattr(detection, "_TABLES", type(detection._TABLES)(maxlen=2))
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -568,40 +588,40 @@ class TestKnotCache:
         built = []
 
         class Counted(detection._GuideTable):
-            def __init__(self, knots, buckets):
+            def __init__(self, cdf, edges, buckets):
                 built.append(buckets)
-                super().__init__(knots, buckets)
+                super().__init__(cdf, edges, buckets)
 
         monkeypatch.setattr(detection, "_GuideTable", Counted)
         return built
 
     def test_repeated_draws_build_the_tables_once(self, builds, grid, beam):
         f = random_field(grid, beam, 11)
-        cap = detection._BUCKETS_PER_CELL * grid.n
+        cap = table_buckets(grid)
         for count in (1000, 1000, cap - 1, cap, cap + 1, 100_000, 1000, cap + 1):
             for seed in (0, 5):
                 got = sample_photons(f, count, seed).positions
                 assert got.tobytes() == interp_positions(f, count, seed).tobytes(), count
-        assert builds == [1024, cap]
-        assert len(detection._KNOTS) == 1
+        assert builds == [cap]
+        assert len(detection._TABLES) == 1
 
     def test_alternating_fields_equal_interp(self, builds, grid, beam):
         fields = [random_field(grid, beam, seed) for seed in (12, 13)]
-        cap = detection._BUCKETS_PER_CELL * grid.n
+        cap = table_buckets(grid)
         counts = (10, cap // 2 + 1, cap, cap + 1, 2 * detection._SPLIT_MIN + 3, 10)
         for seed, count in enumerate(counts):
             for f in fields:
                 got = sample_photons(f, count, seed).positions
                 assert got.tobytes() == interp_positions(f, count, seed).tobytes(), count
-        assert builds == [16, 16, cap, cap]
+        assert builds == [cap, cap]
 
     def test_a_third_field_evicts_the_first(self, builds, grid, beam):
         fields = [random_field(grid, beam, seed) for seed in (14, 15, 16)]
         for f in (*fields, fields[0]):
             got = sample_photons(f, 100, seed=1).positions
             assert got.tobytes() == interp_positions(f, 100, 1).tobytes()
-        assert builds == [128] * 4
-        assert [entry[0]() for entry in detection._KNOTS] == [
+        assert builds == [table_buckets(grid)] * 4
+        assert [entry[0]() for entry in detection._TABLES] == [
             fields[2].amplitude, fields[0].amplitude
         ]
 
@@ -612,7 +632,7 @@ class TestKnotCache:
         for field in (f, wider, f, wider):
             got = sample_photons(field, 5000, seed=2).positions
             assert got.tobytes() == interp_positions(field, 5000, 2).tobytes()
-        assert builds == [8192, 8192]
+        assert builds == [table_buckets(grid)] * 2
         assert sample_photons(f, 10, 3).positions.tobytes() != sample_photons(
             wider, 10, 3).positions.tobytes()
 
@@ -629,9 +649,9 @@ class TestKnotCache:
         amp[grid.n // 2] = value
         f = TransverseField(grid, amp, beam.k)
         for _ in range(2):
-            with pytest.raises(GuardError, match="no photons drawn"):
+            with pytest.raises(GuardError, match="field is not finite"):
                 sample_photons(f, 10, seed=1)
-        assert not detection._KNOTS and not builds
+        assert not detection._TABLES and not builds
 
     def test_concurrent_draws_on_two_fields(self, monkeypatch, grid, beam):
         monkeypatch.setattr(detection, "_WORKERS", 3)
@@ -666,7 +686,7 @@ class TestKnotCache:
         monkeypatch.setattr(detection, "_WORKERS", 2)
         f, fresh = random_field(grid, beam, 21), random_field(grid, beam, 22)
         count = 2 * detection._SPLIT_MIN + 1
-        sample_photons(f, count, seed=6)  # the parent's knots for f, and its helper
+        sample_photons(f, count, seed=6)  # the parent's table for f, and its helper
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
             pid = os.fork()
@@ -679,23 +699,23 @@ class TestKnotCache:
                     == interp_positions(g, count, 7).tobytes()
                     for g in (f, fresh, f)
                 ]
-                code = int(not all(same) or len(detection._KNOTS) != 2)
+                code = int(not all(same) or len(detection._TABLES) != 2)
             finally:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
 
     def test_retained_memory_at_the_largest_grid_is_bounded(self, beam):
-        # Each fresh field gets a table per power of two up to _MAX_BUCKETS, the
-        # most a field can hold; only the last two fields' knots may stay.
+        # Each fresh field gets one table of _MAX_BUCKETS cells, whatever the counts
+        # drawn from it; only the last two fields' tables may stay.
         grid = TransverseGrid(n=MAX_SAMPLES, half_width=default_scenario().grid.half_width)
         counts = [2**b + 1 for b in range(detection._MAX_BUCKETS.bit_length())]
-        knots, tables = 3 * 8 * (grid.n + 1), 8 * (2 * detection._MAX_BUCKETS - 1)
-        bound = detection._KNOTS.maxlen * (knots + tables)
-        assert round(bound / 2**20) == 11  # the bound the module states
+        knots, cells = 3 * 8 * (grid.n + 1), 8 * detection._MAX_BUCKETS
+        bound = detection._TABLES.maxlen * (knots + cells)
+        assert round(bound / 2**20) == 7  # the bound the module states
         sample_photons(random_field(grid, beam, 0), 1, seed=0)  # grid.xs, and the pool
         detection._pool()
-        detection._KNOTS.clear()
+        detection._TABLES.clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -707,7 +727,7 @@ class TestKnotCache:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(detection._KNOTS) == 2
+        assert len(detection._TABLES) == 2
         assert 2 * knots < retained <= bound + 2**16
 
 
@@ -779,6 +799,14 @@ class TestPhotonDitherExperiment:
     def test_count_guard(self, fast_protocol):
         with pytest.raises(ConfigError):
             photon_dither_experiment(default_scenario(), fast_protocol, 0, seed=1)
+
+    @pytest.mark.parametrize(
+        "photons, seed, name", [(10.5, 1, "photons_per_sample"), (10, 1.5, "seed")]
+    )
+    def test_non_integers_are_config_errors(self, fast_protocol, photons, seed, name):
+        # binomial would draw 10 of 10.5 photons; default_rng would raise TypeError on 1.5
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got"):
+            photon_dither_experiment(default_scenario(), fast_protocol, photons, seed)
 
     @pytest.mark.parametrize(
         "photons, seed", [(10, -1), (MAX_PHOTONS_PER_SAMPLE + 1, 1)], ids=["seed", "count"]

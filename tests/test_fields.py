@@ -64,6 +64,17 @@ class TestGridAndSpecs:
         with pytest.raises(ConfigError, match="exceeds the bound 65536"):
             TransverseGrid(n=2**40, half_width=1e-2)  # checked before xs is built
 
+    @pytest.mark.parametrize(
+        "n", [1024.0, np.float64(1024), "1024", None], ids=["float", "float64", "str", "None"]
+    )
+    def test_grid_n_must_be_an_integer(self, n):
+        with pytest.raises(ConfigError, match="grid n must be an integer"):
+            TransverseGrid(n=n, half_width=1e-2)
+
+    def test_grid_n_is_taken_as_an_int(self):
+        grid = TransverseGrid(n=np.int64(1024), half_width=1e-2)
+        assert type(grid.n) is int and grid == TransverseGrid(n=1024, half_width=1e-2)
+
     @pytest.mark.parametrize("half_width", [1e308, 1e300, 5e-324])
     def test_grid_rejects_overflowing_or_vanishing_extent(self, half_width):
         # 1e308: the spacing overflows; 1e300: x**2 does; 5e-324: the spacing is 0.
