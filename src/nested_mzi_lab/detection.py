@@ -11,9 +11,9 @@ without building fields.  Photon counting is modeled on top of the signal:
 sample_photons draws single-photon positions by inverse-transform sampling,
 placing each uniform draw through a guide table over [0, 1) in chunks of
 bounded size, and returns bitwise what np.interp(u, cdf, edges) would.  A
-field's guide table is built by its first draw and kept for the last two
-fields drawn from, so many draws on one field build it once.  A large draw is
-shared by up to one thread per core, the caller and the threads of one
+field's guide table is built by its first draw and kept for the last two fields
+drawn from (an lru_cache keyed on the field by weak reference).  A large draw
+is shared by up to one thread per core, the caller and the threads of one
 standard thread pool, made by the first shared draw (and again in a forked
 child): each thread claims the next chunk and reads it from the seed's one
 PCG64 stream, advanced to the chunk's first photon, so the positions are the
@@ -26,7 +26,6 @@ import math
 import os
 import threading
 import weakref
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -254,7 +253,7 @@ def run_dither(scenario: Scenario, protocol: DitherProtocol) -> np.ndarray:
     the series over _moments (or each field split, past their reach).  Per chunk of samples, one
     Horner pass evaluates S at u = b w0 for all six pairs at once, from the degree that the
     chunk's own radius max |u| needs (_first_small_term, 9 at the presets' dither against M = 14);
-    the pair terms are then added in order from 0.0.  The crest must sit in the small-angle
+    one reduction then adds the pair terms in order.  The crest must sit in the small-angle
     regime, within MAX_DITHER_WORK: then |Re b| <= 0.05 / w0, |Im b| <= 0.2 / w0, |u| <= R =
     _SERIES_RADIUS.
     """
@@ -285,10 +284,7 @@ def run_dither(scenario: Scenario, protocol: DitherProtocol) -> np.ndarray:
         for mu in coefficients[degree - 1 :: -1]:
             horner *= u
             horner += mu[:, None, None]
-        terms = (weights * amps[p] * np.conj(amps[q]) * horner).real
-        sums = 0.0  # pair by pair from 0.0: a reduction would keep a sum of -0.0 terms at -0.0
-        for term in terms.transpose(1, 0, 2):
-            sums = sums + term
+        sums = (weights * amps[p] * np.conj(amps[q]) * horner).real.sum(axis=1)
         series[start : start + span.size] = sums[0] / sums[1]
     return series
 
@@ -356,7 +352,7 @@ def sample_photons(f: TransverseField, count: int, seed: int) -> PhotonSample:
         raise ConfigError(f"photon count must be >= 1, got {count}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    table = _table(f)
+    table = _table(weakref.ref(f))
     positions = np.empty(count)
     workers = max(1, min(_WORKERS, count // _SPLIT_MIN))
     step = _PHOTON_CHUNK // workers
@@ -413,28 +409,20 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-#: (amplitude, grid, _GuideTable) of the last two fields drawn from, the amplitude by weak
-#: reference.  A field's amplitude is a frozen buffer that owns its data (fields._frozen),
-#: so while it lives, the same buffer on the same grid means the same table.  A lookup reads
-#: one snapshot of the deque and a miss appends, each one step under the GIL; two draws that
-#: miss on one field at once both build its table, and either serves.  At MAX_SAMPLES a
-#: field's knots and slopes take 1.5 MiB and its _MAX_BUCKETS cells 2 MiB, so the two
-#: entries hold at most 7 MiB.
-_TABLES: deque[tuple[weakref.ref, TransverseGrid, _GuideTable]] = deque(maxlen=2)
+@lru_cache(maxsize=2)
+def _table(field: weakref.ref) -> _GuideTable:
+    """The _GuideTable of the field that field refers to, kept for the last two fields.
 
-
-def _table(f: TransverseField) -> _GuideTable:
-    """f's _GuideTable, kept from an earlier draw or built; never kept where _intensity raises."""
-    for amplitude, grid, table in tuple(_TABLES):
-        if amplitude() is f.amplitude and grid == f.grid:
-            return table
+    Fields hash by identity, so the key is the field object, by weak reference: a dropped
+    field is not kept alive.  At MAX_SAMPLES a field's knots and slopes take 1.5 MiB and its
+    _MAX_BUCKETS cells 2 MiB, so the two entries hold at most 7 MiB.
+    """
+    f = field()
     weights, total = _intensity(f)  # a finite total: np.interp's exactness needs a finite cdf
     dx = f.grid.spacing
     edges = np.concatenate([f.grid.xs - 0.5 * dx, [f.grid.xs[-1] + 0.5 * dx]])
     cdf = np.concatenate([[0.0], np.cumsum(weights)]) / total
-    table = _GuideTable(cdf, edges, min(_BUCKETS_PER_CELL * f.grid.n, _MAX_BUCKETS))
-    _TABLES.append((weakref.ref(f.amplitude), f.grid, table))
-    return table
+    return _GuideTable(cdf, edges, min(_BUCKETS_PER_CELL * f.grid.n, _MAX_BUCKETS))
 
 
 class _GuideTable:

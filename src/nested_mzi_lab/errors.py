@@ -17,7 +17,7 @@ class GuardError(NestedMziError):
 
 
 class AliasingError(GuardError):
-    """Field energy reached the guard band at the grid edge."""
+    """Field energy reached the guard band at the grid edge or at the spectrum's band edge."""
 
 
 class RegimeError(GuardError):

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import AliasingError, ConfigError, GuardError, ZeroNormError
 
-# Anti-aliasing guard: amplitude in the outer 5% of the grid (|x| > 0.95 W)
-# must stay below 1e-8 of the field peak.
+# Anti-aliasing guard: amplitude in the outer 5% of the grid (|x| > 0.95 W), and
+# the spectrum in the outer 5% of its band, must stay below 1e-8 of their peaks.
 EDGE_BAND = 0.05
 EDGE_RATIO = 1e-8
 
@@ -108,7 +108,7 @@ class GaussianSpec:
         return 0.5 * self.k * self.w0**2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransverseField:
     """Complex amplitude samples on a grid, with the optical wavenumber k.
 
@@ -117,6 +117,7 @@ class TransverseField:
     as it is, and any other buffer (a writeable array, a view) is copied.
     The read-only flag is the whole freeze: a holder who sets it back writes to
     every field sharing the buffer, cached prefixes included; this package never does.
+    Fields compare and hash by identity, so a field can key a cache (detection._table).
     """
 
     grid: TransverseGrid
@@ -152,9 +153,8 @@ def _integer(value: object, name: str) -> int:
 
 
 def power(f: TransverseField) -> float:
-    """Total intensity integral of |f|^2 over the grid."""
-    a = f.amplitude
-    return float(np.sum(a.real**2 + a.imag**2) * f.grid.spacing)
+    """Total intensity integral of |f|^2 over the grid; GuardError where it is not finite."""
+    return _finite_intensity(f)[1] * f.grid.spacing
 
 
 def make_gaussian(spec: GaussianSpec, grid: TransverseGrid) -> TransverseField:
@@ -216,12 +216,18 @@ def _transfer_function(grid: TransverseGrid, k: float, z: float) -> np.ndarray:
 def propagate(f: TransverseField, z: float) -> TransverseField:
     """Free-space propagation over distance z via the Fresnel transfer function.
 
-    Exact and unitary for band-limited sampled fields.  Raises AliasingError
-    if the propagated amplitude reaches the grid's edge guard band.
+    Exact and unitary for band-limited sampled fields.  Raises AliasingError if the
+    spectrum reaches the middle EDGE_BAND of the FFT order (nearest Nyquist, where a
+    tilt ramp's spectrum wraps) or the propagated amplitude the grid's edge guard band.
     """
     if z < 0.0:
         raise ConfigError(f"propagation distance must be >= 0, got {z}")
-    out = np.fft.ifft(np.fft.fft(f.amplitude) * _transfer_function(f.grid, f.k, z))
+    spectrum, mid = np.fft.fft(f.amplitude), f.grid.n // 2
+    mag, width = np.abs(spectrum), round(EDGE_BAND * mid)
+    edge, peak = float(mag[mid - width : mid + width].max()), float(mag.max())
+    if edge > EDGE_RATIO * peak:
+        raise AliasingError(f"spectrum edge {edge:.3g} exceeds {EDGE_RATIO:g} of peak {peak:.3g}")
+    out = np.fft.ifft(spectrum * _transfer_function(f.grid, f.k, z))
     mag = np.abs(out)
     band = np.abs(f.grid.xs) > (1.0 - EDGE_BAND) * f.grid.half_width
     check_edges(float(mag.max()), float(mag[band].max()))
@@ -257,16 +263,20 @@ def parity_x(f: TransverseField) -> TransverseField:
     return TransverseField(f.grid, out, f.k)
 
 
-def _intensity(f: TransverseField) -> tuple[np.ndarray, float]:
-    """|amplitude|^2 per sample and its sum.
-
-    GuardError where the sum is not finite, ZeroNormError where the power is below ZERO_POWER.
-    """
+def _finite_intensity(f: TransverseField) -> tuple[np.ndarray, float]:
+    """|amplitude|^2 per sample and its sum; GuardError where the sum is not finite."""
     a = f.amplitude
-    intensity = a.real**2 + a.imag**2
-    total = float(np.sum(intensity))
-    if not math.isfinite(total):  # nan would pass the power test below
+    with np.errstate(over="ignore"):  # a square past float64 is inf, which the guard reports
+        intensity = a.real**2 + a.imag**2
+        total = float(np.sum(intensity))
+    if not math.isfinite(total):
         raise GuardError(f"field intensity sums to {total!r}; the field is not finite")
+    return intensity, total
+
+
+def _intensity(f: TransverseField) -> tuple[np.ndarray, float]:
+    """_finite_intensity, and ZeroNormError where the power is below ZERO_POWER."""
+    intensity, total = _finite_intensity(f)
     if total * f.grid.spacing < ZERO_POWER:
         raise ZeroNormError(f"total power {total * f.grid.spacing:.3g} below {ZERO_POWER:g}")
     return intensity, total

@@ -7,8 +7,10 @@ from hypothesis import settings
 from nested_mzi_lab import (
     ConfigError,
     DitherProtocol,
+    Dove,
     GaussianSpec,
     MirrorTable,
+    Scenario,
     TiltSet,
     TransverseField,
     TransverseGrid,
@@ -53,6 +55,24 @@ def tilts_at(protocol: DitherProtocol, t: float) -> TiltSet:
 def with_value(table: MirrorTable, mirror, value: float) -> MirrorTable:
     """Copy of a per-mirror table with one mirror's entry changed."""
     return type(table)(value if m is mirror else v for m, v in table.items())
+
+
+#: Signs that add up the walk-offs of the widest grid's paths.
+CORNERS = np.array([[1, 1, 1, -1, 1], [-1, -1, -1, 1, -1], [1, -1, 1, 1, 1], [1, 1, -1, -1, -1]])
+
+
+def widest_scenario():
+    """The fold's largest exponent: the largest grid and half width, L = z_R (where the
+    walk-off weighs most against the beam) and every z near L, prisms in."""
+    beam = default_beam()
+    length = beam.rayleigh_range
+    return Scenario(
+        distances=MirrorTable(length * f for f in (0.999, 0.999, 1.0, 1.0, 0.998)),
+        path_length=length,
+        beam=beam,
+        grid=TransverseGrid(n=65536, half_width=8192 * beam.w0),
+        dove=Dove.BEFORE,
+    )
 
 
 def random_field(grid: TransverseGrid, beam: GaussianSpec, seed: int) -> TransverseField:

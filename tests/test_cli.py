@@ -9,6 +9,7 @@ from nested_mzi_lab import (
     Dove,
     GuardError,
     Mirror,
+    TiltSet,
     TransverseField,
     default_beam,
     default_grid,
@@ -26,6 +27,8 @@ from nested_mzi_lab.cli import (
     parse_config,
     write_field_csv,
 )
+
+from conftest import CORNERS, widest_scenario
 
 FAST_CFG = (
     "freq_A=100.0 freq_B=128.0 freq_C=160.0 freq_E=264.0 freq_F=440.0\n"
@@ -430,6 +433,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error category=config")
         assert "amp_A = 0.002 rad" in err
+
+    @pytest.mark.parametrize("engine, code", [("numeric", 3), ("both", 3), ("analytic", 0)])
+    def test_numeric_spectrum_at_the_band_edge_is_3(self, tmp_path, capsys, engine, code):
+        # The widest grid with three ramps added up on one path: the numeric engine's
+        # spectrum reaches its band edge, where its field would be wrong; the fold is exact.
+        beam = default_beam()
+        tilts = TiltSet((2.0 / (beam.k * beam.w0) * CORNERS[0]).tolist())
+        values = cli._run_values(widest_scenario(), tilts, detection.default_protocol())
+        config = tmp_path / "corner.cfg"
+        config.write_text("".join(f"{k}={getattr(v, 'value', v)}\n" for k, v in values.items()))
+        args = ["centroid", "--config", str(config), "--engine", engine]
+        assert main([*args, "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error category=guard message=spectrum edge")
+            assert "\n" not in err.strip()
+        else:
+            assert err == ""
+            assert (tmp_path / "out" / "centroid.csv").exists()
 
     def test_dither_crest_past_the_regime_is_3(self, tmp_path, capsys):
         # The moment series' radius rests on the crest check, which stays.

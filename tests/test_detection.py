@@ -39,6 +39,7 @@ from nested_mzi_lab import (
     make_gaussian,
     parity_x,
     photon_dither_experiment,
+    power,
     run_dither,
     sample_photons,
     spectrum,
@@ -132,13 +133,16 @@ class TestSplitSignal:
         with pytest.raises(ZeroNormError):
             split_signal(TransverseField(grid, np.zeros(grid.n), beam.k))
 
-    @pytest.mark.parametrize("observable", [split_signal, centroid])
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("observable", [split_signal, centroid, power])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 1e200])
     def test_a_non_finite_field_raises_guard(self, grid, beam, observable, value):
+        # 1e200 is finite, but its square is not: the guard reports it, with no numpy warning.
         amp = make_gaussian(beam, grid).amplitude.copy()
         amp[grid.n // 2] = value
-        with pytest.raises(GuardError, match="field is not finite"):
-            observable(TransverseField(grid, amp, beam.k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GuardError, match="field is not finite"):
+                observable(TransverseField(grid, amp, beam.k))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -579,8 +583,10 @@ class TestKnotCache:
     """A field's guide table is built by its first draw and read by the next."""
 
     @pytest.fixture(autouse=True)
-    def fresh_cache(self, monkeypatch):
-        monkeypatch.setattr(detection, "_TABLES", type(detection._TABLES)(maxlen=2))
+    def fresh_cache(self):
+        detection._table.cache_clear()
+        yield
+        detection._table.cache_clear()
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -603,7 +609,7 @@ class TestKnotCache:
                 got = sample_photons(f, count, seed).positions
                 assert got.tobytes() == interp_positions(f, count, seed).tobytes(), count
         assert builds == [cap]
-        assert len(detection._TABLES) == 1
+        assert detection._table.cache_info().currsize == 1
 
     def test_alternating_fields_equal_interp(self, builds, grid, beam):
         fields = [random_field(grid, beam, seed) for seed in (12, 13)]
@@ -621,9 +627,11 @@ class TestKnotCache:
             got = sample_photons(f, 100, seed=1).positions
             assert got.tobytes() == interp_positions(f, 100, 1).tobytes()
         assert builds == [table_buckets(grid)] * 4
-        assert [entry[0]() for entry in detection._TABLES] == [
-            fields[2].amplitude, fields[0].amplitude
-        ]
+        for f in (fields[2], fields[0]):  # kept: drawing again builds nothing
+            sample_photons(f, 100, seed=1)
+        assert builds == [table_buckets(grid)] * 4
+        sample_photons(fields[1], 100, seed=1)  # evicted: drawing again builds
+        assert builds == [table_buckets(grid)] * 5
 
     def test_a_shared_buffer_on_another_grid_gets_its_own_knots(self, builds, grid, beam):
         f = random_field(grid, beam, 17)
@@ -651,7 +659,7 @@ class TestKnotCache:
         for _ in range(2):
             with pytest.raises(GuardError, match="field is not finite"):
                 sample_photons(f, 10, seed=1)
-        assert not detection._TABLES and not builds
+        assert detection._table.cache_info().currsize == 0 and not builds
 
     def test_concurrent_draws_on_two_fields(self, monkeypatch, grid, beam):
         monkeypatch.setattr(detection, "_WORKERS", 3)
@@ -699,7 +707,7 @@ class TestKnotCache:
                     == interp_positions(g, count, 7).tobytes()
                     for g in (f, fresh, f)
                 ]
-                code = int(not all(same) or len(detection._TABLES) != 2)
+                code = int(not all(same) or detection._table.cache_info().currsize != 2)
             finally:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
@@ -711,11 +719,11 @@ class TestKnotCache:
         grid = TransverseGrid(n=MAX_SAMPLES, half_width=default_scenario().grid.half_width)
         counts = [2**b + 1 for b in range(detection._MAX_BUCKETS.bit_length())]
         knots, cells = 3 * 8 * (grid.n + 1), 8 * detection._MAX_BUCKETS
-        bound = detection._TABLES.maxlen * (knots + cells)
+        bound = detection._table.cache_parameters()["maxsize"] * (knots + cells)
         assert round(bound / 2**20) == 7  # the bound the module states
         sample_photons(random_field(grid, beam, 0), 1, seed=0)  # grid.xs, and the pool
         detection._pool()
-        detection._TABLES.clear()
+        detection._table.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -727,7 +735,7 @@ class TestKnotCache:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(detection._TABLES) == 2
+        assert detection._table.cache_info().currsize == 2
         assert 2 * knots < retained <= bound + 2**16
 
 
@@ -1097,3 +1105,57 @@ class TestOnePassOverPairs:
         # sum's pair terms at most: the dropped terms are 2^-60 of the total or less.
         full, scale = per_pair_dither(scenario, protocol)
         assert np.all(np.abs(series - full) <= 8 * np.finfo(float).eps * scale)
+
+
+#: The values the observables' property puts at random samples of a field or a series.
+EXTREMES = [0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, -1e-300, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def with_extremes(draw, base, complex_values):
+    """base (a zero or unit multiple of it) with EXTREMES put at up to 6 random samples."""
+    out = draw(st.sampled_from([0.0, 1.0])) * base
+    value = st.sampled_from(EXTREMES)
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, base.size - 1))
+        out[i] = complex(draw(value), draw(value)) if complex_values else draw(value)
+    return out
+
+
+class TestObservablesProperty:
+    """Every field observable gives finite values or raises ConfigError or GuardError.
+
+    Warnings are errors: a numpy warning is not a loud failure.
+    """
+
+    @staticmethod
+    def finite_or_refused(call, *args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                value = call(*args)
+            except (ConfigError, GuardError):
+                return
+        assert np.isfinite(value).all(), (call, value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_field_observables(self, grid, beam, data):
+        gaussian = make_gaussian(beam, grid).amplitude.copy()
+        f = TransverseField(grid, data.draw(with_extremes(gaussian, True)), beam.k)
+        self.finite_or_refused(power, f)
+        self.finite_or_refused(centroid, f)
+        self.finite_or_refused(split_signal, f)
+        self.finite_or_refused(lambda g: sample_photons(g, 1000, 3).positions, f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_spectrum(self, fast_protocol, data):
+        wave = np.sin(2 * math.pi * FAST_FREQS[0] * fast_protocol.times())
+        series = data.draw(with_extremes(wave, False))
+
+        def report(s):
+            got = spectrum(s, fast_protocol)
+            return [*got.amplitudes.values(), got.noise_floor]
+
+        self.finite_or_refused(report, series)

@@ -110,6 +110,14 @@ class TestGridAndSpecs:
         assert f.amplitude is not view
         assert f.amplitude[0] == 0.0
 
+    def test_fields_compare_and_hash_by_identity(self, grid, beam):
+        # A field keys the photon sampler's table cache by identity, never by value.
+        f = make_gaussian(beam, grid)
+        g = TransverseField(f.grid, f.amplitude, f.k)
+        assert g.amplitude is f.amplitude
+        assert f == f and f != g
+        assert len({f, g, f}) == 2
+
     def test_cached_and_returned_buffers_refuse_in_place_writes(self):
         # Caches hand out their arrays uncopied, so a write would reach every later caller.
         scenario = load_preset("fig1c").scenario
@@ -231,6 +239,9 @@ class TestCentroid:
         with pytest.raises(ZeroNormError):
             centroid(empty)
 
+    def test_a_zero_field_has_power_zero(self, grid, beam):
+        assert power(TransverseField(grid, np.zeros(grid.n), beam.k)) == 0.0
+
 
 class TestMomentumCentroid:
     def test_untilted_gaussian(self, grid, beam):
@@ -305,6 +316,15 @@ class TestPropagate:
         amp[grid.n // 2] = np.nan
         with pytest.raises(GuardError, match="not finite"):
             propagate(TransverseField(grid, amp, beam.k), 0.0)
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_spectrum_in_the_band_edge_raises(self, grid, beam, sign):
+        # A ramp at 0.97 of Nyquist puts the spectrum in the middle EDGE_BAND of the FFT
+        # order, where it wraps; the positions stay centred, clear of the edge guard.
+        ramp = np.exp(1j * sign * 0.97 * math.pi / grid.spacing * grid.xs)
+        f = TransverseField(grid, make_gaussian(beam, grid).amplitude * ramp, beam.k)
+        with pytest.raises(AliasingError, match="spectrum edge .* exceeds 1e-08 of peak"):
+            propagate(f, 0.0)
 
     def test_zero_field_passes_the_guard(self, grid, beam):
         out = propagate(TransverseField(grid, np.zeros(grid.n), beam.k), 0.5)

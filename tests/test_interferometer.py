@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nested_mzi_lab import (
+    AliasingError,
     ConfigError,
     DitherProtocol,
     Dove,
@@ -16,7 +17,6 @@ from nested_mzi_lab import (
     Mirror,
     MirrorTable,
     OutputPort,
-    Scenario,
     TiltSet,
     TransverseField,
     TransverseGrid,
@@ -40,7 +40,7 @@ from nested_mzi_lab import fields, interferometer
 from nested_mzi_lab.detection import _moments
 from nested_mzi_lab.elements import MAX_TILT
 from nested_mzi_lab.interferometer import PRESET_TILT, _fold_paths, _trace
-from conftest import FAST_FREQS, norm, tilts_at, with_value
+from conftest import CORNERS, FAST_FREQS, norm, tilts_at, widest_scenario, with_value
 
 W0 = default_beam().w0
 STEP = alpha_step(default_beam())
@@ -356,24 +356,6 @@ class TestEngineCaches:
         assert held < CACHED_ROWS * grid.n * 16 + 2**20
 
 
-#: Signs that add up the walk-offs of the widest grid's paths.
-CORNERS = np.array([[1, 1, 1, -1, 1], [-1, -1, -1, 1, -1], [1, -1, 1, 1, 1], [1, 1, -1, -1, -1]])
-
-
-def widest_scenario():
-    """The fold's largest exponent: the largest grid and half width, L = z_R (where the
-    walk-off weighs most against the beam) and every z near L, prisms in."""
-    beam = default_beam()
-    length = beam.rayleigh_range
-    return Scenario(
-        distances=MirrorTable(length * f for f in (0.999, 0.999, 1.0, 1.0, 0.998)),
-        path_length=length,
-        beam=beam,
-        grid=TransverseGrid(n=65536, half_width=8192 * beam.w0),
-        dove=Dove.BEFORE,
-    )
-
-
 def tilt_columns(seed, count, scale=3e-7):
     """count random tilt sets as (count,) columns per mirror, with entry 0 untilted."""
     rows = np.random.default_rng(seed).uniform(-scale, scale, size=(count, len(Mirror)))
@@ -442,15 +424,16 @@ class TestFoldPaths:
         beam = default_beam()
         assert_engines_agree(widest_scenario(), kaw / (beam.k * beam.w0) * np.eye(len(Mirror)))
 
-    @pytest.mark.xfail(
-        raises=AssertionError, strict=True,
-        reason="known defect: three ramps added at k alpha w0 = 2 reach the numeric engine's "
-               "band edge on the widest grid, and its field is off by 2.1e-6 of its peak with "
-               "no guard raised (FOUND in CHANGES.md)",
-    )
     def test_widest_accepted_grid_corners_past_the_regime(self):
-        # The case the test above leaves out. The run it stands for exits 0, so this test
-        # records the wrong field until the numeric engine guards its spectrum; once it
-        # does, the tilts raise GuardError instead and this test must be rewritten.
-        beam = default_beam()
-        assert_engines_agree(widest_scenario(), 2.0 / (beam.k * beam.w0) * CORNERS)
+        # The case the test above leaves out. Where three ramps add up on one path, the
+        # numeric engine's spectrum reaches its band edge (its field would be off by 2.1e-6
+        # of its peak), and propagate refuses it; the exact fold still gives its field.
+        # The corner whose ramps do not add up stays inside the band, and the engines agree.
+        beam, scenario = default_beam(), widest_scenario()
+        rows = 2.0 / (beam.k * beam.w0) * CORNERS
+        for angles in rows[[0, 1, 3]]:
+            tilts = TiltSet(angles.tolist())
+            with pytest.raises(AliasingError, match="spectrum edge .* exceeds 1e-08 of peak"):
+                detector_field_numeric(scenario, tilts)
+            assert np.isfinite(detector_field_analytic(scenario, tilts).amplitude).all()
+        assert_engines_agree(scenario, rows[[2]])
