@@ -363,21 +363,29 @@ def _assemble_text(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose command-line errors are ConfigError, so main reports them in one line."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+_PARSER = _Parser(
+    prog="nested-mzi-lab",
+    description="Nested Mach-Zehnder weak-trace experiments (CSV output).",
+)
+_PARSER.add_argument("command", nargs="?", default="", help=f"one of {', '.join(COMMANDS)}")
+_PARSER.add_argument("--preset", help="named scenario preset")
+_PARSER.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one key")
+_PARSER.add_argument("--config", help="file of key=value lines (for example a manifest)")
+_PARSER.add_argument("--out", help="output directory")
+_PARSER.add_argument("--seed", help="random seed (required for photons)")
+_PARSER.add_argument("--engine", help=f"centroid engine, one of {', '.join(ENGINES)}")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="nested-mzi-lab",
-        description="Nested Mach-Zehnder weak-trace experiments (CSV output).",
-    )
-    parser.add_argument("command", nargs="?", default="", help=f"one of {', '.join(COMMANDS)}")
-    parser.add_argument("--preset", help="named scenario preset")
-    parser.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one key")
-    parser.add_argument("--config", help="file of key=value lines (for example a manifest)")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", help="random seed (required for photons)")
-    parser.add_argument("--engine", help=f"centroid engine, one of {', '.join(ENGINES)}")
-    args = parser.parse_args(argv)
     try:
-        config = parse_config(_assemble_text(args))
+        config = parse_config(_assemble_text(_PARSER.parse_args(argv)))
         return run(config)
     except ConfigError as exc:
         print(f"error category=config message={_one_line(exc)}", file=sys.stderr)

@@ -154,7 +154,10 @@ def _integer(value: object, name: str) -> int:
 
 def power(f: TransverseField) -> float:
     """Total intensity integral of |f|^2 over the grid; GuardError where it is not finite."""
-    return _finite_intensity(f)[1] * f.grid.spacing
+    value = _finite_intensity(f)[1] * f.grid.spacing
+    if not math.isfinite(value):  # a finite sum times a wide grid's spacing
+        raise GuardError(f"field power {value!r} overflows float64")
+    return value
 
 
 def make_gaussian(spec: GaussianSpec, grid: TransverseGrid) -> TransverseField:
@@ -216,39 +219,33 @@ def _transfer_function(grid: TransverseGrid, k: float, z: float) -> np.ndarray:
 def propagate(f: TransverseField, z: float) -> TransverseField:
     """Free-space propagation over distance z via the Fresnel transfer function.
 
-    Exact and unitary for band-limited sampled fields.  Raises AliasingError if the
-    spectrum reaches the middle EDGE_BAND of the FFT order (nearest Nyquist, where a
-    tilt ramp's spectrum wraps) or the propagated amplitude the grid's edge guard band.
+    Exact and unitary for band-limited sampled fields.  check_edges judges two guard
+    bands, each read as slices: the spectrum's middle EDGE_BAND of the FFT order (nearest
+    Nyquist, where a tilt ramp's spectrum wraps), then the propagated amplitude's two
+    ends, |x| > (1 - EDGE_BAND) half_width.
     """
     if z < 0.0:
         raise ConfigError(f"propagation distance must be >= 0, got {z}")
     spectrum, mid = np.fft.fft(f.amplitude), f.grid.n // 2
     mag, width = np.abs(spectrum), round(EDGE_BAND * mid)
-    edge, peak = float(mag[mid - width : mid + width].max()), float(mag.max())
-    if edge > EDGE_RATIO * peak:
-        raise AliasingError(f"spectrum edge {edge:.3g} exceeds {EDGE_RATIO:g} of peak {peak:.3g}")
+    check_edges(float(mag.max()), float(mag[mid - width : mid + width].max()), "spectrum edge")
     out = np.fft.ifft(spectrum * _transfer_function(f.grid, f.k, z))
-    mag = np.abs(out)
-    band = np.abs(f.grid.xs) > (1.0 - EDGE_BAND) * f.grid.half_width
-    check_edges(float(mag.max()), float(mag[band].max()))
+    mag, inner = np.abs(out), math.floor((1.0 - EDGE_BAND) * mid)  # the band: |i - mid| > inner
+    ends = np.maximum(mag[: mid - inner].max(), mag[mid + inner + 1 :].max())
+    check_edges(float(mag.max()), float(ends))
     out.flags.writeable = False
     return TransverseField(f.grid, out, f.k)
 
 
-def check_edges(peak: float, worst: float) -> None:
-    """Edge guard on a field's largest magnitude, peak, and its largest in the guard band.
-
-    A zero peak passes; a non-finite value raises GuardError, and worst above
-    EDGE_RATIO * peak raises AliasingError.
+def check_edges(peak: float, worst: float, band: str = "edge amplitude") -> None:
+    """The package's one edge rule, on the largest magnitude, peak, and the largest in the
+    guard band, worst, named band in the messages.  A non-finite value raises GuardError,
+    and worst above EDGE_RATIO * peak raises AliasingError (a zero peak passes: worst <= peak).
     """
-    if peak == 0.0:
-        return
     if not (math.isfinite(peak) and math.isfinite(worst)):
-        raise GuardError(f"propagated field is not finite (peak {peak!r}, edge {worst!r})")
+        raise GuardError(f"field is not finite (peak {peak!r}, {band} {worst!r})")
     if worst > EDGE_RATIO * peak:
-        raise AliasingError(
-            f"edge amplitude {worst:.3g} exceeds {EDGE_RATIO:g} of peak {peak:.3g}"
-        )
+        raise AliasingError(f"{band} {worst:.3g} exceeds {EDGE_RATIO:g} of peak {peak:.3g}")
 
 
 def parity_x(f: TransverseField) -> TransverseField:
@@ -283,8 +280,16 @@ def _intensity(f: TransverseField) -> tuple[np.ndarray, float]:
 
 
 def centroid(f: TransverseField) -> float:
-    """Intensity centroid <x> of the field, by midpoint rule on the grid."""
+    """Intensity centroid <x> of the field, by midpoint rule on the grid.
+
+    GuardError where the moment is not finite: a finite intensity near float64's
+    top far from the axis overflows it.
+    """
     intensity, total = _intensity(f)
     dx = f.grid.spacing
-    return float(np.sum(f.grid.xs * intensity) * dx / (total * dx))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, which the guard reports
+        value = float(np.sum(f.grid.xs * intensity) * dx / (total * dx))
+    if not math.isfinite(value):
+        raise GuardError(f"intensity centroid is {value!r}; its moment overflows float64")
+    return value
 

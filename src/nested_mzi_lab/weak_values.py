@@ -10,6 +10,7 @@ extracted from the numeric engine by central finite difference.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,19 +24,27 @@ from .elements import (
     TwoStateVector,
     two_state_vector_for_port,
 )
-from .errors import ConfigError
+from .errors import ConfigError, GuardError
 from .fields import GaussianSpec, centroid
 from .interferometer import SMALL_ANGLE_KAW, Scenario, detector_field_numeric
 
 def weak_value(tsv: TwoStateVector, op: np.ndarray) -> complex:
     """Weak value <Phi|op|Psi> / <Phi|Psi> of a 3x3 operator on the path basis.
 
-    TwoStateVector refuses an overlap at or below 1e-12, so the division is safe.
+    TwoStateVector refuses an overlap at or below 1e-12, so the division is finite
+    where the product is.  A non-finite operator raises ConfigError, and a weak value
+    past float64 (an operator near its top) raises GuardError.
     """
     matrix = np.asarray(op, dtype=np.complex128)
     if matrix.shape != (3, 3):
         raise ConfigError(f"operator must be 3x3 on the path basis, got shape {matrix.shape}")
-    return complex(tsv.post.as_array() @ matrix @ tsv.pre.as_array() / tsv.overlap)
+    if not np.isfinite(matrix).all():
+        raise ConfigError("operator must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, which the guard reports
+        value = complex(tsv.post.as_array() @ matrix @ tsv.pre.as_array() / tsv.overlap)
+    if not cmath.isfinite(value):
+        raise GuardError(f"weak value {value!r} overflows float64")
+    return value
 
 
 def path_projector(mirror: Mirror) -> np.ndarray:

@@ -380,6 +380,9 @@ class TestExitCodes:
             # A flag is the same key=value as --set: one config line, not argparse's usage.
             ["--preset", "fig1c", "--engine", "bogus"],
             ["--preset", "fig1c", "--seed", "abc"],
+            # A malformed command line is the same one line, and main returns 2.
+            ["--bogus", "1"],
+            ["--seed"],
         ],
         ids=" ".join,
     )
@@ -388,6 +391,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error category=config")
         assert "\n" not in err.strip()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["dither", "--set", "foo"], "expected key=value, got 'foo'"),
+            (["fly"], "unknown command 'fly'; expected one of"),
+            (["photons", "--seed", "7", "--set", "photons_per_sample=0"],
+             "photons_per_sample must be >= 1"),
+        ],
+        ids=["no equals sign", "unknown command", "no photons per sample"],
+    )
+    def test_refused_config_text_is_2(self, tmp_path, capsys, args, message):
+        assert main([*args, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error category=config message={message}")
+        assert "\n" not in err.strip()
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_command_is_2(self, tmp_path):
         assert main(["--out", str(tmp_path)]) == 2
@@ -452,6 +472,18 @@ class TestExitCodes:
         else:
             assert err == ""
             assert (tmp_path / "out" / "centroid.csv").exists()
+
+    def test_dither_walk_off_past_the_regime_is_3(self, tmp_path, capsys):
+        # Long arms at the default dither amplitudes: each k alpha w0 is in the regime,
+        # but the walk-offs z_j alpha_j add up past a tenth of the waist.
+        lengths = {"z_A": 30, "z_B": 30, "z_C": 30, "z_E": 40, "z_F": 20, "path_length": 45}
+        sets = [arg for key, value in lengths.items() for arg in ("--set", f"{key}={value}")]
+        assert main(["dither", *sets, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error category=guard message=summed walk-off 0.00015 m exceeds 0.1 of the waist"
+        )
+        assert "\n" not in err.strip()
 
     def test_dither_crest_past_the_regime_is_3(self, tmp_path, capsys):
         # The moment series' radius rests on the crest check, which stays.

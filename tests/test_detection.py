@@ -763,6 +763,12 @@ class TestPhotonSampleBuffer:
         assert sample.positions is not view
         assert sample.positions[0] == 0.0
 
+    @pytest.mark.parametrize("positions, count", [(np.zeros(4), 5), (np.zeros((1, 5)), 5),
+                                                  (np.zeros(0), 0)])
+    def test_refuses_positions_that_do_not_match_the_count(self, positions, count):
+        with pytest.raises(ConfigError, match="1-D array of length count >= 1"):
+            PhotonSample(positions, seed=1, count=count)
+
     def test_drawn_positions_refuse_in_place_writes(self, grid, beam):
         positions = sample_photons(make_gaussian(beam, grid), 100, seed=2).positions
         assert positions.flags.owndata
@@ -1108,7 +1114,10 @@ class TestOnePassOverPairs:
 
 
 #: The values the observables' property puts at random samples of a field or a series.
-EXTREMES = [0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, -1e-300, math.inf, -math.inf, math.nan]
+#: 1e150 squares to near float64's top: a finite intensity whose moment on a wide grid is not.
+EXTREMES = [
+    0.0, 1.0, -1.0, 1e150, -1e150, 1e300, -1e300, 1e-300, -1e-300, math.inf, -math.inf, math.nan,
+]
 
 
 @st.composite
@@ -1141,8 +1150,10 @@ class TestObservablesProperty:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_field_observables(self, grid, beam, data):
+        # The default grid's Gaussian samples, on a grid up to 1e10 m wide.
         gaussian = make_gaussian(beam, grid).amplitude.copy()
-        f = TransverseField(grid, data.draw(with_extremes(gaussian, True)), beam.k)
+        wide = TransverseGrid(grid.n, data.draw(st.floats(grid.half_width, 1e10)))
+        f = TransverseField(wide, data.draw(with_extremes(gaussian, True)), beam.k)
         self.finite_or_refused(power, f)
         self.finite_or_refused(centroid, f)
         self.finite_or_refused(split_signal, f)

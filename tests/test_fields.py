@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,11 @@ class TestGridAndSpecs:
         for shape in [(grid.n + 1,), (2, grid.n), (1, grid.n), (0, grid.n), ()]:
             with pytest.raises(ConfigError, match="as \\(n,\\)"):
                 TransverseField(grid, np.zeros(shape), beam.k)
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, math.nan])
+    def test_field_rejects_a_wavenumber_not_positive(self, grid, k):
+        with pytest.raises(ConfigError, match="wavenumber k must be positive"):
+            TransverseField(grid, np.zeros(grid.n), k)
 
     def test_field_keeps_a_frozen_buffer_it_can_own(self, grid, beam):
         amp = make_gaussian(beam, grid).amplitude.copy()
@@ -242,6 +248,26 @@ class TestCentroid:
     def test_a_zero_field_has_power_zero(self, grid, beam):
         assert power(TransverseField(grid, np.zeros(grid.n), beam.k)) == 0.0
 
+    def test_a_power_past_float64_raises_guard(self, beam):
+        # Six samples of 1e150 (1 + i) sum to 1.2e301, finite; times the spacing 2e7 it is not.
+        wide = TransverseGrid(n=1024, half_width=1e10)
+        amp = np.zeros(wide.n, dtype=complex)
+        amp[500:506] = 1e150 + 1e150j
+        with pytest.raises(GuardError, match="field power inf overflows float64"):
+            power(TransverseField(wide, amp, beam.k))
+
+    def test_a_moment_past_float64_raises_guard(self, beam):
+        # The power is 7.8e307, finite, yet x * intensity overflows at x = -9.2e9.
+        wide = TransverseGrid(n=256, half_width=1e10)
+        amp = np.zeros(wide.n)
+        amp[10] = 1e150
+        f = TransverseField(wide, amp, beam.k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(power(f))
+            with pytest.raises(GuardError, match="centroid is -?inf"):
+                centroid(f)
+
 
 class TestMomentumCentroid:
     def test_untilted_gaussian(self, grid, beam):
@@ -316,6 +342,46 @@ class TestPropagate:
         amp[grid.n // 2] = np.nan
         with pytest.raises(GuardError, match="not finite"):
             propagate(TransverseField(grid, amp, beam.k), 0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_field_trips_at_its_spectrum(self, grid, beam, monkeypatch, value):
+        # Refused before the transfer function is even looked up.
+        amp = make_gaussian(beam, grid).amplitude.copy()
+        amp[grid.n // 2] = value
+        monkeypatch.setattr(fields, "_transfer_function", None)
+        with pytest.raises(GuardError, match="field is not finite .*spectrum edge (nan|inf)"):
+            propagate(TransverseField(grid, amp, beam.k), 0.5)
+
+    @pytest.mark.parametrize("half_width", [1e-9, 16e-3, 1.0, 1e10])
+    def test_field_band_slices_match_the_position_mask(self, monkeypatch, half_width):
+        # propagate reads the field's guard band as two end slices.  On each side a
+        # magnitude that falls away from the centre makes the worst value the band's
+        # innermost sample there, so each side's worst is that of the mask
+        # |x| > (1 - EDGE_BAND) half_width only if the slices hold the mask's samples.
+        worst = {}
+
+        def record(peak, edge, band="edge amplitude"):
+            worst[band] = edge
+
+        monkeypatch.setattr(fields, "check_edges", record)
+        for n in 2 ** np.arange(8, 17):
+            grid = TransverseGrid(n=int(n), half_width=half_width)
+            mask = np.abs(grid.xs) > (1.0 - fields.EDGE_BAND) * half_width
+            falling = 2.0 - np.abs(np.arange(grid.n) - grid.n // 2) / grid.n
+            for side in (grid.xs < 0.0, grid.xs > 0.0):
+                amp = np.where(side, falling, 0.0)
+                propagate(TransverseField(grid, amp, 1.0), 0.0)
+                assert worst["edge amplitude"] == pytest.approx(amp[mask].max(), abs=1e-12)
+
+    def test_check_edges_names_its_band(self):
+        fields.check_edges(0.0, 0.0, "spectrum edge")  # a zero peak passes
+        fields.check_edges(1.0, 1e-8)
+        with pytest.raises(AliasingError, match="^spectrum edge 2e-08 exceeds 1e-08 of peak 1$"):
+            fields.check_edges(1.0, 2e-8, "spectrum edge")
+        with pytest.raises(AliasingError, match="^edge amplitude 2e-08 exceeds 1e-08 of peak 1$"):
+            fields.check_edges(1.0, 2e-8)
+        with pytest.raises(GuardError, match="not finite .*spectrum edge inf"):
+            fields.check_edges(0.0, math.inf, "spectrum edge")
 
     @pytest.mark.parametrize("sign", [-1.0, 1.0])
     def test_spectrum_in_the_band_edge_raises(self, grid, beam, sign):

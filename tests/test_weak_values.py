@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from nested_mzi_lab import (
     ConfigError,
     Dove,
+    GuardError,
     Mirror,
     MirrorTable,
     OutputPort,
@@ -82,6 +84,20 @@ class TestWeakValue:
         inner_sum = weak_value(tsv, path_projector(Mirror.A) + path_projector(Mirror.B))
         assert weak_value(tsv, path_projector(Mirror.E)) == inner_sum
         assert weak_value(tsv, path_projector(Mirror.F)) == inner_sum
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_operator(self, value):
+        op = path_projector(Mirror.A)
+        op[1, 1] = value
+        with pytest.raises(ConfigError, match="operator must be finite"):
+            weak_value(paper_two_state_vector(), op)
+
+    def test_a_weak_value_past_float64_raises_guard(self):
+        # Each entry is finite; <Phi|op|Psi> = 1e308, divided by the overlap 1/3, is not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GuardError, match="weak value .* overflows float64"):
+                weak_value(paper_two_state_vector(), np.diag([1e308, -1e308, 1e308]))
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ConfigError):
