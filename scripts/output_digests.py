@@ -12,10 +12,12 @@ regime) with unequal inner arms, into a temporary directory, and prints one
 Each preset then gets one "sha256  preset/sample_photons/positions" line: the
 bytes of 100,000 photon positions drawn at seed 7 from the preset's numeric
 detector field.  A "preset/sample_photons/positions-reused" line follows: 77,777
-positions drawn at seed 8 from the same field object, through the knots and
-guide table that the first draw left in the sampler.  The package is imported
-from the checkout that holds this script, so byte identity between two
-checkouts is one diff:
+positions drawn at seed 8 from the same field object, through the guide table
+that the first draw left in the sampler.  Last, one "fig1c/dither-fallback/..."
+line per output of a single dither run whose beam is too wide at the detector
+for the half-grid moments, so run_dither takes its per-sample fallback.  The
+package is imported from the checkout that holds this script, so byte identity
+between two checkouts is one diff:
 
     python scripts/output_digests.py > new.txt
     python /path/to/other/checkout/scripts/output_digests.py > old.txt
@@ -62,6 +64,23 @@ RUNS = {
         "--set", "alpha_C=4e-7", "--set", "alpha_E=-6e-7", "--set", "alpha_F=2e-7",
     ],
 }
+#: A 200 m path widens fig1c's beam past the moments' reach (run once, not per preset).
+FALLBACK = [
+    "dither", "--preset", "fig1c", "--set", "path_length=200", "--set", "grid_half_width=0.2",
+    "--set", "grid_n=4096", *SHORT,
+]
+
+
+def print_run(out: Path, label: str, args: list[str]) -> bool:
+    """Run the CLI into out and print one digest line per output; False where it failed."""
+    code = cli.main([*args, "--out", str(out)])
+    if code != 0:
+        print(f"{label} exited {code}", file=sys.stderr)
+        return False
+    for path in sorted(out.iterdir()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {label}/{path.name}")
+    return True
 
 
 def main() -> int:
@@ -70,20 +89,17 @@ def main() -> int:
         root = Path(tmp)
         for preset in PRESET_NAMES:
             for run, args in RUNS.items():
-                out = root / preset / run
-                code = cli.main([*args, "--preset", preset, "--out", str(out)])
-                if code != 0:
-                    print(f"{preset}/{run} exited {code}", file=sys.stderr)
+                label = f"{preset}/{run}"
+                if not print_run(root / label, label, [*args, "--preset", preset]):
                     return 1
-                for path in sorted(out.iterdir()):
-                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                    print(f"{digest}  {preset}/{run}/{path.name}")
             loaded = load_preset(preset)
             field = detector_field_numeric(loaded.scenario, loaded.tilts)
             for count, seed, name in ((100_000, 7, "positions"), (77_777, 8, "positions-reused")):
                 positions = sample_photons(field, count, seed).positions
                 digest = hashlib.sha256(positions.tobytes()).hexdigest()
                 print(f"{digest}  {preset}/sample_photons/{name}")
+        if not print_run(root / "fallback", "fig1c/dither-fallback", FALLBACK):
+            return 1
     return 0
 
 

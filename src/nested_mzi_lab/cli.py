@@ -22,8 +22,10 @@ from .detection import (
     PEAK_FACTOR,
     DitherProtocol,
     SpectrumReport,
+    check_dither_work,
     default_protocol,
     photon_dither_experiment,
+    read_photon_stage,
     run_dither,
     spectrum,
     split_signal,
@@ -40,7 +42,7 @@ from .interferometer import (
     field_before_F,
     load_preset,
 )
-from .weak_values import weak_value_report
+from .weak_values import difference_scale, weak_value_report
 
 COMMANDS = ("weak-values", "centroid", "dither", "photons", "before-F")
 ENGINES = ("numeric", "analytic", "both")
@@ -197,13 +199,18 @@ def parse_config(text: str) -> RunConfig:
     if command != "centroid" and engine != "numeric":
         raise ConfigError("engine selection applies only to the centroid command")
 
+    # The library's own rules for what each command runs, so a refused run writes nothing.
     seed = given.get("seed")
-    if command == "photons" and seed is None:
-        raise ConfigError("seed is required for photon commands")
-
     photons_per_sample = values["photons_per_sample"]
-    if photons_per_sample < 1:
-        raise ConfigError("photons_per_sample must be >= 1")
+    if command == "photons":
+        if seed is None:
+            raise ConfigError("seed is required for photon commands")
+        read_photon_stage(photons_per_sample, seed)
+    if command in ("dither", "photons"):
+        check_dither_work(scenario, protocol)
+    if command == "weak-values":
+        for mirror in Mirror:
+            difference_scale(scenario, mirror)
 
     return RunConfig(
         command=command,
@@ -339,11 +346,12 @@ def run(config: RunConfig) -> int:
         write_spectrum_csv(out_dir / "empirical_spectrum.csv", report, stamp)
     elif config.command == "before-F":
         field = field_before_F(config.scenario, config.tilts)
+        total = power(field)
         single_arm = 1.0 / 3.0  # each inner arm carries norm^2 = 1/3
         notes = stamp + [
-            f"power={power(field)!r}",
+            f"power={total!r}",
             f"single_arm_power={single_arm!r}",
-            f"power_ratio={power(field) / single_arm!r}",
+            f"power_ratio={total / single_arm!r}",
         ]
         write_field_csv(out_dir / "before_f.csv", field, notes)
     else:  # pragma: no cover - parse_config already validated the command

@@ -85,36 +85,24 @@ _MAX_BUCKETS = 2**18
 
 @dataclass(frozen=True)
 class DitherProtocol:
-    """Per-mirror oscillation amplitudes/frequencies and the sampling window."""
+    """Per-mirror oscillation amplitudes (a TiltSet)/frequencies and the sampling window."""
 
-    amplitudes: MirrorTable = MirrorTable((DEFAULT_DITHER_AMPLITUDE,) * len(Mirror), "amp")
+    amplitudes: TiltSet = TiltSet((DEFAULT_DITHER_AMPLITUDE,) * len(Mirror), "amp")
     frequencies: MirrorTable = DEFAULT_FREQUENCIES
     sample_rate: float = DEFAULT_SAMPLE_RATE
     duration: float = DEFAULT_DURATION
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "amplitudes", TiltSet(self.amplitudes, "amp"))
         if not (0.0 < self.sample_rate < math.inf and 0.0 < self.duration < math.inf):
             raise ConfigError("sample_rate and duration must be positive and finite")
-        count = self.sample_rate * self.duration
-        if not math.isfinite(count):
-            raise ConfigError(f"sample_rate * duration overflows, got {count!r}")
-        if abs(count - round(count)) > 1e-9 or round(count) < 2:
-            raise ConfigError(
-                f"sample_rate * duration must be an integer >= 2, got {count!r}"
-            )
+        _whole(self.sample_rate * self.duration, "sample_rate * duration", 2)
         for mirror, freq, amp in zip(Mirror, self.frequencies, self.amplitudes):
             if freq <= 0.0:
                 raise ConfigError(f"freq_{mirror.value} must be positive")
             if amp < 0.0:
                 raise ConfigError(f"amp_{mirror.value} must be >= 0")
-            cycles = freq * self.duration
-            if not math.isfinite(cycles):
-                raise ConfigError(f"freq_{mirror.value} * duration overflows, got {cycles!r}")
-            if abs(cycles - round(cycles)) > 1e-9 or round(cycles) < 1:
-                raise ConfigError(
-                    f"freq_{mirror.value} = {freq:g} Hz is not an integer "
-                    f"number (>= 1) of cycles over {self.duration:g} s"
-                )
+            _whole(freq * self.duration, f"freq_{mirror.value} * duration", 1)
         if len(set(self.frequencies)) != len(Mirror):
             raise ConfigError("dither frequencies must be pairwise distinct")
         # Checked ahead of the harmonic test, whose frequency ratios it keeps finite.
@@ -144,6 +132,12 @@ class DitherProtocol:
         return {
             m: a * np.sin(phase * f) for m, a, f in zip(Mirror, self.amplitudes, self.frequencies)
         }
+
+
+def _whole(value: float, name: str, least: int) -> None:
+    """ConfigError unless value is finite and within 1e-9 of an integer >= least."""
+    if not (math.isfinite(value) and abs(value - round(value)) <= 1e-9 and round(value) >= least):
+        raise ConfigError(f"{name} = {value!r} is not a whole number >= {least}")
 
 
 @dataclass(frozen=True)
@@ -257,13 +251,8 @@ def run_dither(scenario: Scenario, protocol: DitherProtocol) -> np.ndarray:
     regime, within MAX_DITHER_WORK: then |Re b| <= 0.05 / w0, |Im b| <= 0.2 / w0, |u| <= R =
     _SERIES_RADIUS.
     """
-    work = protocol.sample_count * scenario.grid.n
-    if work > MAX_DITHER_WORK:
-        raise ConfigError(
-            f"dither work sample_count {protocol.sample_count} x grid_n {scenario.grid.n}"
-            f" = {work} exceeds the bound {MAX_DITHER_WORK}"
-        )
-    check_small_angle_regime(scenario, TiltSet(protocol.amplitudes, "amp"))
+    check_dither_work(scenario, protocol)
+    check_small_angle_regime(scenario, protocol.amplitudes)
     moments = _moments(scenario.grid, scenario.beam, scenario.path_length)
     times = protocol.times()
     if moments is None:
@@ -287,6 +276,16 @@ def run_dither(scenario: Scenario, protocol: DitherProtocol) -> np.ndarray:
         sums = (weights * amps[p] * np.conj(amps[q]) * horner).real.sum(axis=1)
         series[start : start + span.size] = sums[0] / sums[1]
     return series
+
+
+def check_dither_work(scenario: Scenario, protocol: DitherProtocol) -> None:
+    """Raise ConfigError where sample_count x grid_n passes MAX_DITHER_WORK."""
+    work = protocol.sample_count * scenario.grid.n
+    if work > MAX_DITHER_WORK:
+        raise ConfigError(
+            f"dither work sample_count {protocol.sample_count} x grid_n {scenario.grid.n}"
+            f" = {work} exceeds the bound {MAX_DITHER_WORK}"
+        )
 
 
 def spectrum(series: np.ndarray, protocol: DitherProtocol) -> SpectrumReport:
@@ -347,11 +346,7 @@ def sample_photons(f: TransverseField, count: int, seed: int) -> PhotonSample:
     (_table).  A thread that is late or slow simply claims fewer chunks; the
     caller waits for every share and raises a helper's error.
     """
-    count, seed = _integer(count, "photon count"), _integer(seed, "seed")
-    if count < 1:
-        raise ConfigError(f"photon count must be >= 1, got {count}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    count, seed = _integer(count, "photon count", 1), _integer(seed, "seed", 0)
     table = _table(weakref.ref(f))
     positions = np.empty(count)
     workers = max(1, min(_WORKERS, count // _SPLIT_MIN))
@@ -481,17 +476,7 @@ def photon_dither_experiment(
     stream np.random.default_rng(seed), and the empirical split signal
     converges to the deterministic series as photons_per_sample grows.
     """
-    photons_per_sample = _integer(photons_per_sample, "photons_per_sample")
-    seed = _integer(seed, "seed")
-    if photons_per_sample < 1:
-        raise ConfigError(f"photons_per_sample must be >= 1, got {photons_per_sample}")
-    if photons_per_sample > MAX_PHOTONS_PER_SAMPLE:
-        raise ConfigError(
-            f"photons_per_sample {photons_per_sample} exceeds the 64-bit bound"
-            f" {MAX_PHOTONS_PER_SAMPLE}"
-        )
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    photons_per_sample, seed = read_photon_stage(photons_per_sample, seed)
     series = run_dither(scenario, protocol)
     if not np.isfinite(series).all():
         raise GuardError("split-detector series is not finite; no photon counts drawn")
@@ -499,6 +484,17 @@ def photon_dither_experiment(
     counts = np.random.default_rng(seed).binomial(photons_per_sample, p_right)
     empirical = 2.0 * counts / photons_per_sample - 1.0
     return spectrum(empirical, protocol)
+
+
+def read_photon_stage(photons_per_sample: object, seed: object) -> tuple[int, int]:
+    """The photon stage's ints; ConfigError unless 1 <= photons_per_sample < 2**63, seed >= 0."""
+    photons_per_sample = _integer(photons_per_sample, "photons_per_sample", 1)
+    if photons_per_sample > MAX_PHOTONS_PER_SAMPLE:
+        raise ConfigError(
+            f"photons_per_sample {photons_per_sample} exceeds the 64-bit bound"
+            f" {MAX_PHOTONS_PER_SAMPLE}"
+        )
+    return photons_per_sample, _integer(seed, "seed", 0)
 
 
 def default_protocol() -> DitherProtocol:

@@ -144,12 +144,15 @@ def _frozen(values: object, dtype: type) -> np.ndarray:
     return values
 
 
-def _integer(value: object, name: str) -> int:
-    """value as a Python int (operator.index); ConfigError for anything not an integer."""
+def _integer(value: object, name: str, least: float = -math.inf) -> int:
+    """value as a Python int (operator.index); ConfigError for anything not an integer >= least."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def power(f: TransverseField) -> float:
@@ -225,7 +228,7 @@ def propagate(f: TransverseField, z: float) -> TransverseField:
     ends, |x| > (1 - EDGE_BAND) half_width.
     """
     if z < 0.0:
-        raise ConfigError(f"propagation distance must be >= 0, got {z}")
+        raise ConfigError(f"propagation distance {z} is negative")
     spectrum, mid = np.fft.fft(f.amplitude), f.grid.n // 2
     mag, width = np.abs(spectrum), round(EDGE_BAND * mid)
     check_edges(float(mag.max()), float(mag[mid - width : mid + width].max()), "spectrum edge")

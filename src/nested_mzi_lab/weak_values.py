@@ -63,6 +63,14 @@ def alpha_step(beam: GaussianSpec) -> float:
     return SMALL_ANGLE_KAW / (beam.k * beam.w0)
 
 
+def difference_scale(scenario: Scenario, mirror: Mirror) -> float:
+    """The central difference's divisor 2 alpha_step z_mirror; ConfigError where it underflows."""
+    scale = 2.0 * alpha_step(scenario.beam) * scenario.distances[mirror]
+    if not scale > 0.0:
+        raise ConfigError(f"2 * alpha_step * z_{mirror.value} underflows to {scale!r}")
+    return scale
+
+
 def effective_weak_value(scenario: Scenario, mirror: Mirror) -> float:
     """z-normalized first-order centroid response coefficient of one mirror.
 
@@ -71,10 +79,7 @@ def effective_weak_value(scenario: Scenario, mirror: Mirror) -> float:
     Equals the projector weak value whenever even and odd meter modes follow
     the same path.
     """
-    step = alpha_step(scenario.beam)
-    scale = 2.0 * step * scenario.distances[mirror]
-    if not scale > 0.0:
-        raise ConfigError(f"2 * alpha_step * z_{mirror.value} underflows to {scale!r}")
+    step, scale = alpha_step(scenario.beam), difference_scale(scenario, mirror)
     up = centroid(detector_field_numeric(scenario, TiltSet.single(mirror, step)))
     down = centroid(detector_field_numeric(scenario, TiltSet.single(mirror, -step)))
     return (up - down) / scale

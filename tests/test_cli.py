@@ -453,6 +453,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error category=config")
         assert "amp_A = 0.002 rad" in err
+        assert list(tmp_path.iterdir()) == []  # refused by the protocol, before run writes
 
     @pytest.mark.parametrize("engine, code", [("numeric", 3), ("both", 3), ("analytic", 0)])
     def test_numeric_spectrum_at_the_band_edge_is_3(self, tmp_path, capsys, engine, code):
@@ -523,6 +524,7 @@ class TestExitCodes:
     def test_infinite_or_overflowing_input_is_2(self, tmp_path, capsys, args):
         assert main(args + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error category=config")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "args",
@@ -532,6 +534,13 @@ class TestExitCodes:
             ["photons", "--preset", "fig1c", "--seed", "-1", "--set", "sample_rate=2400"],
             ["photons", "--preset", "fig1c", "--seed", "1", "--set", "sample_rate=2400",
              "--set", "photons_per_sample=100000000000000000000"],
+            ["photons", "--preset", "fig1c", "--seed", "-1"],
+            ["photons", "--preset", "fig1c", "--seed", "7",
+             "--set", "photons_per_sample=9223372036854775808"],
+            # A dither amplitude past the paraxial guard, for every command that builds one.
+            ["centroid", "--preset", "fig1c", "--set", "amp_A=2e-3"],
+            # 1e7 samples x 65,536 grid points: over the dither work bound.
+            ["dither", "--preset", "fig1c", "--set", "duration=1000", "--set", "grid_n=65536"],
             # The spacing overflows; x**2 overflows; the waist falls between samples.
             ["centroid", "--preset", "fig1a", "--set", "grid_half_width=1e308"],
             ["centroid", "--preset", "fig1a", "--set", "grid_half_width=1e300"],
@@ -541,6 +550,7 @@ class TestExitCodes:
              "--set", "grid_half_width=1e202"],
             # 2 * alpha_step * z_F underflows to 0 in the finite difference.
             ["weak-values", "--preset", "dove-after", "--set", "z_F=5e-324"],
+            ["weak-values", "--set", "z_F=5e-324"],
             # Far over the grid bound; refused before anything is allocated.
             ["centroid", "--preset", "fig1a", "--set", f"grid_n={2**40}"],
         ],
@@ -553,6 +563,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error category=config")
         assert "\n" not in err.strip()
+        assert list(tmp_path.iterdir()) == []  # parse_config refuses it: no manifest either
 
     @pytest.mark.parametrize(
         "args",

@@ -9,6 +9,7 @@ beyond 64 bits.  grid_n stays within 256-4096, so no example allocates much.
 
 import contextlib
 import io
+import os
 import tempfile
 import warnings
 
@@ -84,8 +85,11 @@ def test_main_exits_0_2_or_3_with_one_error_line(command, preset, pairs):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main([*args, "--out", out])
+        written = os.listdir(out)
     err = stderr.getvalue()
     assert code in (0, 2, 3), err
+    if code == 2:  # a refused config writes nothing; a guard trip (3) leaves its manifest
+        assert written == [], err
     if code:
         assert err.startswith(f"error category={'config' if code == 2 else 'guard'}"), err
         assert err.count("\n") == 1, err

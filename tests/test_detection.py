@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -113,6 +114,29 @@ class TestProtocolValidation:
         amps = with_value(fast_protocol.amplitudes, Mirror.C, -1e-6)
         with pytest.raises(ConfigError):
             replace(fast_protocol, amplitudes=amps)
+
+    def test_amplitudes_are_a_tilt_set_checked_at_construction(self, fast_protocol):
+        assert type(fast_protocol.amplitudes) is TiltSet
+        amps = MirrorTable((2e-3, *tuple(fast_protocol.amplitudes)[1:]))
+        with pytest.raises(ConfigError, match="amp_A = 0.002 rad is outside the paraxial guard"):
+            replace(fast_protocol, amplitudes=amps)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"sample_rate": 1e300, "duration": 1e300}, "sample_rate * duration = inf"),
+            ({"sample_rate": 4000.5}, "sample_rate * duration = 1000.125"),
+            ({"frequencies": MirrorTable((101.5, *FAST_FREQS[1:]))}, "freq_A * duration = 25.375"),
+        ],
+        ids=["overflow", "fraction", "cycles"],
+    )
+    def test_counts_must_be_whole_numbers(self, fast_protocol, changes, message):
+        with pytest.raises(ConfigError, match=re.escape(f"{message} is not a whole number >= ")):
+            replace(fast_protocol, **changes)
+
+    def test_counts_within_1e_9_of_an_integer_are_whole(self, fast_protocol):
+        protocol = replace(fast_protocol, sample_rate=4000.000000002)  # 1000.0000000005 samples
+        assert protocol.sample_count == 1000
 
 
 class TestSplitSignal:

@@ -72,6 +72,12 @@ class TestGridAndSpecs:
         with pytest.raises(ConfigError, match="grid n must be an integer"):
             TransverseGrid(n=n, half_width=1e-2)
 
+    def test_integer_names_its_lower_bound(self):
+        assert fields._integer(np.int64(-5), "count") == -5  # no bound unless given
+        assert fields._integer(1, "count", 1) == 1
+        with pytest.raises(ConfigError, match="^count must be >= 1, got 0$"):
+            fields._integer(np.int32(0), "count", 1)
+
     def test_grid_n_is_taken_as_an_int(self):
         grid = TransverseGrid(n=np.int64(1024), half_width=1e-2)
         assert type(grid.n) is int and grid == TransverseGrid(n=1024, half_width=1e-2)
