@@ -7,8 +7,10 @@ every preset through weak-values, centroid (numeric engine, both engines at a
 small A+E tilt, and both engines at the preset's own tilt), before-F, dither
 and photons (seed 7), the last two at sample_rate=2400, then weak-values and
 centroid (both engines, all five mirrors tilted inside the small-angle
-regime) with unequal inner arms, into a temporary directory, and prints one
-"sha256  preset/run/file" line per output file.
+regime) with unequal inner arms, then weak-values and before-F at
+path_length = z_E, where the source propagates over 0 m to mirror E, into a
+temporary directory, and prints one "sha256  preset/run/file" line per output
+file.
 Each preset then gets one "sha256  preset/sample_photons/positions" line: the
 bytes of 100,000 photon positions drawn at seed 7 from the preset's numeric
 detector field.  A "preset/sample_photons/positions-reused" line follows: 77,777
@@ -48,6 +50,8 @@ from nested_mzi_lab import (  # noqa: E402 - needs the path above
 SHORT = ["--set", "sample_rate=2400"]
 #: z_A != z_B, so every path trace is its own: a cache keyed on too little gives wrong bytes.
 UNEQUAL = ["--set", "z_A=1.2", "--set", "z_B=0.8"]
+#: path_length = z_E = 1.5 m: the outer prefix is a propagation over 0 m.
+ZERO_PREFIX = ["--set", "path_length=1.5"]
 RUNS = {
     "weak-values": ["weak-values"],
     "centroid-numeric": ["centroid", "--engine", "numeric"],
@@ -63,6 +67,8 @@ RUNS = {
         "centroid", "--engine", "both", *UNEQUAL, "--set", "alpha_A=5e-7", "--set", "alpha_B=-3e-7",
         "--set", "alpha_C=4e-7", "--set", "alpha_E=-6e-7", "--set", "alpha_F=2e-7",
     ],
+    "weak-values-zero-prefix": ["weak-values", *ZERO_PREFIX],
+    "before-F-zero-prefix": ["before-F", *ZERO_PREFIX],
 }
 #: A 200 m path widens fig1c's beam past the moments' reach (run once, not per preset).
 FALLBACK = [
