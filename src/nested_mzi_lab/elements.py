@@ -132,13 +132,22 @@ def apply_tilt(f: TransverseField, alpha: float) -> TransverseField:
     """Mirror tilt by alpha: multiply by the momentum-kick phase exp(i k alpha x).
 
     Norm and centroid at the element plane are unchanged; the beam picks up
-    the transverse momentum k*alpha.  A zero alpha returns f itself.
+    the transverse momentum k*alpha.  A zero alpha returns f itself.  The ramp is
+    exponentiated over x >= 0 and xs[0]: on the symmetric grid each other x < 0 is
+    exactly the negative of a sample x > 0, where the ramp is the conjugate.  A phase
+    that overflows gives nan, which the next propagate's edge guard reports.
     """
     if not abs(alpha) < MAX_TILT:
         raise RegimeError(f"tilt angle {alpha:g} rad outside |alpha| < {MAX_TILT:g}")
     if alpha == 0.0:
         return f
-    out = f.amplitude * np.exp(1j * f.k * alpha * f.grid.xs)
+    kick, xs, mid = 1j * f.k * alpha, f.grid.xs, f.grid.n // 2
+    ramp = np.empty(f.grid.n, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ramp[mid:] = np.exp(kick * xs[mid:])
+        ramp[:1] = np.exp(kick * xs[:1])
+    np.conjugate(ramp[:mid:-1], out=ramp[1:mid])
+    out = f.amplitude * ramp
     out.flags.writeable = False
     return TransverseField(f.grid, out, f.k)
 

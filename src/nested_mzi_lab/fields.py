@@ -28,7 +28,7 @@ EDGE_RATIO = 1e-8
 
 MIN_SAMPLES = 256
 #: Largest grid: at this bound one row of complex samples takes 1 MiB, and the
-#: engine's caches (16 transfer functions, 2 + 2 prefixes, 8 traces) keep up to 28 rows.
+#: engine's caches (16 transfer functions, 2 + 2 prefixes, 28 traced steps) keep up to 48 rows.
 MAX_SAMPLES = 2**16
 #: Waist sampling bound: the grid spacing is at most w0 / MIN_WAIST_SAMPLES, so
 #: the mode's spectrum has fallen below 1e-17 of its peak at the Nyquist edge.
@@ -210,11 +210,18 @@ def gaussian_profile(
 
 @lru_cache(maxsize=16)  # a scenario's at most 10 distances, with room for a second
 def _transfer_function(grid: TransverseGrid, k: float, z: float) -> np.ndarray:
-    kx = 2.0 * math.pi * np.fft.fftfreq(grid.n, grid.spacing)
+    """exp(-i kx^2 z / 2k) in FFT order, exponentiated over kx >= 0 and mirrored.
+
+    It is even in kx, and -j * f is exactly -(j * f) in floats, so the exponent at
+    each negative frequency equals that at its mirror: rfftfreq's last entry, +n/2,
+    stands for the Nyquist entry -n/2 as well.
+    """
+    kx = 2.0 * math.pi * np.fft.rfftfreq(grid.n, grid.spacing)
     # A phase that overflows gives nan here; check_edges reports it as a
     # GuardError, so numpy's warnings would only add lines to stderr.
     with np.errstate(over="ignore", invalid="ignore"):
-        h = np.exp(-0.5j * kx * kx * z / k)
+        half = np.exp(-0.5j * kx * kx * z / k)
+    h = np.concatenate((half, half[-2:0:-1]))
     h.flags.writeable = False
     return h
 

@@ -171,30 +171,28 @@ def _reference_prefix(scenario: Scenario) -> TransverseField:
     return propagate(source, scenario.path_length - scenario.distances[Mirror.C])
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=28)  # a weak-values call's working set: with fewer, it repeats steps
 def _trace(
     scenario: Scenario, own: tuple[float, ...], path: Path, stop_z: float
 ) -> TransverseField:
-    """Element-by-element trace of one unfolded path, unweighted.
+    """One unfolded path's field at the plane stop_z from the detector, unweighted.
 
-    Starts from the cached source field just before the path's first mirror,
-    propagates between element planes, applying each mirror's tilt (own holds
-    them in PATH_MIRRORS[path] order) and the prism's parity, and ends at the
-    plane stop_z from the detector; elements past that plane are not applied.
-    Cached on the path's own tilts alone, so the untilted traces that a
-    weak-values call reads again between at most four new ones stay in it.
+    own holds the tilts of the path's first len(own) mirrors in PATH_MIRRORS[path] order,
+    those at or upstream of stop_z.  The field at the last of them, the trace of own[:-1]
+    to its plane (or, for the path's first mirror, the cached source field just before
+    it), takes that mirror's elements, its tilt and the prism's parity, and is propagated
+    on to stop_z.  Each step is cached on the tilts upstream of its plane alone, so the
+    fields of a weak-values call share every leg that their tilts leave unchanged.
     """
-    z, tilts = scenario.distances, dict(zip(PATH_MIRRORS[path], own))
-    plane = PATH_MIRRORS[path][0]
-    f = _outer_prefix(scenario) if plane is Mirror.E else _reference_prefix(scenario)
-    for mirror, prism in path_elements(scenario.dove, path):
-        if z[mirror] < stop_z:
-            break
-        if mirror is not plane:
-            f = propagate(f, z[plane] - z[mirror])
-            plane = mirror
-        f = apply_dove_x(f) if prism else apply_tilt(f, tilts[mirror])
-    return propagate(f, z[plane] - stop_z)
+    z, mirror = scenario.distances, PATH_MIRRORS[path][len(own) - 1]
+    if len(own) > 1:
+        f = _trace(scenario, own[:-1], path, z[mirror])
+    else:
+        f = _outer_prefix(scenario) if mirror is Mirror.E else _reference_prefix(scenario)
+    for element, prism in path_elements(scenario.dove, path):
+        if element is mirror:
+            f = apply_dove_x(f) if prism else apply_tilt(f, own[-1])
+    return propagate(f, z[mirror] - stop_z)
 
 
 def _port_sum(
@@ -204,10 +202,11 @@ def _port_sum(
     paths: Iterable[Path],
     stop_z: float = 0.0,
 ) -> TransverseField:
-    """Sum of amps[path] times each path's trace."""
+    """Sum of amps[path] times each path's trace to stop_z."""
+    z = scenario.distances
     total = None  # not sum(), whose int 0 start turns a -0.0 sample into 0.0
     for path in paths:
-        own = tuple(tilts[m] for m in PATH_MIRRORS[path])  # already validated
+        own = tuple(tilts[m] for m in PATH_MIRRORS[path] if z[m] >= stop_z)  # already validated
         term = amps[path] * _trace(scenario, own, path, stop_z).amplitude
         total = term if total is None else total + term
     total.flags.writeable = False

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,17 +8,21 @@ from hypothesis import strategies as st
 
 from nested_mzi_lab import (
     ConfigError,
+    GuardError,
     Mirror,
     MirrorTable,
     OutputPort,
     Path,
     RegimeError,
     TiltSet,
+    TransverseField,
+    TransverseGrid,
     apply_dove_x,
     apply_tilt,
     centroid,
     make_gaussian,
     port_amplitudes,
+    propagate,
 )
 from conftest import momentum_centroid, norm, random_field
 
@@ -57,6 +62,44 @@ class TestApplyTilt:
     def test_norm_preserved(self, grid, beam, seed, alpha):
         f = random_field(grid, beam, seed)
         assert abs(norm(apply_tilt(f, alpha)) - norm(f)) < 1e-12
+
+
+def full_grid_tilt(f: TransverseField, alpha: float) -> np.ndarray:
+    """The tilted amplitude with the ramp exponentiated at every sample, the reference
+    for apply_tilt's mirror."""
+    return f.amplitude * np.exp(1j * f.k * alpha * f.grid.xs)
+
+
+#: Subnormal and tiny tilts, down to where k * alpha * x rounds to a signed zero.
+TINY_TILTS = st.sampled_from([5e-324, -5e-324, 1e-310, -2.2e-308, 1e-300, -1e-30])
+
+
+class TestHalfGridTilt:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        log_n=st.integers(8, 13),
+        half_width=st.floats(1e-4, 10.0),
+        k=st.floats(1e4, 1e8),
+        alpha=st.one_of(st.floats(-9.99e-4, 9.99e-4), TINY_TILTS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mirror_is_the_full_grid_bitwise(self, log_n, half_width, k, alpha, seed):
+        grid = TransverseGrid(n=2**log_n, half_width=half_width)
+        rng = np.random.default_rng(seed)
+        f = TransverseField(grid, rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n), k)
+        assert apply_tilt(f, alpha).amplitude.tobytes() == full_grid_tilt(f, alpha).tobytes()
+
+    def test_a_non_finite_phase_raises_guard(self):
+        # k alpha x overflows past |x| ~ 2e3 m at k = 1e308: the ramp is nan there, with no
+        # numpy warning, and the next propagation's edge guard reports it.
+        grid = TransverseGrid(n=256, half_width=1e10)
+        f = TransverseField(grid, np.exp(-((grid.xs / 1e9) ** 2)), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tilted = apply_tilt(f, 9e-4)
+            assert np.isnan(tilted.amplitude).any()
+            with pytest.raises(GuardError, match="field is not finite"):
+                propagate(tilted, 0.0)
 
 
 class TestApplyDove:

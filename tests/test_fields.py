@@ -437,6 +437,56 @@ class TestPropagate:
         assert centroid(f) == pytest.approx(sign * alpha * z, rel=5e-3, abs=1e-16)
 
 
+def full_grid_transfer(grid: TransverseGrid, k: float, z: float) -> np.ndarray:
+    """The transfer function exponentiated at every FFT frequency, the reference for its mirror."""
+    kx = 2.0 * math.pi * np.fft.fftfreq(grid.n, grid.spacing)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(-0.5j * kx * kx * z / k)
+
+
+def enveloped_field(log_n: int, fill: float, seed: int) -> TransverseField:
+    """A random field on a 2**log_n grid whose beam, w0 = half_width / 10, the grid holds."""
+    n = 2**log_n
+    half_width = 8e-3 * (1.0 - fill) + n * 1e-3 / 8 * fill  # 8 w0 to n w0 / 8 at w0 = 1 mm
+    grid = TransverseGrid(n=n, half_width=half_width)
+    return random_field(grid, GaussianSpec(w0=half_width / 10, wavelength=633e-9), seed)
+
+
+class TestHalfGridTransfer:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_n=st.integers(8, 13),
+        half_width=st.floats(1e-4, 10.0),
+        k=st.floats(1e4, 1e8),
+        z=st.floats(1e-12, 1e3),
+    )
+    def test_mirror_is_the_full_grid_bitwise(self, log_n, half_width, k, z):
+        grid = TransverseGrid(n=2**log_n, half_width=half_width)
+        h = fields._transfer_function.__wrapped__(grid, k, z)
+        assert h.tobytes() == full_grid_transfer(grid, k, z).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_n=st.integers(8, 13), fill=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_zero_distance_propagates_bitwise(self, log_n, fill, seed):
+        # At z = 0 the full-grid exponent's imaginary part is +0.0 at kx >= 0 and -0.0 at
+        # kx < 0, and the mirror copies +0.0: H = 1 + 0j then differs from the full grid only
+        # in the sign of zero imaginary parts, and each product with the spectrum is the same.
+        f = enveloped_field(log_n, fill, seed)
+        h = fields._transfer_function.__wrapped__(f.grid, f.k, 0.0)
+        full = full_grid_transfer(f.grid, f.k, 0.0)
+        assert h.real.tobytes() == full.real.tobytes()
+        assert np.array_equal(h.imag, full.imag)
+        expected = np.fft.ifft(np.fft.fft(f.amplitude) * full)
+        assert propagate(f, 0.0).amplitude.tobytes() == expected.tobytes()
+
+    def test_a_non_finite_phase_raises_guard(self, grid, beam):
+        # kx^2 z / 2k overflows at z = 1e300: the phase is nan, and the edge guard says so.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GuardError, match="field is not finite"):
+                propagate(make_gaussian(beam, grid), 1e300)
+
+
 class TestParity:
     def test_even_field_unchanged(self, grid, beam):
         f = make_gaussian(beam, grid)

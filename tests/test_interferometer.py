@@ -2,6 +2,7 @@ import gc
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -282,12 +283,12 @@ class TestAlternatePort:
 
 
 #: The numeric engine's caches and the rows they may keep: 16 transfer functions,
-#: 2 + 2 prefixes and 8 path traces.
+#: 2 + 2 prefixes and 28 traced steps.
 ENGINE_CACHES = (
     fields._transfer_function, interferometer._outer_prefix,
     interferometer._reference_prefix, _trace,
 )
-CACHED_ROWS = 16 + 2 + 2 + 8
+CACHED_ROWS = 16 + 2 + 2 + 28
 
 
 def clear_engine_caches():
@@ -295,14 +296,37 @@ def clear_engine_caches():
         cache.cache_clear()
 
 
+def report_propagations(monkeypatch) -> int:
+    """The numeric engine's propagate calls in one cold weak-values report on unequal arms."""
+    calls = []
+    monkeypatch.setattr(
+        interferometer, "propagate", lambda f, z: calls.append(z) or fields.propagate(f, z)
+    )
+    clear_engine_caches()
+    weak_value_report(replace(load_preset("fig1c").scenario, distances=UNEQUAL_INNER_ARMS))
+    return len(calls)
+
+
 class TestEngineCaches:
     def test_weak_value_report_traces_each_distinct_path_once(self):
-        # Ten fields of three paths: 3 untilted traces, read again across mirrors,
-        # and 14 tilted ones.
+        # Ten fields of three paths trace 33 distinct steps: per inner path 3 untilted,
+        # 6 with E tilted, 4 with its inner mirror tilted and 2 with F tilted, and on C
+        # 1 untilted and 2 tilted.  30 lookups start the fields, and each of the 24 steps
+        # past a path's first mirror looks up the one before it: 21 of the 54 hit.
         clear_engine_caches()
         weak_value_report(replace(load_preset("fig1c").scenario, distances=UNEQUAL_INNER_ARMS))
         info = _trace.cache_info()
-        assert (info.misses, info.hits) == (17, 13)
+        assert (info.misses, info.hits) == (33, 21)
+
+    def test_weak_value_report_propagates_each_step_once(self, monkeypatch):
+        # The 33 distinct traced steps and the 2 prefixes, each propagated once.
+        assert report_propagations(monkeypatch) == 35
+
+    def test_trace_cache_holds_one_reports_working_set(self, monkeypatch):
+        # One entry fewer and the report repeats a step it has already propagated.
+        smaller = lru_cache(maxsize=_trace.cache_info().maxsize - 1)(_trace.__wrapped__)
+        monkeypatch.setattr(interferometer, "_trace", smaller)
+        assert report_propagations(monkeypatch) > 35
 
     @pytest.mark.parametrize("unequal", [False, True], ids=["preset", "unequal-inner-arms"])
     @pytest.mark.parametrize("preset_name", PRESET_NAMES)
@@ -332,7 +356,7 @@ class TestEngineCaches:
         detector_field_numeric(scenario, first)
         warm = detector_field_numeric(scenario, second).amplitude
         info = _trace.cache_info()
-        assert (info.misses, info.hits) == (4, 2)  # EAF and EBF hit, C misses
+        assert (info.misses, info.hits) == (8, 2)  # 7 steps; then EAF and EBF hit, C misses
         assert np.array_equal(warm, cold)
 
     def test_retained_memory_is_bounded_by_the_cache_sizes(self):
