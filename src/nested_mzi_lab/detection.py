@@ -34,7 +34,7 @@ import numpy as np
 from .elements import Mirror, MirrorTable, Path, TiltSet
 from .errors import ConfigError, GuardError
 from .fields import GaussianSpec, TransverseField, TransverseGrid, _frozen, _integer
-from .fields import _intensity, gaussian_profile
+from .fields import _intensity, _positive, gaussian_profile
 from .interferometer import Scenario, _fold_paths, check_small_angle_regime
 from .interferometer import detector_field_analytic
 
@@ -94,12 +94,11 @@ class DitherProtocol:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amplitudes", TiltSet(self.amplitudes, "amp"))
-        if not (0.0 < self.sample_rate < math.inf and 0.0 < self.duration < math.inf):
-            raise ConfigError("sample_rate and duration must be positive and finite")
+        _positive(self.sample_rate, "sample_rate")
+        _positive(self.duration, "duration")
         _whole(self.sample_rate * self.duration, "sample_rate * duration", 2)
         for mirror, freq, amp in zip(Mirror, self.frequencies, self.amplitudes):
-            if freq <= 0.0:
-                raise ConfigError(f"freq_{mirror.value} must be positive")
+            _positive(freq, f"freq_{mirror.value}")
             if amp < 0.0:
                 raise ConfigError(f"amp_{mirror.value} must be >= 0")
             _whole(freq * self.duration, f"freq_{mirror.value} * duration", 1)

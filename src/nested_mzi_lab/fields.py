@@ -58,10 +58,7 @@ class TransverseGrid:
             )
         if self.n > MAX_SAMPLES:
             raise ConfigError(f"grid n = {self.n} exceeds the bound {MAX_SAMPLES}")
-        if not 0.0 < self.half_width < math.inf:
-            raise ConfigError(
-                f"grid half_width must be positive and finite, got {self.half_width}"
-            )
+        _positive(self.half_width, "grid half_width")
         if not self.half_width * self.half_width < math.inf:
             raise ConfigError(f"grid half_width {self.half_width!r} overflows when squared")
         if not 0.0 < self.spacing < math.inf:
@@ -86,12 +83,10 @@ class GaussianSpec:
     wavelength: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.w0 < math.inf:
-            raise ConfigError(f"waist w0 must be positive and finite, got {self.w0}")
+        _positive(self.w0, "waist w0")
         if not self.w0 * self.w0 > 0.0:
             raise ConfigError(f"waist w0 = {self.w0!r} underflows when squared")
-        if not 0.0 < self.wavelength < math.inf:
-            raise ConfigError(f"wavelength must be positive and finite, got {self.wavelength}")
+        _positive(self.wavelength, "wavelength")
         if not math.isfinite(self.k):
             raise ConfigError(f"wavenumber k = 2*pi/wavelength overflows at {self.wavelength!r}")
         if self.k * self.w0 < MIN_KW0:
@@ -130,8 +125,7 @@ class TransverseField:
             raise ConfigError(
                 f"amplitude shape {amp.shape} does not match grid n = {self.grid.n} as (n,)"
             )
-        if not self.k > 0.0:
-            raise ConfigError(f"wavenumber k must be positive, got {self.k}")
+        _positive(self.k, "wavenumber k")
         object.__setattr__(self, "amplitude", amp)
 
 
@@ -153,6 +147,12 @@ def _integer(value: object, name: str, least: float = -math.inf) -> int:
     if value < least:
         raise ConfigError(f"{name} must be >= {least}, got {value}")
     return value
+
+
+def _positive(value: float, name: str) -> None:
+    """ConfigError unless value is a positive finite number (nan, -0.0 and inf fail)."""
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
 
 def power(f: TransverseField) -> float:

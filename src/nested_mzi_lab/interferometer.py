@@ -12,7 +12,6 @@ sampled input mode for one TiltSet, the reference the fold is tested against.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,6 +37,7 @@ from .fields import (
     GaussianSpec,
     TransverseField,
     TransverseGrid,
+    _positive,
     check_edges,
     check_sampling,
     gaussian_profile,
@@ -81,10 +81,8 @@ class Scenario:
     def __post_init__(self) -> None:
         z = self.distances
         for mirror, value in z.items():
-            if not value > 0.0:
-                raise ConfigError(f"z_{mirror.value} must be positive, got {value}")
-        if not 0.0 < self.path_length < math.inf:
-            raise ConfigError(f"path_length must be positive and finite, got {self.path_length}")
+            _positive(value, f"z_{mirror.value}")
+        _positive(self.path_length, "path_length")
         for path, mirrors in PATH_MIRRORS.items():
             if self.path_length < z[mirrors[0]]:
                 raise ConfigError(f"path_length must be at least z_{mirrors[0].value}")
@@ -172,27 +170,27 @@ def _reference_prefix(scenario: Scenario) -> TransverseField:
 
 
 @lru_cache(maxsize=28)  # a weak-values call's working set: with fewer, it repeats steps
-def _trace(
-    scenario: Scenario, own: tuple[float, ...], path: Path, stop_z: float
-) -> TransverseField:
-    """One unfolded path's field at the plane stop_z from the detector, unweighted.
+def _trace(scenario: Scenario, own: tuple[float, ...], path: Path) -> TransverseField:
+    """One unfolded path's field after its first len(own) mirrors, unweighted.
 
-    own holds the tilts of the path's first len(own) mirrors in PATH_MIRRORS[path] order,
-    those at or upstream of stop_z.  The field at the last of them, the trace of own[:-1]
-    to its plane (or, for the path's first mirror, the cached source field just before
-    it), takes that mirror's elements, its tilt and the prism's parity, and is propagated
-    on to stop_z.  Each step is cached on the tilts upstream of its plane alone, so the
-    fields of a weak-values call share every leg that their tilts leave unchanged.
+    own holds the tilts of those mirrors in PATH_MIRRORS[path] order.  The field at the
+    last of them, the trace of own[:-1] (or, for the path's first mirror, the cached
+    source field just before it), takes that mirror's elements, its tilt and the prism's
+    parity, and is propagated on to the path's next mirror, or to the detector after its
+    last.  Each step is cached on the tilts upstream of its end plane alone, so the fields
+    of a weak-values call share every leg that their tilts leave unchanged.
     """
-    z, mirror = scenario.distances, PATH_MIRRORS[path][len(own) - 1]
-    if len(own) > 1:
-        f = _trace(scenario, own[:-1], path, z[mirror])
+    z, mirrors, taken = scenario.distances, PATH_MIRRORS[path], len(own)
+    mirror = mirrors[taken - 1]
+    if taken > 1:
+        f = _trace(scenario, own[:-1], path)
     else:
         f = _outer_prefix(scenario) if mirror is Mirror.E else _reference_prefix(scenario)
     for element, prism in path_elements(scenario.dove, path):
         if element is mirror:
             f = apply_dove_x(f) if prism else apply_tilt(f, own[-1])
-    return propagate(f, z[mirror] - stop_z)
+    end = z[mirrors[taken]] if taken < len(mirrors) else 0.0  # the next mirror, or the detector
+    return propagate(f, z[mirror] - end)
 
 
 def _port_sum(
@@ -200,14 +198,13 @@ def _port_sum(
     tilts: TiltSet,
     amps: Mapping[Path, float],
     paths: Iterable[Path],
-    stop_z: float = 0.0,
+    taken: int | None = None,
 ) -> TransverseField:
-    """Sum of amps[path] times each path's trace to stop_z."""
-    z = scenario.distances
+    """Sum of amps[path] times each path's trace after its first taken mirrors (None: all)."""
     total = None  # not sum(), whose int 0 start turns a -0.0 sample into 0.0
     for path in paths:
-        own = tuple(tilts[m] for m in PATH_MIRRORS[path] if z[m] >= stop_z)  # already validated
-        term = amps[path] * _trace(scenario, own, path, stop_z).amplitude
+        own = tuple(tilts[m] for m in PATH_MIRRORS[path][:taken])  # already validated
+        term = amps[path] * _trace(scenario, own, path).amplitude
         total = term if total is None else total + term
     total.flags.writeable = False
     return TransverseField(scenario.grid, total, scenario.beam.k)
@@ -219,18 +216,12 @@ def detector_field_numeric(scenario: Scenario, tilts: TiltSet) -> TransverseFiel
 
 
 def field_before_F(scenario: Scenario, tilts: TiltSet) -> TransverseField:
-    """Coherent sum of the two inner-arm fields at a plane just ahead of mirror F.
+    """Coherent sum of the two inner-arm fields at mirror F's plane, before F's tilt.
 
-    The probe sits midway between the inner exit beam splitter and F; since
-    the aligned inner arms cancel at every plane past that splitter, the
-    exact position is immaterial.  The pre-F weights are the bright-port
-    inner-arm amplitudes regardless of which final port is collected.
+    These are the numeric engine's own steps from the inner mirrors to F.  The
+    weights are the bright-port inner-arm amplitudes whichever final port is collected.
     """
-    z = scenario.distances
-    stop_z = 0.5 * (min(z[Mirror.A], z[Mirror.B]) + z[Mirror.F])
-    return _port_sum(
-        scenario, tilts, port_amplitudes(OutputPort.BRIGHT), (Path.EAF, Path.EBF), stop_z
-    )
+    return _port_sum(scenario, tilts, port_amplitudes(OutputPort.BRIGHT), (Path.EAF, Path.EBF), 2)
 
 
 @dataclass(frozen=True)

@@ -52,9 +52,9 @@ def tilts_at(protocol: DitherProtocol, t: float) -> TiltSet:
     return TiltSet(a * math.sin(phase * f) for a, f in pairs)
 
 
-def with_value(table: MirrorTable, mirror, value: float) -> MirrorTable:
-    """Copy of a per-mirror table with one mirror's entry changed."""
-    return type(table)(value if m is mirror else v for m, v in table.items())
+def with_value(table: MirrorTable, mirror, value: float, *name: str) -> MirrorTable:
+    """Copy of a per-mirror table with one mirror's entry changed, and its key prefix name."""
+    return type(table)((value if m is mirror else v for m, v in table.items()), *name)
 
 
 #: Signs that add up the walk-offs of the widest grid's paths.

@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from nested_mzi_lab import (
     AliasingError,
     ConfigError,
+    DitherProtocol,
     GaussianSpec,
     GuardError,
     Mirror,
@@ -20,6 +23,7 @@ from nested_mzi_lab import (
     apply_dove_x,
     apply_tilt,
     centroid,
+    default_scenario,
     detector_field_analytic,
     detector_field_numeric,
     field_before_F,
@@ -39,6 +43,7 @@ from conftest import (
     momentum_centroid,
     norm,
     random_field,
+    with_value,
 )
 
 
@@ -46,6 +51,36 @@ def normalized(grid, amp, k):
     amp = np.asarray(amp, dtype=complex)
     scale = math.sqrt(float(np.sum(np.abs(amp) ** 2) * grid.spacing))
     return TransverseField(grid, amp / scale, k)
+
+
+#: Each positive real input, by the name its error gives, and a build that sets it to a value.
+POSITIVE_INPUTS = {
+    "grid half_width": lambda v: TransverseGrid(n=1024, half_width=v),
+    "waist w0": lambda v: GaussianSpec(w0=v, wavelength=633e-9),
+    "wavelength": lambda v: GaussianSpec(w0=1e-3, wavelength=v),
+    "wavenumber k": lambda v: TransverseField(TransverseGrid(n=1024, half_width=1e-2),
+                                              np.zeros(1024), v),
+    "path_length": lambda v: replace(default_scenario(), path_length=v),
+    **{f"z_{m.value}": lambda v, m=m: replace(
+        default_scenario(), distances=with_value(default_scenario().distances, m, v, "z"))
+       for m in Mirror},
+    "sample_rate": lambda v: DitherProtocol(sample_rate=v),
+    "duration": lambda v: DitherProtocol(duration=v),
+    **{f"freq_{m.value}": lambda v, m=m: DitherProtocol(
+        frequencies=with_value(DitherProtocol().frequencies, m, v, "freq"))
+       for m in Mirror},
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", POSITIVE_INPUTS)
+def test_each_positive_input_refuses_what_is_not_positive_and_finite(name, value):
+    # A per-mirror table refuses a non-finite entry itself, naming the key the same way.
+    shown = re.escape(repr(value))
+    with pytest.raises(ConfigError, match=(
+        f"^{re.escape(name)} (must be positive and finite, got {shown}|= {shown} is not finite)$"
+    )):
+        POSITIVE_INPUTS[name](value)
 
 
 class TestGridAndSpecs:
@@ -141,7 +176,7 @@ class TestGridAndSpecs:
             "_transfer_function": fields._transfer_function(grid, beam.k, 0.5),
             "_outer_prefix": _outer_prefix(scenario).amplitude,
             "_reference_prefix": _reference_prefix(scenario).amplitude,
-            "_trace": _trace(scenario, (5e-7, 0.0, 0.0), Path.EAF, 0.0).amplitude,  # E, A, F
+            "_trace": _trace(scenario, (5e-7, 0.0, 0.0), Path.EAF).amplitude,  # E, A, F
             "_moments": _moments(grid, beam, scenario.path_length),
             "make_gaussian": source.amplitude,
             "propagate": propagate(source, 0.5).amplitude,

@@ -253,7 +253,7 @@ class TestFieldBeforeF:
 
     @pytest.mark.parametrize("z_a, z_b", [(1.2, 0.8), (0.8, 1.2)])
     def test_cancellation_with_unequal_inner_distances(self, bright, z_a, z_b):
-        # Each arm still travels z_E - stop_z in all; a shared E-to-inner
+        # Each arm still travels z_E - z_F in all to F's plane; a shared E-to-inner
         # step reused across unequal distances would break the cancellation.
         z = with_value(with_value(bright.distances, Mirror.A, z_a), Mirror.B, z_b)
         scenario = replace(bright, distances=z)
@@ -296,12 +296,18 @@ def clear_engine_caches():
         cache.cache_clear()
 
 
-def report_propagations(monkeypatch) -> int:
-    """The numeric engine's propagate calls in one cold weak-values report on unequal arms."""
+def propagations(monkeypatch) -> list[float]:
+    """The distance of each numeric-engine propagate call from now on, as a growing list."""
     calls = []
     monkeypatch.setattr(
         interferometer, "propagate", lambda f, z: calls.append(z) or fields.propagate(f, z)
     )
+    return calls
+
+
+def report_propagations(monkeypatch) -> int:
+    """The numeric engine's propagate calls in one cold weak-values report on unequal arms."""
+    calls = propagations(monkeypatch)
     clear_engine_caches()
     weak_value_report(replace(load_preset("fig1c").scenario, distances=UNEQUAL_INNER_ARMS))
     return len(calls)
@@ -345,6 +351,18 @@ class TestEngineCaches:
         weak_value_report(scenario)
         for tilts, expected in zip(rows, cold):
             assert np.array_equal(detector_field_numeric(scenario, tilts).amplitude, expected)
+
+    def test_detector_field_reuses_the_pre_f_steps(self, monkeypatch):
+        # before-F traces the outer prefix and E's and the inner mirrors' steps on both
+        # arms; the detector field then adds only the F steps, the reference prefix and C.
+        calls = propagations(monkeypatch)
+        scenario = replace(load_preset("fig1c").scenario, distances=UNEQUAL_INNER_ARMS)
+        tilts = TiltSet((3e-7, -2e-7, 4e-7, -5e-7, 1e-7))
+        clear_engine_caches()
+        field_before_F(scenario, tilts)
+        assert len(calls) == 5
+        detector_field_numeric(scenario, tilts)
+        assert len(calls) == 5 + 4
 
     def test_a_tilt_at_c_reuses_the_outer_traces_only(self):
         scenario = replace(load_preset("fig1c").scenario, distances=UNEQUAL_INNER_ARMS)
