@@ -62,7 +62,7 @@ def main() -> None:
         if args.out:
             args.out.mkdir(parents=True, exist_ok=True)
             stem = tag.replace(" ", "_")
-            write_series_csv(args.out / f"{stem}_series.csv", protocol.times(), series)
+            write_series_csv(args.out / f"{stem}_series.csv", protocol, series)
             write_spectrum_csv(args.out / f"{stem}_spectrum.csv", deterministic)
             write_spectrum_csv(args.out / f"{stem}_photon_spectrum.csv", empirical)
 

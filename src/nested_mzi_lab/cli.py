@@ -4,6 +4,15 @@ Every run writes a plain-text manifest holding all resolved parameters; the
 manifest body is itself valid configuration text, so any output can be
 reproduced exactly with --config manifest.txt.  All outputs are byte-stable
 for identical configurations and seeds.
+
+Every CSV goes through _write_csv, which converts and formats one block of
+_CSV_BLOCK rows at a time.  A run's coordinate column, a dither protocol's t
+or a grid's x, is an axis: its text comes from _axis_block, one lru_cache of
+1024-row tuples of reprs keyed on exactly what a block's text depends on (the
+sample rate, or the grid's spacing and centre row, and the block's rows).  It
+keeps at most _AXIS_BLOCKS = 64 blocks, under 6 MiB, so a run on a protocol
+or grid met before formats no axis value again, and a longer run cycles
+through the cache without growing it.
 """
 
 from __future__ import annotations
@@ -13,8 +22,9 @@ import hashlib
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path as FsPath
+from typing import NamedTuple
 
 import numpy as np
 
@@ -229,53 +239,100 @@ def parse_config(text: str) -> RunConfig:
 # CSV writers (the serialization surface for fields, series and spectra)
 
 
-#: Rows formatted by one %-format string at a time.
+#: Rows converted and formatted at a time: no column is ever held whole as
+#: Python objects, and no file is ever one string.
 _CSV_BLOCK = 1024
+#: Axis blocks _axis_block keeps: 64 blocks of 1024 reprs, each at most 24
+#: characters (80 bytes, and 8 for its slot in the tuple), hold under 6 MiB.
+_AXIS_BLOCKS = 64
+
+
+@lru_cache(maxsize=_AXIS_BLOCKS)
+def _axis_block(step: float, center: int | None, start: int, stop: int) -> tuple[str, ...]:
+    """The text of rows start:stop of an axis, computed from those rows alone.
+
+    The key is exactly what the text depends on.  Row i holds i / step on a
+    dither protocol's t axis (center None, step the sample rate), as
+    DitherProtocol.times() computes it, and (i - center) * step on a grid's
+    x axis (center n // 2, step the spacing), as TransverseGrid.xs does, so
+    every byte is the whole column's.
+    """
+    i = np.arange(start, stop)
+    values = i / step if center is None else (i - center) * step
+    return tuple(map(repr, values.tolist()))
+
+
+class _Axis(NamedTuple):
+    """A run's coordinate column, rows long, whose text comes from _axis_block."""
+
+    step: float
+    center: int | None
+    rows: int
+
+
+def _finite(values: np.ndarray) -> bool:
+    """Whether every value is finite, with no temporary array: nan carries through min and max."""
+    return values.size == 0 or bool(np.isfinite(values.min()) and np.isfinite(values.max()))
 
 
 def _write_csv(path: FsPath, comments: list[str], header: str, *columns) -> None:
     """The one CSV writer: comment lines, a header, then one row per entry of the columns.
 
-    A column of strings is written as it is, and a numeric column as the
-    repr of each value as a Python float.  This is the last guard before a
-    write: a nan or inf in a numeric column, or a comment key=value whose
-    value reads nan or inf, raises GuardError and nothing is written.
+    A column of strings is written as it is, a numeric column as the repr of
+    each value as a Python float, and an _Axis from its cached text blocks
+    (an axis is finite by construction).  Every column is converted one block
+    of _CSV_BLOCK rows at a time.  This is the last guard before a write: a
+    nan or inf in a numeric column, or a comment key=value whose value reads
+    nan or inf, raises GuardError and nothing is written.
     """
     finite = all(c.rpartition("=")[2] not in ("nan", "inf", "-inf") for c in comments)
     cells, formats = [], []
     for column in columns:
+        if isinstance(column, _Axis):
+            cells.append(column)
+            formats.append("%s")
+            continue
         values = np.asarray(column)
         text = values.dtype.kind == "U"
-        finite = finite and (text or bool(np.isfinite(values).all()))
-        cells.append(values.tolist())
+        finite = finite and (text or _finite(values))
+        cells.append(values)
         formats.append("%s" if text else "%r")
     if not finite:
         raise GuardError(f"{path.name} would hold non-finite values; not written")
-    row, width = ",".join(formats) + "\n", len(cells)
-    flat = [None] * (width * len(cells[0]))  # row-major: a block of rows is one slice
-    for i, cell in enumerate(cells):
-        flat[i::width] = cell
-    with path.open("w") as f:  # a block at a time: a 10,000-row series is never one string
+    lengths = {c.rows if isinstance(c, _Axis) else len(c) for c in cells}
+    if len(lengths) != 1:
+        raise ValueError(f"{path.name}: columns differ in length {sorted(lengths)}")
+    rows, width, row = lengths.pop(), len(cells), ",".join(formats) + "\n"
+    with path.open("w") as f:
         f.writelines(f"# {c}\n" for c in comments)
         f.write(header + "\n")
-        for start in range(0, len(flat), _CSV_BLOCK * width):
-            block = flat[start : start + _CSV_BLOCK * width]
-            f.write(row * (len(block) // width) % tuple(block))
+        for start in range(0, rows, _CSV_BLOCK):
+            stop = min(start + _CSV_BLOCK, rows)
+            flat = [None] * (width * (stop - start))  # row-major
+            for i, c in enumerate(cells):
+                flat[i::width] = (
+                    _axis_block(c.step, c.center, start, stop)
+                    if isinstance(c, _Axis) else c[start:stop].tolist()
+                )
+            f.write(row * (stop - start) % tuple(flat))
 
 
 def write_field_csv(
     path: FsPath, field: TransverseField, comments: list[str] | None = None
 ) -> None:
-    """Field samples as CSV with columns x, re, im."""
-    a = field.amplitude
-    _write_csv(path, comments or [], "x,re,im", field.grid.xs, a.real, a.imag)
+    """Field samples as CSV with columns x, re, im; x is the field's grid axis."""
+    grid, a = field.grid, field.amplitude
+    _write_csv(
+        path, comments or [], "x,re,im", _Axis(grid.spacing, grid.n // 2, grid.n), a.real, a.imag
+    )
 
 
 def write_series_csv(
-    path: FsPath, times: np.ndarray, series: np.ndarray, comments: list[str] | None = None
+    path: FsPath, protocol: DitherProtocol, series: np.ndarray, comments: list[str] | None = None
 ) -> None:
-    """Dither time series as CSV with columns t, signal."""
-    _write_csv(path, comments or [], "t,signal", times, series)
+    """Dither time series as CSV with columns t, signal; t is the protocol's time axis."""
+    t = _Axis(protocol.sample_rate, None, protocol.sample_count)
+    _write_csv(path, comments or [], "t,signal", t, series)
 
 
 def write_spectrum_csv(
@@ -336,7 +393,7 @@ def run(config: RunConfig) -> int:
     elif config.command == "dither":
         series = run_dither(config.scenario, config.protocol)
         report = spectrum(series, config.protocol)
-        write_series_csv(out_dir / "series.csv", config.protocol.times(), series, stamp)
+        write_series_csv(out_dir / "series.csv", config.protocol, series, stamp)
         write_spectrum_csv(out_dir / "spectrum.csv", report, stamp)
     elif config.command == "photons":
         assert config.seed is not None  # enforced by parse_config

@@ -156,16 +156,22 @@ def _fold_paths(scenario: Scenario, tilts: Mapping[Mirror, object]) -> list[tupl
 
 
 @lru_cache(maxsize=2)
+def _source(beam: GaussianSpec, grid: TransverseGrid) -> TransverseField:
+    """The input mode both prefixes start from, built once per beam and grid."""
+    return make_gaussian(beam, grid)
+
+
+@lru_cache(maxsize=2)
 def _outer_prefix(scenario: Scenario) -> TransverseField:
     """Source field propagated up to (just before) mirror E."""
-    source = make_gaussian(scenario.beam, scenario.grid)
+    source = _source(scenario.beam, scenario.grid)
     return propagate(source, scenario.path_length - scenario.distances[Mirror.E])
 
 
 @lru_cache(maxsize=2)
 def _reference_prefix(scenario: Scenario) -> TransverseField:
     """Source field propagated up to (just before) mirror C."""
-    source = make_gaussian(scenario.beam, scenario.grid)
+    source = _source(scenario.beam, scenario.grid)
     return propagate(source, scenario.path_length - scenario.distances[Mirror.C])
 
 

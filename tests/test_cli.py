@@ -1,16 +1,26 @@
+import gc
+import os
+import tempfile
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nested_mzi_lab import (
     PRESET_NAMES,
     ConfigError,
+    DitherProtocol,
     Dove,
     GuardError,
     Mirror,
+    MirrorTable,
     TiltSet,
     TransverseField,
+    TransverseGrid,
     default_beam,
     default_grid,
     detector_field_analytic,
@@ -26,6 +36,7 @@ from nested_mzi_lab.cli import (
     main,
     parse_config,
     write_field_csv,
+    write_series_csv,
 )
 
 from conftest import CORNERS, widest_scenario
@@ -289,13 +300,18 @@ class TestCliRuns:
         assert split == pytest.approx(rows["numeric"][1], rel=1e-9, abs=1e-12)
         assert power == pytest.approx(rows["numeric"][2], rel=1e-12)
 
-    def test_byte_identical_reruns(self, tmp_path):
+    @pytest.mark.parametrize("command", ["centroid", "dither", "before-F"])
+    def test_byte_identical_reruns(self, tmp_path, command):
+        # A cold run (no axis text cached) and a hot rerun in the same process.
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        args = ["centroid", "--preset", "fig1c", "--seed", "3"]
+        args = [command, "--preset", "fig1c", "--seed", "3"]
+        cli._axis_block.cache_clear()
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--out", str(out_b)]) == 0
-        assert (out_a / "centroid.csv").read_bytes() == (out_b / "centroid.csv").read_bytes()
-        assert (out_a / "manifest.txt").read_bytes() == (out_b / "manifest.txt").read_bytes()
+        names = sorted(p.name for p in out_a.iterdir())
+        assert len(names) >= 2 and names == sorted(p.name for p in out_b.iterdir())
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_rerun_from_manifest_reproduces(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -615,3 +631,148 @@ class TestWriters:
         with pytest.raises(GuardError, match="field.csv would hold non-finite values"):
             write_field_csv(path, field, ["note=1", note])
         assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_refused(self, tmp_path, fast_protocol, bad):
+        series = np.zeros(fast_protocol.sample_count)
+        series[-1] = bad
+        path = tmp_path / "series.csv"
+        with pytest.raises(GuardError, match="series.csv would hold non-finite values"):
+            write_series_csv(path, fast_protocol, series)
+        assert not path.exists()
+
+
+def whole_column_rows(*columns) -> list[str]:
+    """The data rows as a whole-column writer writes them: each column made a list
+    at once, every value written as %r."""
+    cells = [np.asarray(c).tolist() for c in columns]
+    return [",".join("%r" % v for v in row) for row in zip(*cells)]
+
+
+def written_rows(path) -> list[str]:
+    """The rows after the header (no comments are passed), as a list: a mismatch
+    reports its first differing row, not a diff of two whole files."""
+    return path.read_text().splitlines()[1:]
+
+
+def random_columns(seed: int, rows: int, count: int) -> np.ndarray:
+    return np.random.default_rng(seed).standard_normal((count, rows))
+
+
+#: Frequencies whole at both durations drawn below (0.25 and 0.5 s), under a quarter
+#: of every sample rate drawn.
+AXIS_FREQS = MirrorTable((100.0, 128.0, 160.0, 264.0, 440.0))
+#: Row counts at and around the block edges, drawn as the short protocol's sample count.
+EDGE_ROWS = [1023, 1024, 1025, 3 * 1024 + 1]
+
+
+def protocol(sample_rate: float, duration: float) -> DitherProtocol:
+    return DitherProtocol(frequencies=AXIS_FREQS, sample_rate=sample_rate, duration=duration)
+
+
+@st.composite
+def axis_runs(draw):
+    """Fields and series whose axes collide on every part of the cache key, in drawn order.
+
+    From k: (4k Hz, 0.25 s) has k rows; (4k Hz, 0.5 s) has the same rate and 2k rows;
+    (8k Hz, 0.25 s) has those 2k rows at another rate.  Two grids share n but not
+    their half width, and a third has the first one's spacing at twice its n.
+    """
+    k = draw(st.sampled_from(EDGE_ROWS) | st.integers(441, 3000))
+    n = draw(st.sampled_from([256, 1024, 2048, 4096]))
+    widths = draw(st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=2, unique=True))
+    seed = draw(st.integers(0, 2**32 - 1))
+    runs = [protocol(4.0 * k, 0.25), protocol(4.0 * k, 0.5), protocol(8.0 * k, 0.25)]
+    for grid in (TransverseGrid(n, widths[0]), TransverseGrid(n, widths[1]),
+                 TransverseGrid(2 * n, 2 * widths[0])):
+        re, im = random_columns(seed, grid.n, 2)
+        runs.append(TransverseField(grid, re + 1j * im, 1e7))
+    return draw(st.permutations(runs)), seed
+
+
+def write_and_expect(path, run, seed) -> list[str]:
+    """Write run (a protocol's random series, or a field) to path; the rows expected."""
+    if isinstance(run, DitherProtocol):
+        series = random_columns(seed, run.sample_count, 1)[0]
+        write_series_csv(path, run, series)
+        return whole_column_rows(run.times(), series)
+    write_field_csv(path, run)
+    return whole_column_rows(run.grid.xs, run.amplitude.real, run.amplitude.imag)
+
+
+class TestAxisBlocks:
+    """The axis text cache against the whole-column writer, byte for byte."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(drawn=axis_runs())
+    def test_cached_axes_write_the_whole_column_bytes(self, drawn):
+        runs, seed = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = FsPath(tmp) / "run.csv"
+            for run in runs:
+                expected = write_and_expect(path, run, seed)
+                assert written_rows(path) == expected
+
+    @pytest.mark.parametrize("rows", [1, *EDGE_ROWS])
+    def test_block_edges(self, tmp_path, rows):
+        path, rate = tmp_path / "series.csv", 3000.0
+        series = random_columns(rows, rows, 1)[0]
+        for _ in range(2):  # cold, then from the cache
+            cli._write_csv(path, [], "t,signal", cli._Axis(rate, None, rows), series)
+            assert written_rows(path) == whole_column_rows(np.arange(rows) / rate, series)
+
+    def test_evicted_blocks_are_written_again(self, tmp_path):
+        # 70 blocks of t, then a field's 64 blocks of x, then the t axis again: more
+        # distinct blocks than the cache holds, so each pass evicts the last one's.
+        long = protocol(4.0 * 70 * 1024, 0.25)
+        field = make_gaussian(default_beam(), TransverseGrid(65536, 0.123))
+        cli._axis_block.cache_clear()
+        for run in (long, field, long):
+            expected = write_and_expect(tmp_path / "run.csv", run, 5)
+            assert written_rows(tmp_path / "run.csv") == expected
+        info = cli._axis_block.cache_info()
+        assert info.currsize == info.maxsize == cli._AXIS_BLOCKS
+        assert info.misses == 70 + 64 + 70 and info.hits == 0
+
+
+#: The stated bound on the axis cache's retained memory (cli._AXIS_BLOCKS).
+AXIS_CACHE_BYTES = 6 * 2**20
+
+
+def traced(write) -> tuple[int, int]:
+    """(peak, retained) bytes that write() allocates, traced from a cold axis cache."""
+    cli._axis_block.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write()
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start, retained - start
+
+
+class TestWriterMemory:
+    @pytest.mark.parametrize("rows", [2**16, 2**18])
+    def test_transient_peak_does_not_grow_with_the_rows(self, rows):
+        # A whole-column writer peaks at about 88 bytes a row (22 MiB at 2**18 rows);
+        # block by block, the peak is the full axis cache and one block of each column.
+        run = protocol(float(rows), 1.0)
+        series = random_columns(rows, rows, 1)[0]
+        peak, _ = traced(lambda: write_series_csv(FsPath(os.devnull), run, series))
+        assert peak < AXIS_CACHE_BYTES + 2**20
+
+    def test_axis_cache_retains_its_bound(self):
+        series = np.zeros(2**20)
+        grid = TransverseGrid(65536, 0.0123)  # long reprs: 20 characters a row in the median
+        field = TransverseField(grid, np.zeros(grid.n, complex), 1e7)
+
+        def write():
+            write_series_csv(FsPath(os.devnull), protocol(2.0**20, 1.0), series)
+            write_field_csv(FsPath(os.devnull), field)
+
+        _, retained = traced(write)
+        assert cli._axis_block.cache_info().currsize == cli._AXIS_BLOCKS
+        assert retained < AXIS_CACHE_BYTES

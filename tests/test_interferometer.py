@@ -283,12 +283,12 @@ class TestAlternatePort:
 
 
 #: The numeric engine's caches and the rows they may keep: 16 transfer functions,
-#: 2 + 2 prefixes and 28 traced steps.
+#: 2 source fields, 2 + 2 prefixes and 28 traced steps.
 ENGINE_CACHES = (
-    fields._transfer_function, interferometer._outer_prefix,
+    fields._transfer_function, interferometer._source, interferometer._outer_prefix,
     interferometer._reference_prefix, _trace,
 )
-CACHED_ROWS = 16 + 2 + 2 + 28
+CACHED_ROWS = 16 + 2 + 2 + 2 + 28
 
 
 def clear_engine_caches():
@@ -351,6 +351,17 @@ class TestEngineCaches:
         weak_value_report(scenario)
         for tilts, expected in zip(rows, cold):
             assert np.array_equal(detector_field_numeric(scenario, tilts).amplitude, expected)
+
+    def test_a_cold_detector_field_builds_its_source_once(self, monkeypatch):
+        # Both prefixes start from one source field, made through the module's global.
+        made = []
+        monkeypatch.setattr(
+            interferometer, "make_gaussian",
+            lambda beam, grid: made.append(grid) or fields.make_gaussian(beam, grid),
+        )
+        clear_engine_caches()
+        detector_field_numeric(load_preset("fig1c").scenario, TiltSet.single(Mirror.E, STEP))
+        assert len(made) == 1
 
     def test_detector_field_reuses_the_pre_f_steps(self, monkeypatch):
         # before-F traces the outer prefix and E's and the inner mirrors' steps on both
