@@ -5,14 +5,8 @@ manifest body is itself valid configuration text, so any output can be
 reproduced exactly with --config manifest.txt.  All outputs are byte-stable
 for identical configurations and seeds.
 
-Every CSV goes through _write_csv, which converts and formats one block of
-_CSV_BLOCK rows at a time.  A run's coordinate column, a dither protocol's t
-or a grid's x, is an axis: its text comes from _axis_block, one lru_cache of
-1024-row tuples of reprs keyed on exactly what a block's text depends on (the
-sample rate, or the grid's spacing and centre row, and the block's rows).  It
-keeps at most _AXIS_BLOCKS = 64 blocks, under 6 MiB, so a run on a protocol
-or grid met before formats no axis value again, and a longer run cycles
-through the cache without growing it.
+Every CSV goes through the one writer, _write_csv, which guards and
+formats every file the same way.
 """
 
 from __future__ import annotations
@@ -278,31 +272,23 @@ def _finite(values: np.ndarray) -> bool:
 def _write_csv(path: FsPath, comments: list[str], header: str, *columns) -> None:
     """The one CSV writer: comment lines, a header, then one row per entry of the columns.
 
-    A column of strings is written as it is, a numeric column as the repr of
-    each value as a Python float, and an _Axis from its cached text blocks
-    (an axis is finite by construction).  Every column is converted one block
-    of _CSV_BLOCK rows at a time.  This is the last guard before a write: a
-    nan or inf in a numeric column, or a comment key=value whose value reads
-    nan or inf, raises GuardError and nothing is written.
+    A column of strings is written as it is, a numeric column as each value
+    converted to a Python float (whose str is its repr), and an _Axis from its
+    cached text blocks (an axis is finite by construction).  Every column is
+    converted one block of _CSV_BLOCK rows at a time.  This is the last guard
+    before a write: a nan or inf in a numeric column, or a comment key=value
+    whose value reads nan or inf, raises GuardError and nothing is written.
     """
     finite = all(c.rpartition("=")[2] not in ("nan", "inf", "-inf") for c in comments)
-    cells, formats = [], []
-    for column in columns:
-        if isinstance(column, _Axis):
-            cells.append(column)
-            formats.append("%s")
-            continue
-        values = np.asarray(column)
-        text = values.dtype.kind == "U"
-        finite = finite and (text or _finite(values))
-        cells.append(values)
-        formats.append("%s" if text else "%r")
-    if not finite:
+    cells = [c if isinstance(c, _Axis) else np.asarray(c) for c in columns]
+    numeric = [c for c in cells if not isinstance(c, _Axis) and c.dtype.kind != "U"]
+    if not (finite and all(map(_finite, numeric))):
         raise GuardError(f"{path.name} would hold non-finite values; not written")
     lengths = {c.rows if isinstance(c, _Axis) else len(c) for c in cells}
     if len(lengths) != 1:
         raise ValueError(f"{path.name}: columns differ in length {sorted(lengths)}")
-    rows, width, row = lengths.pop(), len(cells), ",".join(formats) + "\n"
+    rows, width = lengths.pop(), len(cells)
+    row = ",".join(["%s"] * width) + "\n"
     with path.open("w") as f:
         f.writelines(f"# {c}\n" for c in comments)
         f.write(header + "\n")

@@ -8,16 +8,7 @@ noise floor in the others; a peak well above the noise floor at a mirror's
 frequency is that mirror's trace.
 The series reads the interferometer's fold from half-grid moments of the beam,
 without building fields.  Photon counting is modeled on top of the signal:
-sample_photons draws single-photon positions by inverse-transform sampling,
-placing each uniform draw through a guide table over [0, 1) in chunks of
-bounded size, and returns bitwise what np.interp(u, cdf, edges) would.  A
-field's guide table is built by its first draw and kept for the last two fields
-drawn from (an lru_cache keyed on the field by weak reference).  A large draw
-is shared by up to one thread per core, the caller and the threads of one
-standard thread pool, made by the first shared draw (and again in a forked
-child): each thread claims the next chunk and reads it from the seed's one
-PCG64 stream, advanced to the chunk's first photon, so the positions are the
-same bits whatever the number of cores or the order in which the threads ran.
+sample_photons draws single-photon positions by inverse-transform sampling.
 """
 
 from __future__ import annotations

@@ -28,7 +28,8 @@ EDGE_RATIO = 1e-8
 
 MIN_SAMPLES = 256
 #: Largest grid: at this bound one row of complex samples takes 1 MiB, and the
-#: engine's caches (16 transfer functions, 2 + 2 prefixes, 28 traced steps) keep up to 48 rows.
+#: engine's caches (16 transfer functions, 2 source fields, 2 + 2 prefixes, 28 traced steps)
+#: keep up to 50 rows.
 MAX_SAMPLES = 2**16
 #: Waist sampling bound: the grid spacing is at most w0 / MIN_WAIST_SAMPLES, so
 #: the mode's spectrum has fallen below 1e-17 of its peak at the Nyquist edge.

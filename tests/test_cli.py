@@ -641,6 +641,14 @@ class TestWriters:
             write_series_csv(path, fast_protocol, series)
         assert not path.exists()
 
+    def test_unequal_columns_are_refused(self, tmp_path, fast_protocol):
+        rows = fast_protocol.sample_count
+        path = tmp_path / "series.csv"
+        message = rf"series\.csv: columns differ in length \[{rows - 1}, {rows}\]"
+        with pytest.raises(ValueError, match=message):
+            write_series_csv(path, fast_protocol, np.zeros(rows - 1))
+        assert not path.exists()
+
 
 def whole_column_rows(*columns) -> list[str]:
     """The data rows as a whole-column writer writes them: each column made a list
@@ -755,24 +763,27 @@ def traced(write) -> tuple[int, int]:
 
 
 class TestWriterMemory:
-    @pytest.mark.parametrize("rows", [2**16, 2**18])
+    @pytest.mark.parametrize("rows", [2**18])
     def test_transient_peak_does_not_grow_with_the_rows(self, rows):
         # A whole-column writer peaks at about 88 bytes a row (22 MiB at 2**18 rows);
         # block by block, the peak is the full axis cache and one block of each column.
         run = protocol(float(rows), 1.0)
         series = random_columns(rows, rows, 1)[0]
-        peak, _ = traced(lambda: write_series_csv(FsPath(os.devnull), run, series))
+        peak, retained = traced(lambda: write_series_csv(FsPath(os.devnull), run, series))
         assert peak < AXIS_CACHE_BYTES + 2**20
+        assert retained < AXIS_CACHE_BYTES
 
     def test_axis_cache_retains_its_bound(self):
-        series = np.zeros(2**20)
-        grid = TransverseGrid(65536, 0.0123)  # long reprs: 20 characters a row in the median
-        field = TransverseField(grid, np.zeros(grid.n, complex), 1e7)
+        # Near the bound's worst case of 24 characters a row: every kept block is a block of
+        # this grid's x axis, 20 characters a row in the median and 23 at most.
+        grid = TransverseGrid(65536, 0.0123)
+        block = cli._CSV_BLOCK
 
-        def write():
-            write_series_csv(FsPath(os.devnull), protocol(2.0**20, 1.0), series)
-            write_field_csv(FsPath(os.devnull), field)
+        def fill():
+            for start in range(0, cli._AXIS_BLOCKS * block, block):
+                cli._axis_block(grid.spacing, grid.n // 2, start, start + block)
 
-        _, retained = traced(write)
+        _, retained = traced(fill)
+        assert cli._axis_block.cache_parameters()["maxsize"] == cli._AXIS_BLOCKS
         assert cli._axis_block.cache_info().currsize == cli._AXIS_BLOCKS
         assert retained < AXIS_CACHE_BYTES
