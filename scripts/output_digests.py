@@ -13,9 +13,10 @@ temporary directory, and prints one "sha256  preset/run/file" line per output
 file.
 Each preset then gets one "sha256  preset/sample_photons/positions" line: the
 bytes of 100,000 photon positions drawn at seed 7 from the preset's numeric
-detector field.  A "preset/sample_photons/positions-reused" line follows: 77,777
-positions drawn at seed 8 from the same field object, through the guide table
-that the first draw left in the sampler.  Last, one "fig1c/dither-fallback/..."
+detector field, grouped by pixel in the grid's order.  A
+"preset/sample_photons/positions-reused" line follows: 77,777 positions drawn at
+seed 8 from the same field object, which a draw keeps no state for, so its bytes
+depend on the field and the seed alone.  Last, one "fig1c/dither-fallback/..."
 line per output of a single dither run whose beam is too wide at the detector
 for the half-grid moments, so run_dither takes its per-sample fallback.  The
 package is imported from the checkout that holds this script, so byte identity

@@ -113,7 +113,8 @@ class TransverseField:
     as it is, and any other buffer (a writeable array, a view) is copied.
     The read-only flag is the whole freeze: a holder who sets it back writes to
     every field sharing the buffer, cached prefixes included; this package never does.
-    Fields compare and hash by identity, so a field can key a cache (detection._table).
+    Fields compare and hash by identity, since == on amplitude arrays is elementwise;
+    no cache is keyed on a field, whose caches take the grid, beam and scenario instead.
     """
 
     grid: TransverseGrid

@@ -1,10 +1,8 @@
 import math
 import os
 import re
-import signal
 import subprocess
 import sys
-import threading
 import tracemalloc
 import warnings
 import weakref
@@ -60,18 +58,17 @@ def shifted_gaussian(grid, beam, d):
     return TransverseField(grid, amp, beam.k)
 
 
-def knots(f):
-    """The cdf and cell edges sample_photons inverts, by the same expressions."""
+def pixel_draw(f, count, seed):
+    """The cell of each photon and the one-shot positions sample_photons draws in chunks.
+
+    The cells are the grid's, each repeated by its count from one multinomial of the
+    intensity shares; each position is its cell's low edge plus spacing x one uniform.
+    """
     weights = f.amplitude.real**2 + f.amplitude.imag**2
-    dx = f.grid.spacing
-    edges = np.concatenate([f.grid.xs - 0.5 * dx, [f.grid.xs[-1] + 0.5 * dx]])
-    return np.concatenate([[0.0], np.cumsum(weights)]) / float(weights.sum()), edges
-
-
-def interp_positions(f, count, seed):
-    """The positions sample_photons drew by one np.interp over one rng.random(count)."""
-    cdf, edges = knots(f)
-    return np.interp(np.random.default_rng(seed).random(count), cdf, edges)
+    rng = np.random.default_rng(seed)
+    cells = np.repeat(np.arange(f.grid.n), rng.multinomial(count, weights / np.sum(weights)))
+    low = f.grid.xs[cells] - 0.5 * f.grid.spacing
+    return cells, low + f.grid.spacing * rng.random(count)
 
 
 def detector_waist(scenario):
@@ -335,7 +332,7 @@ class TestSamplePhotons:
         sample = sample_photons(f, np.int64(10), seed=np.uint64(3))
         assert type(sample.count) is int and type(sample.seed) is int
         assert (sample.count, sample.seed) == (10, 3)
-        assert sample.positions.tobytes() == interp_positions(f, 10, 3).tobytes()
+        assert sample.positions.tobytes() == sample_photons(f, 10, 3).positions.tobytes()
 
     @pytest.mark.parametrize("count, seed, name", [
         (10.0, 1, "photon count"), ("10", 1, "photon count"), (np.float64(10), 1, "photon count"),
@@ -378,389 +375,81 @@ class TestSamplePhotons:
 CHUNK = detection._PHOTON_CHUNK
 
 
-class TestGuideTableSampling:
-    @pytest.mark.parametrize("preset_name", PRESET_NAMES)
-    def test_positions_equal_one_interp_bitwise(self, preset_name):
-        preset = load_preset(preset_name)
-        f = detector_field_numeric(preset.scenario, preset.tilts)
-        for seed in (0, 7, 2**63 - 1):
-            for count in (1, CHUNK - 1, CHUNK, CHUNK + 1, 1_000_003):
-                got = sample_photons(f, count, seed).positions
-                assert got.tobytes() == interp_positions(f, count, seed).tobytes(), (seed, count)
+class TestPixelCounts:
+    """A draw is one multinomial of pixel counts, then a uniform place within each pixel."""
 
-    def test_small_draw_on_the_largest_grid_equals_interp(self, beam):
-        grid = TransverseGrid(n=2**16, half_width=default_scenario().grid.half_width)
-        f = random_field(grid, beam, 5)
-        for count in (1, 10, 1000):
-            got = sample_photons(f, count, seed=3).positions
-            assert got.tobytes() == interp_positions(f, count, 3).tobytes()
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_crafted_uniforms_on_flat_runs(self, grid, beam, seed):
-        # Zero tails make flat runs of the cdf; one lone cell in the left tail
-        # carries a subnormal share, so its slope overflows to inf.
-        amp = random_field(grid, beam, seed).amplitude.copy()
-        amp[np.abs(grid.xs) > 3.0 * beam.w0] = 0.0
-        tiny = grid.n // 8
-        amp[tiny] = math.sqrt(float(np.sum(np.abs(amp) ** 2)) * 1e-315)
-        cdf, edges = knots(TransverseField(grid, amp, beam.k))
-        assert cdf[tiny] == 0.0 and 0.0 < cdf[tiny + 1] < 1e-300
-        assert cdf[-2] == cdf[-1]
-        u = np.concatenate([
-            [0.0, np.nextafter(1.0, 0.0), 5e-324],
-            cdf, np.nextafter(cdf, 1.0), np.nextafter(cdf, 0.0),
-            np.linspace(min(cdf[-1], 1.0), 1.0, 17),
-            np.random.default_rng(seed).random(5000),
-        ])
-        u = u[(u >= 0.0) & (u < 1.0)]
-        expected = np.interp(u, cdf, edges)
-        for buckets in (1, 8, 4 * grid.n, detection._BUCKETS_PER_CELL * grid.n):
-            got = u.copy()
-            table = detection._GuideTable(cdf, edges, buckets)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table.place(got)
-            assert got.tobytes() == expected.tobytes(), buckets
-
-    def test_knots_on_bucket_bounds(self, grid, beam):
-        # Eight unit-weight cells put every knot on a multiple of 1/8, so they
-        # sit exactly on the left bounds of buckets that hold no other knot.
-        amp = np.zeros(grid.n, dtype=complex)
-        amp[grid.n // 2 - 4 : grid.n // 2 + 4] = 1.0
-        cdf, edges = knots(TransverseField(grid, amp, beam.k))
-        assert set(np.unique(cdf)) == {k / 8 for k in range(9)}
-        u = np.arange(64) / 64
-        u = np.concatenate([u, np.nextafter(u, 1.0), np.nextafter(u[1:], 0.0)])
-        expected = np.interp(u, cdf, edges)
-        for buckets in (1, 8, 16, 64, 4 * grid.n, detection._BUCKETS_PER_CELL * grid.n):
-            got = u.copy()
-            detection._GuideTable(cdf, edges, buckets).place(got)
-            assert got.tobytes() == expected.tobytes(), buckets
-
-    def test_crafted_cases_reach_both_ends_of_the_last_knot(self, grid, beam):
-        # cdf[-1] is a rounded cumulative sum over a rounded total: the crafted
-        # test must meet fields where it falls short of 1 and where it reaches it.
-        ends = set()
-        for seed in range(6):
-            amp = random_field(grid, beam, seed).amplitude.copy()
+    @pytest.mark.parametrize("preset_name", [*PRESET_NAMES, "zero-tails"])
+    def test_each_photon_lands_in_its_multinomial_cell(self, grid, beam, preset_name):
+        if preset_name == "zero-tails":  # no intensity past 3 w0: cells no photon may land in
+            amp = random_field(grid, beam, 3).amplitude.copy()
             amp[np.abs(grid.xs) > 3.0 * beam.w0] = 0.0
-            cdf, _ = knots(TransverseField(grid, amp, beam.k))
-            ends.add(cdf[-1] < 1.0)
-        assert ends == {True, False}
-
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_split_draws_equal_one_interp_bitwise(self, monkeypatch, workers):
-        monkeypatch.setattr(detection, "_WORKERS", workers)
-        preset = load_preset("fig1c")
-        f = detector_field_numeric(preset.scenario, preset.tilts)
-        split, step = detection._SPLIT_MIN * workers, CHUNK // workers
-        # One thread fewer just below split; odd counts end on a part chunk.
-        counts = (split - 1, split, split + 12_345, split + step // 2 + 1, 3 * split + 7)
+            f = TransverseField(grid, amp, beam.k)
+        else:
+            preset = load_preset(preset_name)
+            f = detector_field_numeric(preset.scenario, preset.tilts)
+        dx, dark = f.grid.spacing, f.amplitude == 0.0
         for seed in (0, 7, 2**63 - 1):
-            for count in counts:
+            for count in (1, 1000, 100_003):
+                cells, _ = pixel_draw(f, count, seed)
+                low = f.grid.xs[cells] - 0.5 * dx
                 got = sample_photons(f, count, seed).positions
-                assert got.tobytes() == interp_positions(f, count, seed).tobytes(), (seed, count)
+                assert np.all((low <= got) & (got <= low + dx)), (seed, count)
+                assert not dark[cells].any()
 
-    def test_interleaved_chunks_equal_one_interp_bitwise(self, monkeypatch, grid, beam):
-        # A barrier makes the caller and its helper place one chunk each in turn,
-        # so each claims chunks with gaps and advances its stream across them.
-        monkeypatch.setattr(detection, "_WORKERS", 2)
-        f = random_field(grid, beam, 6)
-        count = 4 * (CHUNK // 2) - 5  # four chunks, the last one short
-        place, turns, placed = detection._GuideTable.place, threading.Barrier(2), []
-
-        def place_in_turn(table, u):
-            turns.wait(timeout=30)
-            placed.append((threading.get_ident(), (u.ctypes.data - u.base.ctypes.data) // 8))
-            place(table, u)
-
-        monkeypatch.setattr(detection._GuideTable, "place", place_in_turn)
-        got = sample_photons(f, count, seed=8).positions
-        assert got.tobytes() == interp_positions(f, count, 8).tobytes()
-        by_thread = {}
-        for thread, lo in placed:
-            by_thread.setdefault(thread, []).append(lo)
-        assert len(by_thread) == 2 and all(len(los) == 2 for los in by_thread.values())
-        assert any(los[1] - los[0] > CHUNK // 2 for los in by_thread.values())
-
-    def test_a_helper_failure_is_raised_in_the_caller(self, monkeypatch, grid, beam):
-        monkeypatch.setattr(detection, "_WORKERS", 2)
-        f = random_field(grid, beam, 1)
-        count = 4 * detection._SPLIT_MIN
-        place, helper_failed = detection._GuideTable.place, threading.Event()
-
-        def fail_in_a_helper(table, u):
-            if threading.current_thread() is not threading.main_thread():
-                helper_failed.set()
-                raise RuntimeError("a helper failed")
-            assert helper_failed.wait(timeout=30)  # the helper claims a chunk first
-            place(table, u)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(detection._GuideTable, "place", fail_in_a_helper)
-            with pytest.raises(RuntimeError, match="a helper failed"):
-                sample_photons(f, count, seed=4)
-        # The helper that failed is still serving draws.
-        helpers = [t for t in threading.enumerate() if t.name.startswith("sample_photons")]
-        assert helpers and all(helper.is_alive() for helper in helpers)
-        got = sample_photons(f, count, seed=4).positions
-        assert got.tobytes() == interp_positions(f, count, 4).tobytes()
-
-    def test_a_failure_in_the_callers_chunk_is_raised(self, monkeypatch, grid, beam):
-        monkeypatch.setattr(detection, "_WORKERS", 2)
-        f = random_field(grid, beam, 7)
-        count = 4 * detection._SPLIT_MIN
-        place, helper_claimed, caller_claimed = (
-            detection._GuideTable.place, threading.Event(), threading.Event()
-        )
-
-        def fail_in_the_caller(table, u):
-            # Each waits for the other, so both hold a chunk when the caller fails.
-            if threading.current_thread() is threading.main_thread():
-                caller_claimed.set()
-                assert helper_claimed.wait(timeout=30)
-                raise RuntimeError("the caller failed")
-            helper_claimed.set()
-            assert caller_claimed.wait(timeout=30)
-            place(table, u)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(detection._GuideTable, "place", fail_in_the_caller)
-            with pytest.raises(RuntimeError, match="the caller failed"):
-                sample_photons(f, count, seed=9)
-        got = sample_photons(f, count, seed=9).positions
-        assert got.tobytes() == interp_positions(f, count, 9).tobytes()
-
-    def test_a_split_draw_is_not_retained(self, monkeypatch, grid, beam):
-        monkeypatch.setattr(detection, "_WORKERS", 2)
-        sample = sample_photons(random_field(grid, beam, 2), 2 * detection._SPLIT_MIN, seed=5)
-        positions = weakref.ref(sample.positions)
-        del sample
-        assert positions() is None
-
-    def test_concurrent_split_draws_share_the_helpers(self, monkeypatch, grid, beam):
-        # More workers than cores, callers racing to start the helpers, fast switching.
-        extra_cores = max(1, detection._WORKERS - 1)
-        monkeypatch.setattr(detection, "_WORKERS", 4)
-        f = random_field(grid, beam, 4)
-        count = 4 * detection._SPLIT_MIN + 3
-        expected = {seed: interp_positions(f, count, seed).tobytes() for seed in range(4)}
-        results = {}
-
-        def draw(seed):
-            results[seed] = [sample_photons(f, count, seed).positions.tobytes() for _ in range(3)]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            callers = [threading.Thread(target=draw, args=(seed,)) for seed in expected]
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(caller.is_alive() for caller in callers)
-        assert results == {seed: [got] * 3 for seed, got in expected.items()}
-        helpers = [t for t in threading.enumerate() if t.name.startswith("sample_photons")]
-        assert 1 <= len(helpers) <= extra_cores
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_forked_child_starts_its_own_helpers(self, monkeypatch, grid, beam):
-        monkeypatch.setattr(detection, "_WORKERS", 2)
-        f = random_field(grid, beam, 3)
-        count = 2 * detection._SPLIT_MIN
-        sample_photons(f, count, seed=6)  # the parent's helper is running
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
-            pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                signal.alarm(60)  # a child waiting on its parent's helper would hang
-                got = sample_photons(f, count, seed=6).positions
-                code = int(got.tobytes() != interp_positions(f, count, 6).tobytes())
-            finally:
-                os._exit(code)
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
-
-    def test_importing_the_cli_starts_no_pool(self):
-        # The executor is imported, and its pool made, by the first shared draw only.
-        src = os.path.dirname(os.path.dirname(detection.__file__))
-        done = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, nested_mzi_lab.cli; print('concurrent.futures' in sys.modules)"],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
-
-
-def table_buckets(grid):
-    """The bucket count of a field's one guide table on grid."""
-    return min(detection._BUCKETS_PER_CELL * grid.n, detection._MAX_BUCKETS)
-
-
-class TestKnotCache:
-    """A field's guide table is built by its first draw and read by the next."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self):
-        detection._table.cache_clear()
-        yield
-        detection._table.cache_clear()
-
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        """The bucket counts of the guide tables built, in order."""
-        built = []
-
-        class Counted(detection._GuideTable):
-            def __init__(self, cdf, edges, buckets):
-                built.append(buckets)
-                super().__init__(cdf, edges, buckets)
-
-        monkeypatch.setattr(detection, "_GuideTable", Counted)
-        return built
-
-    def test_repeated_draws_build_the_tables_once(self, builds, grid, beam):
-        f = random_field(grid, beam, 11)
-        cap = table_buckets(grid)
-        for count in (1000, 1000, cap - 1, cap, cap + 1, 100_000, 1000, cap + 1):
+    def test_chunks_equal_the_one_shot_draw_bitwise(self, grid, beam):
+        f = random_field(grid, beam, 9)
+        for count in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7):
             for seed in (0, 5):
+                _, expected = pixel_draw(f, count, seed)
                 got = sample_photons(f, count, seed).positions
-                assert got.tobytes() == interp_positions(f, count, seed).tobytes(), count
-        assert builds == [cap]
-        assert detection._table.cache_info().currsize == 1
+                assert got.tobytes() == expected.tobytes(), (count, seed)
 
-    def test_alternating_fields_equal_interp(self, builds, grid, beam):
-        fields = [random_field(grid, beam, seed) for seed in (12, 13)]
-        cap = table_buckets(grid)
-        counts = (10, cap // 2 + 1, cap, cap + 1, 2 * detection._SPLIT_MIN + 3, 10)
-        for seed, count in enumerate(counts):
-            for f in fields:
-                got = sample_photons(f, count, seed).positions
-                assert got.tobytes() == interp_positions(f, count, seed).tobytes(), count
-        assert builds == [cap, cap]
+    @pytest.mark.parametrize("n", [default_scenario().grid.n, MAX_SAMPLES])
+    def test_reproducible_per_seed(self, beam, n):
+        grid = TransverseGrid(n=n, half_width=default_scenario().grid.half_width)
+        f = random_field(grid, beam, 5)
+        for count in (10, CHUNK + 3):
+            first, again = (sample_photons(f, count, seed=3).positions for _ in range(2))
+            assert first.tobytes() == again.tobytes()
+            assert first.tobytes() != sample_photons(f, count, seed=4).positions.tobytes()
 
-    def test_a_third_field_evicts_the_first(self, builds, grid, beam):
-        fields = [random_field(grid, beam, seed) for seed in (14, 15, 16)]
-        for f in (*fields, fields[0]):
-            got = sample_photons(f, 100, seed=1).positions
-            assert got.tobytes() == interp_positions(f, 100, 1).tobytes()
-        assert builds == [table_buckets(grid)] * 4
-        for f in (fields[2], fields[0]):  # kept: drawing again builds nothing
-            sample_photons(f, 100, seed=1)
-        assert builds == [table_buckets(grid)] * 4
-        sample_photons(fields[1], 100, seed=1)  # evicted: drawing again builds
-        assert builds == [table_buckets(grid)] * 5
-
-    def test_a_shared_buffer_on_another_grid_gets_its_own_knots(self, builds, grid, beam):
-        f = random_field(grid, beam, 17)
-        wider = TransverseField(replace(grid, half_width=1.5 * grid.half_width), f.amplitude, f.k)
-        assert wider.amplitude is f.amplitude
-        for field in (f, wider, f, wider):
-            got = sample_photons(field, 5000, seed=2).positions
-            assert got.tobytes() == interp_positions(field, 5000, 2).tobytes()
-        assert builds == [table_buckets(grid)] * 2
-        assert sample_photons(f, 10, 3).positions.tobytes() != sample_photons(
-            wider, 10, 3).positions.tobytes()
-
-    def test_a_dropped_field_is_not_kept_alive(self, grid, beam):
-        f = random_field(grid, beam, 18)
-        sample_photons(f, 10, seed=1)
-        amplitude = weakref.ref(f.amplitude)
-        del f
-        assert amplitude() is None
-
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
-    def test_a_non_finite_field_raises_on_every_call(self, builds, grid, beam, value):
-        amp = make_gaussian(beam, grid).amplitude.copy()
-        amp[grid.n // 2] = value
-        f = TransverseField(grid, amp, beam.k)
-        for _ in range(2):
-            with pytest.raises(GuardError, match="field is not finite"):
-                sample_photons(f, 10, seed=1)
-        assert detection._table.cache_info().currsize == 0 and not builds
-
-    def test_concurrent_draws_on_two_fields(self, monkeypatch, grid, beam):
-        monkeypatch.setattr(detection, "_WORKERS", 3)
-        fields = [random_field(grid, beam, seed) for seed in (19, 20)]
-        count = 3 * detection._SPLIT_MIN + 5
-        expected = {
-            (i, seed): interp_positions(f, count, seed).tobytes()
-            for i, f in enumerate(fields) for seed in (4, 5)
-        }
-        results = {}
-
-        def draw(i, seed):
-            results[i, seed] = [
-                sample_photons(fields[i], count, seed).positions.tobytes() for _ in range(3)
-            ]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            callers = [threading.Thread(target=draw, args=key) for key in expected]
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(caller.is_alive() for caller in callers)
-        assert results == {key: [got] * 3 for key, got in expected.items()}
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_forked_child_reads_and_builds_knots(self, monkeypatch, grid, beam):
-        monkeypatch.setattr(detection, "_WORKERS", 2)
-        f, fresh = random_field(grid, beam, 21), random_field(grid, beam, 22)
-        count = 2 * detection._SPLIT_MIN + 1
-        sample_photons(f, count, seed=6)  # the parent's table for f, and its helper
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
-            pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                signal.alarm(60)
-                same = [
-                    sample_photons(g, count, seed=7).positions.tobytes()
-                    == interp_positions(g, count, 7).tobytes()
-                    for g in (f, fresh, f)
-                ]
-                code = int(not all(same) or detection._table.cache_info().currsize != 2)
-            finally:
-                os._exit(code)
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
-
-    def test_retained_memory_at_the_largest_grid_is_bounded(self, beam):
-        # Each fresh field gets one table of _MAX_BUCKETS cells, whatever the counts
-        # drawn from it; only the last two fields' tables may stay.
-        grid = TransverseGrid(n=MAX_SAMPLES, half_width=default_scenario().grid.half_width)
-        counts = [2**b + 1 for b in range(detection._MAX_BUCKETS.bit_length())]
-        knots, cells = 3 * 8 * (grid.n + 1), 8 * detection._MAX_BUCKETS
-        bound = detection._table.cache_parameters()["maxsize"] * (knots + cells)
-        assert round(bound / 2**20) == 7  # the bound the module states
-        sample_photons(random_field(grid, beam, 0), 1, seed=0)  # grid.xs, and the pool
-        detection._pool()
-        detection._table.cache_clear()
+    def test_memory_in_flight_is_the_output_and_one_buffer(self, grid, beam):
+        f = random_field(grid, beam, 10)
+        count = 2**20
+        sample_photons(f, 10, seed=0)  # grid.xs
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            for seed in range(3):
-                f = random_field(grid, beam, seed)
-                for count in counts:
-                    sample_photons(f, count, seed)
-                del f
-            retained = tracemalloc.get_traced_memory()[0] - before
+            sample = sample_photons(f, count, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert detection._table.cache_info().currsize == 2
-        assert 2 * knots < retained <= bound + 2**16
+        assert sample.positions.nbytes == 8 * count
+        assert peak <= 8 * count + 2**20
+
+    def test_a_draw_is_not_retained(self, grid, beam):
+        f = random_field(grid, beam, 2)
+        sample = sample_photons(f, 2 * CHUNK, seed=5)
+        positions, amplitude = weakref.ref(sample.positions), weakref.ref(f.amplitude)
+        del sample, f
+        assert positions() is None and amplitude() is None
+
+    def test_a_draw_starts_no_thread(self):
+        # In a fresh process, since the test runner's own imports may start threads.
+        src = os.path.dirname(os.path.dirname(detection.__file__))
+        script = (
+            "import sys, threading, nested_mzi_lab.cli\n"
+            "from nested_mzi_lab import default_beam, default_grid, make_gaussian\n"
+            "from nested_mzi_lab import sample_photons\n"
+            "sample_photons(make_gaussian(default_beam(), default_grid()), 2**18, 1)\n"
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1 False"
 
 
 class TestPhotonSampleBuffer:

@@ -158,7 +158,7 @@ class TestGridAndSpecs:
         assert f.amplitude[0] == 0.0
 
     def test_fields_compare_and_hash_by_identity(self, grid, beam):
-        # A field keys the photon sampler's table cache by identity, never by value.
+        # == on amplitude arrays is elementwise, so fields are equal and hash by identity.
         f = make_gaussian(beam, grid)
         g = TransverseField(f.grid, f.amplitude, f.k)
         assert g.amplitude is f.amplitude
