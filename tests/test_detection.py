@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -450,6 +451,115 @@ class TestPixelCounts:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "1 False"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_no_photon_lands_in_a_dark_pixel(self, grid, beam, seed):
+        # Dark runs of random length between lit cells, at one or both ends of the grid too.
+        rng = np.random.default_rng(seed)
+        lit = rng.random(grid.n) < 0.3
+        lit[0], lit[-1] = seed % 2 == 0, seed % 3 == 0
+        amp = np.where(lit, rng.uniform(0.5, 1.5, grid.n), 0.0) + 0j
+        f, count = TransverseField(grid, amp, beam.k), 50_000
+        cells, _ = pixel_draw(f, count, seed)
+        low = grid.xs[cells] - 0.5 * grid.spacing
+        got = sample_photons(f, count, seed).positions
+        assert np.all((low <= got) & (got <= low + grid.spacing))
+        assert lit[cells].all() and np.all(np.bincount(cells, minlength=grid.n)[lit] > 0)
+
+    @pytest.mark.parametrize("where", ["first", "second", "middle", "last"])
+    def test_a_single_lit_pixel_takes_every_photon(self, grid, beam, where):
+        j = {"first": 0, "second": 1, "middle": grid.n // 2, "last": grid.n - 1}[where]
+        amp = np.zeros(grid.n, dtype=complex)
+        amp[j] = 1.0
+        low, dx = grid.xs[j] - 0.5 * grid.spacing, grid.spacing
+        got = sample_photons(TransverseField(grid, amp, beam.k), 10_000, seed=j).positions
+        assert np.all((low <= got) & (got <= low + dx))
+        # 10^4 uniforms all stay 1% of dx away from an edge with probability e^-100.
+        assert got.min() - low < 0.01 * dx and low + dx - got.max() < 0.01 * dx
+
+    @pytest.mark.parametrize("preset_name", PRESET_NAMES)
+    def test_places_within_the_pixels_are_uniform(self, preset_name):
+        preset = load_preset(preset_name)
+        f = detector_field_numeric(preset.scenario, preset.tilts)
+        count, dx = 2 * CHUNK + 11, f.grid.spacing  # a partial last chunk
+        cells, _ = pixel_draw(f, count, seed=21)
+        places = np.sort((sample_photons(f, count, 21).positions - f.grid.xs[cells]) / dx + 0.5)
+        ranks = np.arange(count + 1) / count
+        distance = max(np.max(ranks[1:] - places), np.max(places - ranks[:-1]))
+        assert distance < 1.95 / math.sqrt(count)  # Kolmogorov-Smirnov at the 0.1% level
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5, 1.0])
+    def test_pixel_counts_follow_the_intensity_shares(self, grid, beam, shift):
+        f, count, width = shifted_gaussian(grid, beam, shift * beam.w0), 10**6, 4
+        intensity = np.abs(f.amplitude) ** 2
+        expected = count * np.add.reduceat(intensity, range(0, grid.n, width)) / intensity.sum()
+        edges = grid.xs[0] - 0.5 * grid.spacing + grid.spacing * np.arange(0, grid.n + 1, width)
+        observed, _ = np.histogram(sample_photons(f, count, seed=31).positions, edges)
+        kept = expected > 20.0
+        chi2 = float(np.sum((observed[kept] - expected[kept]) ** 2 / expected[kept]))
+        dof = int(kept.sum()) - 1
+        assert dof > 20 and chi2 < dof + 5.0 * math.sqrt(2.0 * dof)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.25, 0.5])
+    def test_moments_on_a_coarse_grid(self, beam, offset):
+        # dx = w0 / 2: the spread within a pixel adds dx^2 / 12, 8% of the variance.
+        grid = TransverseGrid(n=256, half_width=64.0 * beam.w0)
+        f, n = shifted_gaussian(grid, beam, offset * grid.spacing), 10**6
+        p = np.abs(f.amplitude) ** 2 / np.sum(np.abs(f.amplitude) ** 2)
+        mean = float(np.sum(p * grid.xs))
+        variance = float(np.sum(p * (grid.xs - mean) ** 2)) + grid.spacing**2 / 12.0
+        got = sample_photons(f, n, seed=41).positions
+        assert abs(got.mean() - mean) < 4.0 * math.sqrt(variance / n)
+        assert abs(got.var() - variance) < 4.0 * variance * math.sqrt(2.0 / n)
+
+    def test_alternating_fields_equal_the_pixel_draw(self, grid, beam):
+        fields = [random_field(grid, beam, s) for s in (11, 12)]
+        for seed in range(4):
+            for f in fields:
+                assert (sample_photons(f, 1000, seed).positions.tobytes()
+                        == pixel_draw(f, 1000, seed)[1].tobytes()), seed
+
+    def test_a_twice_as_wide_grid_draws_twice_the_positions(self, grid, beam):
+        f = random_field(grid, beam, 4)
+        wide = TransverseGrid(n=grid.n, half_width=2.0 * grid.half_width)
+        g = TransverseField(wide, f.amplitude, beam.k)
+        assert g.amplitude is f.amplitude
+        a, b = (sample_photons(h, CHUNK + 5, seed=6).positions for h in (f, g))
+        assert b.tobytes() == (2.0 * a).tobytes()
+
+    def test_concurrent_draws_equal_serial_draws(self, grid, beam):
+        jobs = [(random_field(grid, beam, s), seed) for s in (1, 2) for seed in range(4)]
+        expected = [sample_photons(f, 3 * CHUNK, seed).positions.tobytes() for f, seed in jobs]
+        got = [b""] * len(jobs)
+
+        def draw(i):
+            got[i] = sample_photons(jobs[i][0], 3 * CHUNK, jobs[i][1]).positions.tobytes()
+
+        threads = [threading.Thread(target=draw, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert got == expected
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    def test_a_refused_field_raises_on_every_call(self, grid, beam, value):
+        amp = make_gaussian(beam, grid).amplitude * (value != 0.0)
+        amp[grid.n // 2] = value
+        f = TransverseField(grid, amp, beam.k)
+        error, message = (ZeroNormError, "total power") if value == 0.0 else (
+            GuardError, "field is not finite")
+        for _ in range(2):
+            with pytest.raises(error, match=message):
+                sample_photons(f, 10, seed=1)
+
+    def test_a_small_draw_on_the_largest_grid_equals_the_pixel_draw(self, beam):
+        grid = TransverseGrid(n=MAX_SAMPLES, half_width=default_scenario().grid.half_width)
+        f = random_field(grid, beam, 8)
+        for count in (1, 10):
+            for seed in (0, 9):
+                assert (sample_photons(f, count, seed).positions.tobytes()
+                        == pixel_draw(f, count, seed)[1].tobytes()), (count, seed)
 
 
 class TestPhotonSampleBuffer:
