@@ -16,11 +16,12 @@ bytes of 100,000 photon positions drawn at seed 7 from the preset's numeric
 detector field, grouped by pixel in the grid's order.  A
 "preset/sample_photons/positions-reused" line follows: 77,777 positions drawn at
 seed 8 from the same field object, which a draw keeps no state for, so its bytes
-depend on the field and the seed alone.  Last, one "fig1c/dither-fallback/..."
-line per output of a single dither run whose beam is too wide at the detector
-for the half-grid moments, so run_dither takes its per-sample fallback.  The
-package is imported from the checkout that holds this script, so byte identity
-between two checkouts is one diff:
+depend on the field and the seed alone.  Last, one "fig1c/dither-wide/..."
+line per output of a single dither run whose beam is 40 Rayleigh ranges wide at
+the detector: past the half-grid moments' reach at the regime's crest bound, so
+run_dither reads them at each chunk's own radius.  The package is imported from
+the checkout that holds this script, so byte identity between two checkouts is
+one diff:
 
     python scripts/output_digests.py > new.txt
     python /path/to/other/checkout/scripts/output_digests.py > old.txt
@@ -71,8 +72,9 @@ RUNS = {
     "weak-values-zero-prefix": ["weak-values", *ZERO_PREFIX],
     "before-F-zero-prefix": ["before-F", *ZERO_PREFIX],
 }
-#: A 200 m path widens fig1c's beam past the moments' reach (run once, not per preset).
-FALLBACK = [
+#: A 200 m path (40 z_R) widens fig1c's beam past the moments' reach at the crest bound, but
+#: not at the run's own radius (run once, not per preset).
+WIDE = [
     "dither", "--preset", "fig1c", "--set", "path_length=200", "--set", "grid_half_width=0.2",
     "--set", "grid_n=4096", *SHORT,
 ]
@@ -105,7 +107,7 @@ def main() -> int:
                 positions = sample_photons(field, count, seed).positions
                 digest = hashlib.sha256(positions.tobytes()).hexdigest()
                 print(f"{digest}  {preset}/sample_photons/{name}")
-        if not print_run(root / "fallback", "fig1c/dither-fallback", FALLBACK):
+        if not print_run(root / "wide", "fig1c/dither-wide", WIDE):
             return 1
     return 0
 

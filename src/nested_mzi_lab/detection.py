@@ -24,7 +24,6 @@ from .errors import ConfigError, GuardError
 from .fields import GaussianSpec, TransverseField, TransverseGrid, _frozen, _integer
 from .fields import _intensity, _positive, gaussian_profile
 from .interferometer import Scenario, _fold_paths, check_small_angle_regime
-from .interferometer import detector_field_analytic
 
 #: A mirror leaves a trace where its dither peak exceeds this multiple of the noise floor.
 PEAK_FACTOR = 5.0
@@ -46,6 +45,8 @@ DEFAULT_DURATION = 1.0
 MAX_DITHER_WORK = 2**32
 #: Largest photons_per_sample: the binomial draw takes a 64-bit count.
 MAX_PHOTONS_PER_SAMPLE = 2**63 - 1
+#: Largest sample_photons count: the longest float64 array numpy can describe.
+MAX_PHOTONS = np.iinfo(np.intp).max // 8
 #: Dither samples per chunk: the Horner pass's (2, 6, T) complex arrays take 192 KiB each,
 #: whatever the grid.
 _SAMPLE_CHUNK = 2**10
@@ -170,16 +171,14 @@ def split_signal(f: TransverseField) -> float:
 
 
 @lru_cache(maxsize=2)
-def _moments(grid: TransverseGrid, beam: GaussianSpec, length: float) -> np.ndarray | None:
-    """(M + 1, 3) moments sum_x w |G|^2 (x / w0)^m / m! and their bounds, or None past reach.
+def _moments(grid: TransverseGrid, beam: GaussianSpec, length: float, reach: float) -> np.ndarray:
+    """(M + 1, 3) moments sum_x w |G|^2 (x / w0)^m / m! and their bounds, for |b w0| <= reach.
 
     G is the source Gaussian over length; w is _split_weights in column 0 and 1 in column 1,
     so sum_x w |G|^2 e^{b x} = sum_m mu_m (b w0)^m.  Column 2 holds nu_m = sum_x |G|^2 |x / w0|^m
     / m!: as |b w0| <= r, term m is at most t_m = r^m nu_m (_series_terms), whose ratios fall with
-    m under |G|^2's decay.  M is _first_small_term at r = R = _SERIES_RADIUS (14 by default);
-    run_dither applies the same test at each chunk's own radius.  None where sum_m t_m / t_0 at
-    R, the Horner pass's rounding gain, passes _SERIES_GAIN: beams some 35 waists wide at the
-    detector.
+    m under |G|^2's decay.  M is _first_small_term at r = reach (14 at R = _SERIES_RADIUS by
+    default).  GuardError where sum_m t_m / t_0 at reach, the rounding gain, passes _SERIES_GAIN.
     """
     g = np.abs(gaussian_profile(grid.xs, beam, length)) ** 2
     halves = _split_weights(grid) * g
@@ -187,9 +186,10 @@ def _moments(grid: TransverseGrid, beam: GaussianSpec, length: float) -> np.ndar
     moments = []
     while True:  # the gain test stops a slow series long before a power overflows
         moments.append((np.sum(halves * power), np.sum(g * power), np.sum(g * abs(power))))
-        terms = _series_terms(np.array(moments), _SERIES_RADIUS)
+        terms = _series_terms(np.array(moments), reach)
         if not sum(terms) <= _SERIES_GAIN * terms[0]:
-            return None
+            gain = f"rounding gain {sum(terms) / terms[0]:.3g} at |b w0| <= {reach:.3g}"
+            raise GuardError(f"the dither series' {gain} passes {_SERIES_GAIN:g}: beam too wide")
         if _first_small_term(terms) < len(terms):
             break
         power *= scaled / len(moments)
@@ -217,30 +217,29 @@ def run_dither(scenario: Scenario, protocol: DitherProtocol) -> np.ndarray:
     Sample t is split_signal of the fold's field at alpha_j(t) = A_j sin(2 pi f_j t), G(x) sum_p
     A_p e^{beta_p x}, A_p = a_p e^{c s_p^2 + i phi_p}, beta_p = ik theta_p - 2 c s_p.  Its sums are
     Re sum_{p <= q} w_pq A_p conj(A_q) S(b), b = beta_p + conj(beta_q), w_pq = 2 for p != q, S
-    the series over _moments (or each field split, past their reach).  Per chunk of samples, one
-    Horner pass evaluates S at u = b w0 for all six pairs at once, from the degree that the
-    chunk's own radius max |u| needs (_first_small_term, 9 at the presets' dither against M = 14);
-    one reduction then adds the pair terms in order.  The crest must sit in the small-angle
-    regime, within MAX_DITHER_WORK: then |Re b| <= 0.05 / w0, |Im b| <= 0.2 / w0, |u| <= R =
-    _SERIES_RADIUS.
+    the series over _moments, read at the reach of each chunk of samples: its radius max |u|,
+    u = b w0, rounded up to a power of two (0 stays 0), at most R = _SERIES_RADIUS.  One Horner
+    pass then evaluates S at u for all six pairs at once, from the degree that radius needs
+    (_first_small_term, 9 at the presets' dither against M = 14 at R), and one reduction adds
+    the pair terms in order.  The crest must sit in the small-angle regime, within MAX_DITHER_WORK:
+    then |Re b| <= 0.05 / w0, |Im b| <= 0.2 / w0, |u| <= R.
     """
     check_dither_work(scenario, protocol)
     check_small_angle_regime(scenario, protocol.amplitudes)
-    moments = _moments(scenario.grid, scenario.beam, scenario.path_length)
     times = protocol.times()
-    if moments is None:
-        tilt_sets = map(TiltSet, zip(*protocol.tilts(times).values()))
-        return np.array([split_signal(detector_field_analytic(scenario, t)) for t in tilt_sets])
     series, c, ik = np.empty(protocol.sample_count), scenario.curvature, 1j * scenario.beam.k
     p, q = np.triu_indices(len(Path))  # the pairs p <= q: (0, 0), (0, 1), ..., (2, 2)
     # Complex once, x + 0j, the values a real operand is cast to in every mixed ufunc call.
-    weights, coefficients = np.where(p == q, 1.0, 2.0)[:, None] + 0j, moments[:, :2] + 0j
+    weights = np.where(p == q, 1.0, 2.0)[:, None] + 0j
     for start in range(0, times.size, _SAMPLE_CHUNK):
         span = times[start : start + _SAMPLE_CHUNK]
         a, s, t, phi = map(np.array, zip(*_fold_paths(scenario, protocol.tilts(span))))
         amps, betas = a[:, None] * np.exp(c * s**2 + 1j * phi), ik * t - 2.0 * c * s
         u = (betas[p] + np.conj(betas[q])) * scenario.beam.w0
         radius = float(np.abs(u).max())
+        reach = min(2.0 ** math.frexp(radius)[1], _SERIES_RADIUS) if radius else 0.0
+        moments = _moments(scenario.grid, scenario.beam, scenario.path_length, reach)
+        coefficients = moments[:, :2] + 0j
         degree = min(_first_small_term(_series_terms(moments, radius)), len(moments) - 1)
         horner = np.full((2, *u.shape), coefficients[degree, :, None, None])
         for mu in coefficients[degree - 1 :: -1]:
@@ -303,13 +302,14 @@ def sample_photons(f: TransverseField, count: int, seed: int) -> PhotonSample:
     pixel counts, p_j = |f_j|^2 / sum |f|^2, and each photon then lands at its
     pixel's low edge plus dx rng.random().  So a photon lands in cell j with
     probability p_j, uniformly within the cell, and the sample mean is an
-    unbiased estimate of the centroid.  Reproducible per seed.  The positions come grouped by pixel, in the grid's
-    order, not in draw order.  The uniforms are drawn into one buffer of
-    min(_PHOTON_CHUNK, count) doubles, reused for every chunk.  The multinomial
-    costs O(n) per draw whatever the count: 0.015-0.03 ms on the presets' 1,024
-    cells, 0.9-1.9 ms at MAX_SAMPLES even for 10 photons (2-vCPU x86 host).
+    unbiased estimate of the centroid.  Reproducible per seed.  The positions come
+    grouped by pixel, in the grid's order, not in draw order.  The uniforms are
+    drawn into one buffer of min(_PHOTON_CHUNK, count) doubles, reused for every
+    chunk.  The multinomial costs O(n) per draw whatever the count: 0.015-0.03 ms
+    on the presets' 1,024 cells, 0.9-1.9 ms at MAX_SAMPLES even for 10 photons
+    (2-vCPU x86 host).  A count past MAX_PHOTONS raises ConfigError before the draw.
     """
-    count, seed = _integer(count, "photon count", 1), _integer(seed, "seed", 0)
+    count, seed = _integer(count, "photon count", 1, MAX_PHOTONS), _integer(seed, "seed", 0)
     weights, total = _intensity(f)  # a finite, nonzero total: p sums to 1
     rng, dx = np.random.default_rng(seed), f.grid.spacing
     counts = rng.multinomial(count, weights / total)
@@ -353,13 +353,8 @@ def photon_dither_experiment(
 
 def read_photon_stage(photons_per_sample: object, seed: object) -> tuple[int, int]:
     """The photon stage's ints; ConfigError unless 1 <= photons_per_sample < 2**63, seed >= 0."""
-    photons_per_sample = _integer(photons_per_sample, "photons_per_sample", 1)
-    if photons_per_sample > MAX_PHOTONS_PER_SAMPLE:
-        raise ConfigError(
-            f"photons_per_sample {photons_per_sample} exceeds the 64-bit bound"
-            f" {MAX_PHOTONS_PER_SAMPLE}"
-        )
-    return photons_per_sample, _integer(seed, "seed", 0)
+    photons = _integer(photons_per_sample, "photons_per_sample", 1, MAX_PHOTONS_PER_SAMPLE)
+    return photons, _integer(seed, "seed", 0)
 
 
 def default_protocol() -> DitherProtocol:

@@ -140,14 +140,15 @@ def _frozen(values: object, dtype: type) -> np.ndarray:
     return values
 
 
-def _integer(value: object, name: str, least: float = -math.inf) -> int:
-    """value as a Python int (operator.index); ConfigError for anything not an integer >= least."""
+def _integer(value: object, name: str, least: float = -math.inf, most: float = math.inf) -> int:
+    """value as a Python int (operator.index); ConfigError unless an integer in [least, most]."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    if not least <= value <= most:
+        bound = f">= {least}" if value < least else f"<= {most}"
+        raise ConfigError(f"{name} must be {bound}, got {value}")
     return value
 
 

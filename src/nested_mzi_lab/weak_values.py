@@ -64,10 +64,14 @@ def alpha_step(beam: GaussianSpec) -> float:
 
 
 def difference_scale(scenario: Scenario, mirror: Mirror) -> float:
-    """The central difference's divisor 2 alpha_step z_mirror; ConfigError where it underflows."""
+    """The central difference's divisor 2 alpha_step z_mirror; ConfigError unless it is above
+    2^-52 grid.half_width, the centroid's float64 resolution at the grid's edge (on alt-port,
+    z_F >= 1.76e-12).  Just above, the value is off by about 1% (2.025 at 2e-12), 0.1% at 1e-11.
+    """
     scale = 2.0 * alpha_step(scenario.beam) * scenario.distances[mirror]
-    if not scale > 0.0:
-        raise ConfigError(f"2 * alpha_step * z_{mirror.value} underflows to {scale!r}")
+    floor = 2.0**-52 * scenario.grid.half_width
+    if not scale > floor:
+        raise ConfigError(f"2 * alpha_step * z_{mirror.value} = {scale:.3g} <= {floor:.3g}")
     return scale
 
 

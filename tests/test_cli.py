@@ -510,6 +510,16 @@ class TestExitCodes:
         assert err.startswith("error category=guard message=k*alpha*w0 = 0.496 exceeds")
         assert "\n" not in err.strip()
 
+    def test_dither_beam_past_the_series_reach_is_3(self, tmp_path, capsys):
+        # 300 Rayleigh ranges: too wide at the detector for the series at the run's own radius.
+        sets = ["path_length=1489.4", "grid_n=16384", "grid_half_width=1.6"]
+        args = ["dither", "--preset", "fig1c", *(a for s in sets for a in ("--set", s))]
+        assert main([*args, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error category=guard message=the dither series' rounding gain")
+        assert "\n" not in err.strip()
+        assert [path.name for path in tmp_path.iterdir()] == ["manifest.txt"]
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_float_is_2(self, tmp_path, capsys, key, value):
@@ -567,6 +577,8 @@ class TestExitCodes:
             # 2 * alpha_step * z_F underflows to 0 in the finite difference.
             ["weak-values", "--preset", "dove-after", "--set", "z_F=5e-324"],
             ["weak-values", "--set", "z_F=5e-324"],
+            # It does not underflow, but the centroid's rounding over it reads 2e286.
+            ["weak-values", "--preset", "alt-port", "--set", "z_F=1e-300"],
             # Far over the grid bound; refused before anything is allocated.
             ["centroid", "--preset", "fig1a", "--set", f"grid_n={2**40}"],
         ],

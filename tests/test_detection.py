@@ -324,6 +324,18 @@ class TestSamplePhotons:
         with pytest.raises(ConfigError):
             sample_photons(make_gaussian(beam, grid), 0, seed=1)
 
+    @pytest.mark.parametrize("count", [2**62, 2**64], ids=["2**62", "2**64"])
+    def test_count_past_numpy_arrays_refused_before_drawing(self, grid, beam, count, monkeypatch):
+        # numpy raised ValueError ("array is too big") at 2**62 and OverflowError at 2**64.
+        monkeypatch.setattr(np.random, "default_rng", None)  # the draw never starts
+        with pytest.raises(ConfigError, match=f"photon count must be <= {sys.maxsize // 8}"):
+            sample_photons(make_gaussian(beam, grid), count, seed=1)
+
+    def test_count_numpy_can_describe_is_not_refused(self, grid, beam):
+        # 2**59 doubles (4 EiB) is a float64 array numpy describes but cannot allocate.
+        with pytest.raises(MemoryError):
+            sample_photons(make_gaussian(beam, grid), 2**59, seed=1)
+
     def test_negative_seed(self, grid, beam):
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             sample_photons(make_gaussian(beam, grid), 10, seed=-1)
@@ -766,6 +778,13 @@ def longdouble_dither(scenario, protocol, every):
     return np.array(series, dtype=np.float64)
 
 
+def crest_moments(scenario):
+    """The scenario's half-grid moments at the regime's crest bound R = _SERIES_RADIUS."""
+    return detection._moments(
+        scenario.grid, scenario.beam, scenario.path_length, detection._SERIES_RADIUS
+    )
+
+
 def at_kaw(scenario, kaw=1e-2):
     """The fast protocol with every amplitude at k alpha w0 = kaw."""
     amp = kaw / (scenario.beam.k * scenario.beam.w0)
@@ -794,36 +813,51 @@ class TestMomentSeries:
     def test_matches_the_longdouble_fold(self, case):
         scenario = MOMENT_CASES[case]
         protocol = at_kaw(scenario)
-        assert detection._moments(scenario.grid, scenario.beam, scenario.path_length) is not None
+        crest_moments(scenario)  # in reach at R: GuardError otherwise
         oracle = longdouble_dither(scenario, protocol, every=10)
         series = run_dither(scenario, protocol)[::10]
         assert np.abs(series - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_order_follows_the_bound(self, grid, beam):
-        moments = detection._moments(grid, beam, default_scenario().path_length)
+        length = default_scenario().path_length
+        moments = detection._moments(grid, beam, length, detection._SERIES_RADIUS)
         assert moments.shape == (15, 3)  # M = 14, as _moments states
         # The last term kept is under the tolerance at the series radius.
         nu = np.sum(np.abs(gaussian_profile(grid.xs, beam, 2.0)) ** 2)
         last = abs(moments[-1, 1]) * detection._SERIES_RADIUS ** (len(moments) - 1)
         assert last <= detection._SERIES_TOLERANCE * nu
 
-    def test_too_wide_a_beam_splits_each_field(self):
-        # At L = 40 z_R the beam is 40 waists wide: the series' rounding gain
-        # passes its bound, and each sample's analytic field is split instead.
-        base = load_preset("fig1c").scenario
-        scenario = replace(
-            base, path_length=40.0 * base.beam.rayleigh_range,
-            grid=TransverseGrid(n=2048, half_width=0.25),
-        )
-        assert detection._moments(scenario.grid, scenario.beam, scenario.path_length) is None
+    @pytest.mark.parametrize("rayleigh_ranges, n, half_width", [(40, 2048, 0.25), (100, 8192, 0.6)])
+    def test_wide_beams_read_the_series_at_their_own_radius(self, rayleigh_ranges, n, half_width):
+        # Past the series' reach at R, inside it at the radius the run reaches (about 0.04).
+        scenario = wide_scenario(rayleigh_ranges, n, half_width)
+        with pytest.raises(GuardError, match="rounding gain"):
+            crest_moments(scenario)
         protocol = at_kaw(scenario)
         oracle = longdouble_dither(scenario, protocol, every=10)
         series = run_dither(scenario, protocol)[::10]
-        # split_signal's error is a few rounding steps of 1, not of the signal
-        # (at most 2e-4): each sample's intensity carries its own rounding, which
-        # the sign-weighted sum passes on rather than cancels.
         assert np.abs(series - oracle).max() <= 1e-15
-        assert np.abs(oracle).max() > 1e-4
+        assert np.abs(oracle).max() > 1e-5
+        # Without a dither the radius is 0, and so is the reach: the series is the moments' ratio.
+        still = replace(protocol, amplitudes=MirrorTable((0.0,) * len(Mirror), "amp"))
+        oracle = longdouble_dither(scenario, still, every=100)
+        assert np.abs(run_dither(scenario, still)[::100] - oracle).max() <= 1e-15
+
+    def test_a_beam_past_reach_at_its_own_radius_is_refused(self):
+        scenario = wide_scenario(300, 16384, 1.6)
+        # The run's reach is 2^-4, the power of two above its radius: the gain passes 2^10 there.
+        gain = r"rounding gain \S+ at \|b w0\| <= 0.0625 passes 1024"
+        with pytest.raises(GuardError, match=gain):
+            run_dither(scenario, at_kaw(scenario))
+
+
+def wide_scenario(rayleigh_ranges, n, half_width):
+    """fig1c with the detector rayleigh_ranges z_R past the source, on a grid of n samples."""
+    base = load_preset("fig1c").scenario
+    return replace(
+        base, path_length=rayleigh_ranges * base.beam.rayleigh_range,
+        grid=TransverseGrid(n=n, half_width=half_width),
+    )
 
 
 def per_pair_dither(scenario, protocol, cut=False):
@@ -833,7 +867,7 @@ def per_pair_dither(scenario, protocol, cut=False):
     max |u| over every pair.  Also returns, per sample, sum_pq |pair term| / total, the scale
     of the rounding in the split sum.
     """
-    moments = detection._moments(scenario.grid, scenario.beam, scenario.path_length)
+    moments = crest_moments(scenario)
     c, ik, w0 = scenario.curvature, 1j * scenario.beam.k, scenario.beam.w0
     times = protocol.times()
     series, scale = np.empty(times.size), np.empty(times.size)
@@ -863,12 +897,18 @@ def per_pair_dither(scenario, protocol, cut=False):
 
 
 def record_cuts(monkeypatch):
-    """Patch run_dither's degree choice to log each chunk's (terms t_m at its radius, degree)."""
+    """Patch run_dither's degree choice to log each chunk's (radius max |u|, degree).
+
+    _moments makes the same call for each row it adds on a cache miss; only run_dither's
+    calls, one per chunk, are logged.
+    """
     cuts, first_small_term = [], detection._first_small_term
 
     def logged(terms):
-        cuts.append((terms, first_small_term(terms)))
-        return cuts[-1][1]
+        degree, caller = first_small_term(terms), sys._getframe(1)
+        if caller.f_code is detection.run_dither.__code__:
+            cuts.append((caller.f_locals["radius"], degree))
+        return degree
 
     monkeypatch.setattr(detection, "_first_small_term", logged)
     return cuts
@@ -898,10 +938,13 @@ class TestOnePassOverPairs:
     @pytest.mark.parametrize("preset_name", PRESET_NAMES)
     def test_presets_cut_below_the_cached_degree(self, monkeypatch, preset_name):
         scenario = load_preset(preset_name).scenario
-        moments = detection._moments(scenario.grid, scenario.beam, scenario.path_length)
+        moments = crest_moments(scenario)
+        detection._moments.cache_clear()
         cuts = record_cuts(monkeypatch)
         run_dither(scenario, default_protocol())
         assert len(cuts) == 10  # one per chunk of 1024 samples
+        # Every chunk's radius rounds up to the same power of two: one set of moments.
+        assert detection._moments.cache_info().misses == 1
         assert {degree for _, degree in cuts} == {9}
         assert len(moments) - 1 == 14
 
@@ -918,7 +961,7 @@ class TestOnePassOverPairs:
             frequencies=MirrorTable(FAST_FREQS), sample_rate=4.0 * count, duration=0.25,
         )
         assert protocol.sample_count == count
-        moments = detection._moments(scenario.grid, scenario.beam, scenario.path_length)
+        moments = crest_moments(scenario)
         with pytest.MonkeyPatch.context() as patch:
             cuts = record_cuts(patch)
             series = run_dither(scenario, protocol)
@@ -927,7 +970,8 @@ class TestOnePassOverPairs:
         cut, _ = per_pair_dither(scenario, protocol, cut=True)
         assert series.tobytes() == cut.tobytes()
         # The terms past each chunk's degree are below the tolerance at its radius.
-        for terms, degree in cuts:
+        for radius, degree in cuts:
+            terms = detection._series_terms(moments, radius)
             assert degree <= len(moments) - 1
             assert sum(terms[degree + 1 :]) <= detection._SERIES_TOLERANCE * terms[0]
         # Against the full degree, the cut moves a sample by rounding steps of the split

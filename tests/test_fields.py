@@ -34,7 +34,7 @@ from nested_mzi_lab import (
     propagate,
 )
 from nested_mzi_lab import fields
-from nested_mzi_lab.detection import _moments
+from nested_mzi_lab.detection import _SERIES_RADIUS, _moments
 from nested_mzi_lab.interferometer import _outer_prefix, _reference_prefix, _trace
 from conftest import (
     GridMismatchError,
@@ -177,7 +177,7 @@ class TestGridAndSpecs:
             "_outer_prefix": _outer_prefix(scenario).amplitude,
             "_reference_prefix": _reference_prefix(scenario).amplitude,
             "_trace": _trace(scenario, (5e-7, 0.0, 0.0), Path.EAF).amplitude,  # E, A, F
-            "_moments": _moments(grid, beam, scenario.path_length),
+            "_moments": _moments(grid, beam, scenario.path_length, _SERIES_RADIUS),
             "make_gaussian": source.amplitude,
             "propagate": propagate(source, 0.5).amplitude,
             "apply_tilt": apply_tilt(source, 1e-6).amplitude,

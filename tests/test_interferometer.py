@@ -38,7 +38,7 @@ from nested_mzi_lab import (
     PRESET_NAMES,
 )
 from nested_mzi_lab import fields, interferometer
-from nested_mzi_lab.detection import _moments
+from nested_mzi_lab.detection import _SERIES_RADIUS, _moments
 from nested_mzi_lab.elements import MAX_TILT
 from nested_mzi_lab.interferometer import PRESET_TILT, _fold_paths, _trace
 from conftest import CORNERS, FAST_FREQS, norm, tilts_at, widest_scenario, with_value
@@ -455,8 +455,8 @@ class TestFoldPaths:
         for angles in alpha * CORNERS:
             check_small_angle_regime(scenario, TiltSet(angles.tolist()))
         assert_engines_agree(scenario, alpha * CORNERS, tolerance=1e-13)
-        moments = _moments(scenario.grid, beam, length)
-        assert moments is not None and np.isfinite(moments).all()
+        moments = _moments(scenario.grid, beam, length, _SERIES_RADIUS)
+        assert np.isfinite(moments).all()
         protocol = DitherProtocol(
             amplitudes=MirrorTable((alpha,) * len(Mirror), "amp"),
             frequencies=MirrorTable(FAST_FREQS), sample_rate=4000.0, duration=0.25,

@@ -25,6 +25,7 @@ from nested_mzi_lab import (
     weak_value,
     weak_value_report,
 )
+from conftest import with_value
 
 EXPECTED_BRIGHT = {
     Mirror.A: 1.0,
@@ -147,6 +148,18 @@ class TestEffectiveWeakValues:
         scenario = replace(default_scenario(), distances=MirrorTable((1.0, 1.0, 1.0, 1.5, 5e-324)))
         with pytest.raises(ConfigError, match="z_F"):
             effective_weak_value(scenario, Mirror.F)
+        # It does not underflow at 1e-300, but it is below 2^-52 grid_half_width, the centroid's
+        # resolution, so the difference is rounding: alt-port read effective_F = 2e286 there.
+        # On alt-port the bound falls at z_F = 1.76e-12; F's value is 2.
+        alt_port = load_preset("alt-port").scenario
+
+        def at(z_f):
+            return replace(alt_port, distances=with_value(alt_port.distances, Mirror.F, z_f))
+
+        for z_f in (1e-300, 1.7e-12):
+            with pytest.raises(ConfigError, match=r"z_F = \S+ <= 3.55e-18"):
+                effective_weak_value(at(z_f), Mirror.F)
+        assert effective_weak_value(at(1.8e-12), Mirror.F) == pytest.approx(2.0, rel=1e-2)
 
     def test_inner_mirrors_track_projectors_with_prisms_before(self):
         scenario = default_scenario(dove=Dove.BEFORE)
